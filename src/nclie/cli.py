@@ -9,6 +9,7 @@ data for equality/inclusion checks.  Reports are deterministic for a fixed
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -268,22 +269,20 @@ def suite_filtration_identities(cfg: RunConfig, report: Report, kmax=4, lmax=4):
     fctx = cfg.coefficient_context()
     cache = cur.filtration(fctx)
     C = cache.commutator_space
-    ok_embed_a = all(
+    _timed(report, "ideal embedding, one more commutator", "filtration.embedding", lambda: all(
         cache.ideal_Ikl(k, l).issubset(cache.ideal_Ikl(k - 1, l))
         and cache.ideal_Ik_le(k, l).issubset(cache.ideal_Ik_le(k - 1, l))
         for k in range(1, kmax + 1)
         for l in range(1, lmax + 1)
-    )
-    _timed(report, "ideal embedding, one more commutator", "filtration.embedding", lambda: ok_embed_a)
-    ok_embed_b = all(
+    ))
+    _timed(report, "bracketing raises the ideal index", "filtration.bracket-raises", lambda: all(
         op_bracket(fctx, cache.base, cache.ideal_Ikl(k - 1, l)).issubset(cache.ideal_Ikl(k, l))
         and op_bracket(fctx, cache.base, cache.ideal_Ik_le(k - 1, l)).issubset(
             cache.ideal_Ik_le(k, l)
         )
         for k in range(1, kmax + 1)
         for l in range(1, lmax + 1)
-    )
-    _timed(report, "bracketing raises the ideal index", "filtration.bracket-raises", lambda: ok_embed_b)
+    ))
 
     def embed_c():
         for k in range(1, kmax + 1):
@@ -371,36 +370,39 @@ def suite_bounds_chain(cfg: RunConfig, report: Report, m_caps=(2, 3, 4)):
     fctx = cfg.coefficient_context()
     pair = pair_by_name(cfg.pair)
     tctx = cur.TensorContext(fctx, pair.n)
-    L = cur.lie_closure(pair, fctx)
-    O = cur.overline_bound(pair, fctx)
-    T = cur.tilde_bound(pair, fctx)
+    # built by the first check that uses them, so its ms includes the build
+    L = functools.cache(lambda: cur.lie_closure(pair, fctx))
+    O = functools.cache(lambda: cur.overline_bound(pair, fctx))
+    T = functools.cache(lambda: cur.tilde_bound(pair, fctx))
     _timed(report, f"{pair.name}: closure inside refined bound", "bounds.chain-lower",
-           lambda: L.issubset(O), degrees_of=lambda: degree_table(L, O))
+           lambda: L().issubset(O()), degrees_of=lambda: degree_table(L(), O()))
     _timed(report, f"{pair.name}: refined inside plain bound", "bounds.chain-upper",
-           lambda: O.issubset(T), degrees_of=lambda: degree_table(O, T))
+           lambda: O().issubset(T()), degrees_of=lambda: degree_table(O(), T()))
     _timed(report, f"{pair.name}: plain bound bracket-closed", "bounds.tilde-closed",
-           lambda: bracket_closed(tctx, T))
+           lambda: bracket_closed(tctx, T()))
     _timed(report, f"{pair.name}: refined bound bracket-closed", "bounds.overline-closed",
-           lambda: bracket_closed(tctx, O))
+           lambda: bracket_closed(tctx, O()))
     _timed(report, f"{pair.name}: closure bracket-closed", "bounds.closure-closed",
-           lambda: bracket_closed(tctx, L))
-    for m in m_caps:
+           lambda: bracket_closed(tctx, L()))
+
+    def filtered_chain(m):
         Lm = cur.lie_closure(pair, fctx, m_cap=m)
         Om = cur.overline_bound(pair, fctx, m_cap=m)
         Tm = cur.tilde_bound(pair, fctx, m_cap=m)
         Gm = cur.f_langle_g_filtered(pair, fctx, m)
+        return Lm.issubset(Om) and Om.issubset(Tm) and Tm.issubset(Gm)
+
+    for m in m_caps:
         _timed(report, f"{pair.name}: filtered chain at depth {m}", "bounds.filtered-chain",
-               lambda Lm=Lm, Om=Om, Tm=Tm, Gm=Gm: Lm.issubset(Om)
-               and Om.issubset(Tm) and Tm.issubset(Gm))
+               lambda m=m: filtered_chain(m))
     return report
 
 
 def suite_perfect_equality(cfg: RunConfig, report: Report):
     fctx = cfg.coefficient_context()
     pair = pair_by_name(cfg.pair)
-    perfect, first_fail = pair.is_perfect()
     _timed(report, f"{pair.name}: power recursion is perfect", "pairs.perfect",
-           lambda: perfect)
+           lambda: pair.is_perfect()[0])
     if pair.witness_candidate is not None:
         # the witness is a sufficient condition only, so a negative outcome is
         # recorded as vacuous rather than as a failure
@@ -415,41 +417,42 @@ def suite_perfect_equality(cfg: RunConfig, report: Report):
             f"{pair.name}: split strong-grading witness", "pairs.strongly-graded",
             verdict, ms=_ms(t0), detail=detail,
         ))
-    L = cur.lie_closure(pair, fctx)
-    T = cur.tilde_bound(pair, fctx)
+    L = functools.cache(lambda: cur.lie_closure(pair, fctx))
+    T = functools.cache(lambda: cur.tilde_bound(pair, fctx))
     _timed(report, f"{pair.name}: closure equals plain bound", "perfect.equality",
-           lambda: L == T, degrees_of=lambda: degree_table(L, T))
+           lambda: L() == T(), degrees_of=lambda: degree_table(L(), T()))
     return report
 
 
 def suite_closed_forms(cfg: RunConfig, report: Report):
     fctx = cfg.coefficient_context()
     pair = pair_by_name(cfg.pair)
-    L = cur.lie_closure(pair, fctx)
+    L = functools.cache(lambda: cur.lie_closure(pair, fctx))
+
+    def equals_closure(name, anchor, build):
+        # the check's ms includes building the form (and the closure, the first time)
+        S = functools.cache(build)
+        _timed(report, f"{pair.name}: {name}", anchor,
+               lambda: S() == L(), degrees_of=lambda: degree_table(S(), L()))
+
     if pair.pair_type() == 2:
-        F2 = cur.type2_formula(pair, fctx)
-        _timed(report, f"{pair.name}: type-2 span formula", "closed.type2",
-               lambda: F2 == L, degrees_of=lambda: degree_table(F2, L))
+        equals_closure("type-2 span formula", "closed.type2",
+                       lambda: cur.type2_formula(pair, fctx))
     if pair.name.startswith("sl:"):
-        S = sl_trace_form(pair, fctx)
-        _timed(report, f"{pair.name}: trace-in-commutators form", "closed.sl-trace",
-               lambda: S == L, degrees_of=lambda: degree_table(S, L))
+        equals_closure("trace-in-commutators form", "closed.sl-trace",
+                       lambda: sl_trace_form(pair, fctx))
     if pair.name.startswith(("so:", "sp:")):
-        S = orthogonal_form(pair, fctx)
-        _timed(report, f"{pair.name}: orthogonal/symplectic form", "closed.orthogonal",
-               lambda: S == L, degrees_of=lambda: degree_table(S, L))
+        equals_closure("orthogonal/symplectic form", "closed.orthogonal",
+                       lambda: orthogonal_form(pair, fctx))
     if pair.bracket_power(1).is_zero():
-        A = cur.abelian_closure_form(pair, fctx)
-        _timed(report, f"{pair.name}: abelian graded form", "closed.abelian",
-               lambda: A == L, degrees_of=lambda: degree_table(A, L))
+        equals_closure("abelian graded form", "closed.abelian",
+                       lambda: cur.abelian_closure_form(pair, fctx))
     if pair.semisimple:
-        SS = cur.semisimple_closed_form(pair, fctx)
-        _timed(report, f"{pair.name}: enveloping-center form", "closed.semisimple-center",
-               lambda: SS == L, degrees_of=lambda: degree_table(SS, L))
+        equals_closure("enveloping-center form", "closed.semisimple-center",
+                       lambda: cur.semisimple_closed_form(pair, fctx))
     if pair.name.startswith("sl2irrep:"):
-        SF = cur.sl2_closed_form(pair.n, fctx)
-        _timed(report, f"{pair.name}: weight-module form", "closed.sl2-module",
-               lambda: SF == L, degrees_of=lambda: degree_table(SF, L))
+        equals_closure("weight-module form", "closed.sl2-module",
+                       lambda: cur.sl2_closed_form(pair.n, fctx))
     return report
 
 
@@ -485,14 +488,27 @@ def orthogonal_form(pair, fctx):
     )
 
 
+def _free_only(report: Report, fctx, suite: str, anchor: str) -> bool:
+    """Record the suite as unsupported unless the coefficients are a truncated
+    free algebra, whose words and degrees its seeded instances are drawn from."""
+    if fctx.is_free:
+        return False
+    report.add(CheckRecord(f"{suite} needs a free coefficient context", anchor, "unsupported",
+                           detail=f"{fctx!r} is not a truncated free algebra"))
+    return True
+
+
 def suite_cartan(cfg: RunConfig, report: Report, flavor: str):
     fctx = cfg.coefficient_context()
+    if _free_only(report, fctx, f"cartan-{flavor}", f"cartan.{flavor}"):
+        return report
     pair = pair_by_name(cfg.pair)
     # each criterion is a statement about its own family of pairs
     if flavor == "classical" and not pair.name.startswith(("so:", "sp:")):
         pair = make_orthogonal(3)
     if flavor == "sl2" and not pair.name.startswith("sl2irrep:"):
         pair = pair_by_name(f"sl2irrep:{min(pair.n, 4)}" if pair.n >= 2 else "sl2irrep:3")
+    t0 = time.monotonic()  # the equivalence check's ms includes the closure and the battery
     cache = cur.filtration(fctx)
     rng = random.Random(cfg.seed)
     L = cur.lie_closure(pair, fctx)
@@ -500,7 +516,6 @@ def suite_cartan(cfg: RunConfig, report: Report, flavor: str):
     positives = negatives = 0
     agree = True
     mismatch = None
-    t0 = time.monotonic()
     for kind, diag in diagonals:
         if flavor == "classical":
             crit, _ = gr.cartan_criterion_classical(diag, cache)
@@ -551,6 +566,8 @@ def suite_cartan(cfg: RunConfig, report: Report, flavor: str):
 
 def suite_difference_calculus(cfg: RunConfig, report: Report, ell_max=4, k_max=2):
     fctx = cfg.coefficient_context()
+    if _free_only(report, fctx, "difference-calculus", "diffcalc"):
+        return report
     cache = cur.filtration(fctx)
     rng = random.Random(cfg.seed)
     one = fctx.one()
@@ -560,22 +577,26 @@ def suite_difference_calculus(cfg: RunConfig, report: Report, ell_max=4, k_max=2
         hs = [random_ideal_element(cache, k, rng, terms=1) for k in range(1, ell)]
         return gr.solve_m_from_h(m1, hs)
 
-    instances = {ell: build_instance(ell) for ell in range(2, ell_max + 1)}
+    # built by the first check, so its ms includes them; they draw from rng
+    # before any later check does
+    instances = functools.cache(
+        lambda: {ell: build_instance(ell) for ell in range(2, ell_max + 1)}
+    )
 
     _timed(report, "difference tables satisfy the two-term recursion",
            "diffcalc.table-recursion",
-           lambda: all(gr.DifferenceTable(ms).verify_recursion() for ms in instances.values()))
+           lambda: all(gr.DifferenceTable(ms).verify_recursion() for ms in instances().values()))
     _timed(report, "solved instances have fully member tables",
            "diffcalc.table-membership",
-           lambda: all(gr.DifferenceTable(ms).all_member(cache) for ms in instances.values()))
+           lambda: all(gr.DifferenceTable(ms).all_member(cache) for ms in instances().values()))
     _timed(report, "inverted sequences keep the memberships",
            "diffcalc.inverse-table",
            lambda: all(
-               gr.inverse_table_check(ms, cache)["equivalent"] for ms in instances.values()
+               gr.inverse_table_check(ms, cache)["equivalent"] for ms in instances().values()
            ))
 
     def homogeneity():
-        for ell, ms in instances.items():
+        for ell, ms in instances().items():
             for k in range(0, k_max + 1):
                 a, b = gr.homogeneity_check_dij(ms, 1, ell, k, cache)
                 if not (a and b):
@@ -692,6 +713,8 @@ def cmd_compute(cfg: RunConfig) -> Report:
 def cmd_cartan(cfg: RunConfig) -> Report:
     report = Report(cfg)
     fctx = cfg.coefficient_context()
+    if not fctx.is_free:
+        raise UnsupportedError(f"the diagonal criteria need a truncated free algebra, not {fctx!r}")
     pair = pair_by_name(cfg.pair)
     cache = cur.filtration(fctx)
     entries = [s.strip() for s in cfg.diag.split(";")]
@@ -791,12 +814,12 @@ def main(argv=None) -> int:
             report = cmd_compute(cfg)
         else:
             report = cmd_cartan(cfg)
+    except UnsupportedError as exc:  # a ValueError, so it is caught first
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, ParseError, NonUnitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnsupportedError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return 3
     payload = json.dumps(report.jsonable(), indent=2) if cfg.as_json else report.to_text()
     if cfg.out:
         with open(cfg.out, "w") as fh:

@@ -619,7 +619,3 @@ class _Parser:
             return _coerce(self.ctx, value)
         except NonUnitError:
             raise ParseError("numeric literal needs a unital context", self.pos) from None
-
-
-def format_element(a: AlgElement) -> str:
-    return str(a)

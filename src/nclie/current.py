@@ -35,6 +35,7 @@ from .subspace import (
     SpanBuilder,
     bracket_saturate,
     fraction_solve,
+    kronecker_span,
     op_bracket,
     op_product,
     subspace_sum,
@@ -303,17 +304,13 @@ def tensor_inverse(x: TensorElement) -> TensorElement:
 
 
 def tensor_product_span(tctx: TensorContext, fsub: GradedSubspace, asub: GradedSubspace) -> GradedSubspace:
-    """Span of u (x) M over basis vectors u of fsub and M of asub."""
-    b = SpanBuilder(tctx.ambient)
-    arows = [list(v.items()) for v in asub.vectors()]
-    for u in fsub.vectors():
-        for arow in arows:
-            vec = {}
-            for fi, cf in u.items():
-                for ai, ca in arow:
-                    vec[tctx.flat(fi, ai)] = cf * ca
-            b.add(vec)
-    return b.finalize()
+    """Span of u (x) M over basis vectors u of fsub and M of asub, built as
+    the Kronecker product of their canonical blocks (see kronecker_span)."""
+    if fsub.ambient != tctx.fctx.ambient:
+        raise ValueError("coefficient subspace is not in the coefficient ambient")
+    if asub.ambient != Ambient([(0, tctx.nn)]):
+        raise ValueError(f"matrix subspace is not in the ambient of M_{tctx.n}")
+    return kronecker_span(fsub, asub)
 
 
 def fg_generator_vectors(pair: CompatiblePair, tctx: TensorContext):

@@ -17,6 +17,7 @@ from .subspace import (
     Ambient,
     GradedSubspace,
     SpanBuilder,
+    fraction_left_kernel,
     fraction_nullspace,
     fraction_rref,
     fraction_solve,
@@ -247,19 +248,30 @@ class CompatiblePair:
         """Span of pure powers a^k over a in g, by full polarization.
 
         In characteristic zero this equals the span of symmetrized k-fold
-        basis products, so no random sampling is involved.
+        basis products, so no random sampling is involved.  The sum sym(M)
+        of the products over the distinct orderings of a multiset M of basis
+        indices obeys sym(M) = sum over distinct x in M of b_x sym(M - x),
+        with sym of the empty multiset the identity; the memo shares each
+        sub-multiset between the k-multisets that contain it.
         """
         if k < 2:
             raise ValueError("k must be >= 2")
+        memo = {(): mat_identity(self.n)}
+
+        def sym(ms):
+            if ms not in memo:
+                total = mat_zero(self.n)
+                for pos, x in enumerate(ms):
+                    if pos and ms[pos - 1] == x:
+                        continue
+                    rest = sym(ms[:pos] + ms[pos + 1:])
+                    total = mat_add(total, mat_mul(self.g_basis[x], rest))
+                memo[ms] = total
+            return memo[ms]
+
         b = SpanBuilder(self.mctx.ambient)
         for combo in itertools.combinations_with_replacement(range(len(self.g_basis)), k):
-            total = mat_zero(self.n)
-            for perm in set(itertools.permutations(combo)):
-                prod = self.g_basis[perm[0]]
-                for idx in perm[1:]:
-                    prod = mat_mul(prod, self.g_basis[idx])
-                total = mat_add(total, prod)
-            b.add(mat_to_vector(total))
+            b.add(mat_to_vector(sym(combo)))
         return b.finalize()
 
     def envelope(self) -> GradedSubspace:
@@ -333,7 +345,7 @@ class CompatiblePair:
                     comm = mat_commutator(c, b)
                     row.extend(comm[i][j] for i in range(self.n) for j in range(self.n))
                 rows.append(row)
-            combos = fraction_left_kernel_rows(rows)
+            combos = fraction_left_kernel(rows)
             bld = SpanBuilder(self.mctx.ambient)
             for combo in combos:
                 z = mat_zero(self.n)
@@ -416,12 +428,6 @@ class CompatiblePair:
             self.mctx.ambient, [mat_to_vector(realize(v)) for v in eigenspaces.get(Fraction(0), [])]
         )
         return span == null
-
-
-def fraction_left_kernel_rows(rows):
-    from .subspace import fraction_left_kernel
-
-    return fraction_left_kernel([[Fraction(v) for v in r] for r in rows])
 
 
 # -- characteristic polynomial and rational roots ------------------------------

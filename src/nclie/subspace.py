@@ -153,10 +153,6 @@ class _Block:
         self.maxes.insert(pos, amax)
         return arr
 
-    def contains(self, arr, amax) -> bool:
-        arr, _, _ = self.reduce(arr, amax)
-        return arr is None
-
     def canonicalize(self):
         """Eliminate above pivots, then renormalize; yields the unique basis."""
         rows, pivots = self.rows, self.pivots
@@ -367,9 +363,6 @@ class GradedSubspace:
                     b.add_block_row(bi, _int_row_from_fractions(vec))
         return b.finalize()
 
-    def equals(self, other: "GradedSubspace") -> bool:
-        return self == other
-
     def __eq__(self, other):
         if not isinstance(other, GradedSubspace):
             return NotImplemented
@@ -489,19 +482,6 @@ class SpanBuilder:
             return False
         return self._blocks[bi].insert(arr, amax) is not None
 
-    def contains(self, vector) -> bool:
-        parts: dict[int, dict[int, object]] = {}
-        for idx, val in vector.items() if isinstance(vector, dict) else vector:
-            if not val:
-                continue
-            bi, loc = self.ambient.block_of(idx)
-            parts.setdefault(bi, {})[loc] = val
-        for bi, comp in parts.items():
-            arr, amax = _int_row(self.ambient.blocks[bi][1], comp)
-            if arr is not None and not self._blocks[bi].contains(arr, amax):
-                return False
-        return True
-
     def dims(self) -> tuple[int, ...]:
         return tuple(len(b.rows) for b in self._blocks)
 
@@ -518,6 +498,46 @@ class SpanBuilder:
             rows.append(np.array([r.astype(dt) for r in blk.rows]))
             pivots.append(tuple(blk.pivots))
         return GradedSubspace(self.ambient, tuple(rows), tuple(pivots))
+
+
+def kronecker_span(fsub: GradedSubspace, asub: GradedSubspace) -> GradedSubspace:
+    """Span of u (x) a over basis rows u of fsub and a of asub.
+
+    asub must live in a single degree-0 block of width w.  The result lives in
+    the ambient with a block (d, s*w) for every block (d, s) of fsub, where
+    u (x) a has the entry u[p]*a[q] at local index p*w + q.
+
+    No elimination is needed: per block, kron(U, A) of the two stored
+    matrices is already the canonical form.
+      * Reduced echelon: row (i, j) has its pivot at p_i*w + q_j, and every
+        other row (i', j') holds U[i', p_i]*A[j', q_j] = 0 there, because U
+        and A are reduced.
+      * Pivot order: rows come out ordered by (i, j), hence by p_i*w + q_j.
+      * Primitive with a positive pivot: content(u (x) a) =
+        content(u)*content(a) = 1 (Gauss's lemma), and a product of positive
+        pivots is positive.
+      * dtype: int64 exactly when max|U|*max|A| < _GUARD, the rule
+        SpanBuilder.finalize applies row by row.
+    """
+    if len(asub.ambient.blocks) != 1 or asub.ambient.blocks[0][0] != 0:
+        raise ValueError("right factor must live in a single degree-0 block")
+    width = asub.ambient.dim
+    ambient = Ambient([(d, s * width) for d, s in fsub.ambient.blocks])
+    amat, apiv = asub._rows[0], asub._pivots[0]
+    if amat is None:
+        return GradedSubspace.zero(ambient)
+    amax = int(abs(amat).max())
+    rows = []
+    pivots = []
+    for fmat, fpiv in zip(fsub._rows, fsub._pivots):
+        if fmat is None:
+            rows.append(None)
+            pivots.append(())
+            continue
+        dtype = object if int(abs(fmat).max()) * amax >= _GUARD else np.int64
+        rows.append(np.kron(fmat.astype(dtype), amat.astype(dtype)))
+        pivots.append(tuple(p * width + q for p in fpiv for q in apiv))
+    return GradedSubspace(ambient, tuple(rows), tuple(pivots))
 
 
 # -- bilinear span operations ----------------------------------------------

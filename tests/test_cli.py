@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from nclie.cli import (
     CheckRecord,
@@ -182,3 +185,54 @@ def test_battery_kinds_deterministic():
     assert all(x.fs == y.fs for (_, x), (_, y) in zip(a, b))
     kinds = {k for k, _ in a}
     assert kinds == {"constant", "geometric", "bracket", "word", "solved"}
+
+
+def test_bounds_chain_ms_includes_builds(capsys, monkeypatch):
+    import nclie.current as cur
+
+    real = cur.overline_bound
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cur, "overline_bound", slow)
+    rc = main(["verify", "--suite", "bounds-chain", "--pair", "jordan:3",
+               "--gens", "2", "--deg", "3", "--json"])
+    assert rc == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    by_anchor = {c["anchor"]: c for c in checks}
+    assert by_anchor["bounds.chain-lower"]["ms"] >= 50
+    assert [c["anchor"] for c in checks] == [
+        "bounds.chain-lower", "bounds.chain-upper", "bounds.tilde-closed",
+        "bounds.overline-closed", "bounds.closure-closed",
+    ] + ["bounds.filtered-chain"] * 3
+    assert all(c["verdict"] == "pass" for c in checks)
+
+
+@pytest.mark.parametrize("suite, anchor", [
+    ("cartan-classical", "cartan.classical"),
+    ("cartan-sl2", "cartan.sl2"),
+    ("difference-calculus", "diffcalc"),
+])
+def test_matrix_backend_free_only_suites_unsupported(suite, anchor, capsys):
+    rc = main(["verify", "--suite", suite, "--backend", "matrix:2", "--json"])
+    assert rc == 3
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["anchor"], c["verdict"]) for c in checks] == [(anchor, "unsupported")]
+
+
+def test_matrix_backend_all_suites_exit_three(capsys):
+    rc = main(["verify", "--suite", "all", "--backend", "matrix:2", "--json"])
+    assert rc == 3
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["verdict"] for c in checks} == {"pass", "unsupported"}
+    assert [c["anchor"] for c in checks if c["verdict"] == "unsupported"] == [
+        "cartan.classical", "cartan.sl2", "diffcalc",
+    ]
+
+
+def test_matrix_backend_cartan_command_unsupported(capsys):
+    rc = main(["cartan", "--pair", "so:3", "--backend", "matrix:2", "--diag", "1 ; 1 ; 1"])
+    assert rc == 3
+    assert "unsupported" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nclie.coeffalg import FreeContext
@@ -30,8 +31,15 @@ from nclie.pairs import (
     make_sl,
     make_sl2_irrep,
     mat_unit,
+    pair_by_name,
 )
-from nclie.subspace import bracket_saturate, bracket_closed
+from nclie.subspace import (
+    Ambient,
+    GradedSubspace,
+    SpanBuilder,
+    bracket_closed,
+    bracket_saturate,
+)
 
 
 def random_tensor(tctx, rng, terms=3):
@@ -347,3 +355,101 @@ def test_lower_bound_terms(free23):
     fctx1 = FreeContext(1, 3)
     a, b = lower_bound_terms(sl2, fctx1, 1)
     assert a.is_zero() and b.is_zero()
+
+
+# -- tensor spans against the element-wise reference ---------------------------------
+
+
+def reference_tensor_product_span(tctx, fsub, asub):
+    """The element-wise construction: every u (x) M eliminated by a SpanBuilder."""
+    b = SpanBuilder(tctx.ambient)
+    arows = [list(v.items()) for v in asub.vectors()]
+    for u in fsub.vectors():
+        for arow in arows:
+            vec = {}
+            for fi, cf in u.items():
+                for ai, ca in arow:
+                    vec[tctx.flat(fi, ai)] = cf * ca
+            b.add(vec)
+    return b.finalize()
+
+
+def assert_bit_identical(new, ref):
+    assert new == ref
+    assert new.to_jsonable() == ref.to_jsonable()
+    assert [None if m is None else m.dtype for m in new._rows] == [
+        None if m is None else m.dtype for m in ref._rows
+    ]
+    assert hash(new) == hash(ref)
+
+
+def coefficient_inputs(fctx):
+    cache = filtration(fctx)
+    return [
+        fctx.full_subspace(),
+        cache.ideal_Ik(1),
+        cache.ideal_Ik(2),
+        cache.commutator_space(1),
+        cache.commutator_space(2),
+        GradedSubspace.zero(fctx.ambient),
+    ]
+
+
+def matrix_inputs(pair):
+    return [
+        pair.g,
+        pair.g_power(2),
+        pair.bracket_power(2),
+        pair.g_power(3),
+        GradedSubspace.zero(pair.mctx.ambient),
+    ]
+
+
+@pytest.mark.parametrize("name", ["sl:3", "sp:4", "so:4", "sl2irrep:4", "jordan:3"])
+def test_tensor_span_matches_reference(name, free24):
+    pair = pair_by_name(name)
+    tctx = TensorContext(free24, pair.n)
+    for fsub in coefficient_inputs(free24):
+        for asub in matrix_inputs(pair):
+            new = tensor_product_span(tctx, fsub, asub)
+            assert_bit_identical(new, reference_tensor_product_span(tctx, fsub, asub))
+
+
+def test_tensor_span_matches_reference_other_backends(m2ctx):
+    nonunital = FreeContext(2, 3, unital=False)
+    for fctx in (nonunital, m2ctx):
+        for pair in (make_sl(2), make_orthogonal(3)):
+            tctx = TensorContext(fctx, pair.n)
+            for fsub in coefficient_inputs(fctx):
+                for asub in matrix_inputs(pair):
+                    new = tensor_product_span(tctx, fsub, asub)
+                    assert_bit_identical(new, reference_tensor_product_span(tctx, fsub, asub))
+
+
+def test_tensor_span_big_entries_match_reference():
+    # max|F| * max|A| >= 2^62 forces object rows, whether or not a factor
+    # is an object matrix itself
+    fctx = FreeContext(2, 2)
+    tctx = TensorContext(fctx, 2)
+    fsub = GradedSubspace.span(
+        fctx.ambient, [{1: 1, 2: 3**40}, {3: 1, 4: 2**31, 5: -7}, {0: 1}]
+    )
+    asub = GradedSubspace.span(
+        Ambient([(0, 4)]), [{0: 1, 3: 2**31 + 1}, {1: 5, 2: -3}]
+    )
+    assert fsub._rows[1].dtype == object and fsub._rows[2].dtype == np.int64
+    new = tensor_product_span(tctx, fsub, asub)
+    assert [m.dtype for m in new._rows] == [np.int64, object, object]
+    assert_bit_identical(new, reference_tensor_product_span(tctx, fsub, asub))
+
+
+def test_tensor_span_rejects_foreign_coefficient_ambient(free23, free24):
+    tctx = TensorContext(free24, 2)
+    with pytest.raises(ValueError):
+        tensor_product_span(tctx, free23.full_subspace(), make_sl(2).g)
+
+
+def test_tensor_span_rejects_foreign_matrix_ambient(free24):
+    tctx = TensorContext(free24, 2)
+    with pytest.raises(ValueError):
+        tensor_product_span(tctx, free24.full_subspace(), make_sl(3).g)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -25,10 +26,12 @@ from nclie.pairs import (
     mat_scale,
     mat_sub,
     mat_to_vector,
+    mat_zero,
     pair_by_name,
     rational_eigenvalues,
     sl2_irrep_matrices,
 )
+from nclie.subspace import SpanBuilder
 
 
 # -- builders -----------------------------------------------------------------
@@ -163,6 +166,31 @@ def test_tilde_power_is_contained():
     for pair in (make_sl(2), make_orthogonal(3)):
         for k in (2, 3):
             assert pair.tilde_power(k).issubset(pair.g_power(k))
+
+
+def reference_tilde_power(pair, k):
+    """The permutation sum: every distinct ordering of every k-multiset."""
+    b = SpanBuilder(pair.mctx.ambient)
+    for combo in itertools.combinations_with_replacement(range(len(pair.g_basis)), k):
+        total = mat_zero(pair.n)
+        for perm in set(itertools.permutations(combo)):
+            prod = pair.g_basis[perm[0]]
+            for idx in perm[1:]:
+                prod = mat_mul(prod, pair.g_basis[idx])
+            total = mat_add(total, prod)
+        b.add(mat_to_vector(total))
+    return b.finalize()
+
+
+@pytest.mark.parametrize(
+    "name, kmax", [("sl:3", 4), ("sp:4", 3), ("so:4", 4), ("sl2irrep:4", 4), ("jordan:3", 4)]
+)
+def test_tilde_power_matches_permutation_sum(name, kmax):
+    pair = pair_by_name(name)
+    for k in range(2, kmax + 1):
+        new, ref = pair.tilde_power(k), reference_tilde_power(pair, k)
+        assert new == ref
+        assert new.to_jsonable() == ref.to_jsonable()
 
 
 def test_pure_power_identity():
