@@ -428,6 +428,7 @@ def suite_closed_forms(cfg: RunConfig, report: Report):
     fctx = cfg.coefficient_context()
     pair = pair_by_name(cfg.pair)
     L = functools.cache(lambda: cur.lie_closure(pair, fctx))
+    recorded = len(report.checks)
 
     def equals_closure(name, anchor, build):
         # the check's ms includes building the form (and the closure, the first time)
@@ -453,6 +454,9 @@ def suite_closed_forms(cfg: RunConfig, report: Report):
     if pair.name.startswith("sl2irrep:"):
         equals_closure("weight-module form", "closed.sl2-module",
                        lambda: cur.sl2_closed_form(pair.n, fctx))
+    if len(report.checks) == recorded:
+        report.add(CheckRecord(f"{pair.name}: no closed form applies", "closed.none",
+                               "unsupported", detail=f"no closed form of the closure covers {pair.name}"))
     return report
 
 

@@ -7,10 +7,19 @@ rationals: two subspaces are equal iff their stored matrices are identical.
 Row operations run on numpy int64 arrays guarded against overflow; rows whose
 entries outgrow 64 bits are promoted to object (big-integer) arrays, so every
 result is exact regardless of coefficient growth.
+
+Insertion and membership share one elimination kernel, `_eliminate`.  It
+finds the next stored row whose pivot entry is nonzero in the candidate with
+one vectorized gather over the remaining pivot columns, so its Python work is
+O(combines), not O(stored rows): the sp:4 closure at m=2, D=6 does about
+130 k combines for 57.7 k offered rows, where a scan over every stored row
+made 38.7 M visits.  The kernel does the same combines in the same order as
+that scan, so every stored row and every canonical form is unchanged.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -114,48 +123,76 @@ def _combine(piv, prow, pmax, coeff, arr, amax):
     return out, bound
 
 
+def _eliminate(rows, pidx, maxes, arr, amax):
+    """Reduce arr against echelon rows (ordered by pivot, pivot columns pidx,
+    row maxima maxes); returns (arr, amax), or (None, 0) once arr vanishes.
+
+    Row i is combined in exactly when arr is nonzero at pidx[i] on reaching
+    it, as in a scan over every row, and in the same order.  The next such
+    row is found by one gather of arr at the remaining pivots, so the Python
+    work is per combine, not per stored row.
+    """
+    i = 0
+    while True:
+        hits = arr[pidx[i:]].nonzero()[0]
+        if len(hits) == 0:
+            return arr, amax
+        i += int(hits[0])
+        row = rows[i]
+        p = pidx[i]
+        arr, bound = _combine(int(row[p]), row, maxes[i], int(arr[p]), arr, amax)
+        if bound >= (1 << 40):
+            arr, _, amax = _primitive(arr)
+            if arr is None:
+                return None, 0
+        else:
+            amax = bound
+        i += 1
+
+
 class _Block:
     """Mutable echelon basis of one degree block (rows ordered by pivot)."""
 
-    __slots__ = ("width", "rows", "pivots", "maxes")
+    __slots__ = ("width", "rows", "pidx", "maxes")
 
     def __init__(self, width: int):
         self.width = width
         self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
+        self.pidx = np.empty(0, dtype=np.intp)   # pivot column of each row
         self.maxes: list[int] = []
-
-    def reduce(self, arr, amax):
-        rows, pivots, maxes = self.rows, self.pivots, self.maxes
-        for i in range(len(rows)):
-            c = arr[pivots[i]]
-            if c == 0:
-                continue
-            arr, bound = _combine(int(rows[i][pivots[i]]), rows[i], maxes[i], int(c), arr, amax)
-            if bound >= (1 << 40):
-                arr, _, amax = _primitive(arr)
-                if arr is None:
-                    return None, -1, 0
-            else:
-                amax = bound
-        return _primitive(arr)
 
     def insert(self, arr, amax):
         """Reduce and insert; returns the stored row (kept in pivot order) or None."""
-        arr, pivot, amax = self.reduce(arr, amax)
+        arr, amax = _eliminate(self.rows, self.pidx, self.maxes, arr, amax)
         if arr is None:
             return None
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < pivot:
-            pos += 1
+        arr, pivot, amax = _primitive(arr)
+        if arr is None:
+            return None
+        pos = bisect.bisect_left(self.pidx, pivot)
         self.rows.insert(pos, arr)
-        self.pivots.insert(pos, pivot)
+        self.pidx = np.insert(self.pidx, pos, pivot)
         self.maxes.insert(pos, amax)
         return arr
 
+    def adopt(self, sub: "GradedSubspace", bi: int):
+        """Take over block bi of a canonical subspace; the block must be empty.
+
+        Its rows are already reduced, primitive and in pivot order, so they
+        are stored as they are; a row of an object matrix that fits in int64
+        is stored as int64, as insert would store it.
+        """
+        pidx, maxes = sub._echelon(bi)
+        self.rows = [
+            row.astype(np.int64) if row.dtype == object and m < _GUARD else row
+            for row, m in zip(sub._rows[bi], maxes)
+        ]
+        self.pidx = pidx
+        self.maxes = list(maxes)
+
     def canonicalize(self):
         """Eliminate above pivots, then renormalize; yields the unique basis."""
-        rows, pivots = self.rows, self.pivots
+        rows, pivots = self.rows, self.pidx.tolist()
         for j in range(len(rows) - 1, -1, -1):
             pj = pivots[j]
             pivval = int(rows[j][pj])
@@ -172,13 +209,14 @@ class _Block:
 class GradedSubspace:
     """Immutable graded subspace in canonical reduced echelon form."""
 
-    __slots__ = ("ambient", "_rows", "_pivots", "_null", "_hash")
+    __slots__ = ("ambient", "_rows", "_pivots", "_null", "_echelons", "_hash")
 
     def __init__(self, ambient: Ambient, rows, pivots):
         self.ambient = ambient
         self._rows = rows          # tuple over blocks of int matrices (r, w) or None
         self._pivots = pivots      # tuple over blocks of pivot tuples
         self._null = [None] * len(ambient.blocks)
+        self._echelons = [None] * len(ambient.blocks)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -253,9 +291,7 @@ class GradedSubspace:
             arr, amax = _int_row(self.ambient.blocks[bi][1], comp)
             if arr is None:
                 continue
-            if self._rows[bi] is None:
-                return False
-            if not _reduce_to_zero(self._rows[bi], self._pivots[bi], arr, amax):
+            if self._rows[bi] is None or not self._reduces_to_zero(bi, arr, amax):
                 return False
         return True
 
@@ -264,7 +300,24 @@ class GradedSubspace:
             amax = int(max(arr.max(), -arr.min()))
         if self._rows[bi] is None:
             return not arr.any()
-        return _reduce_to_zero(self._rows[bi], self._pivots[bi], arr, amax)
+        return self._reduces_to_zero(bi, arr, amax)
+
+    def _echelon(self, bi: int):
+        """Pivot index array and row maxima of block bi, for _eliminate."""
+        if self._echelons[bi] is None:
+            mat = self._rows[bi]
+            # row reductions only: np.abs(mat) would copy the whole block
+            self._echelons[bi] = (
+                np.array(self._pivots[bi], dtype=np.intp),
+                [int(max(hi, -lo)) for hi, lo in zip(mat.max(axis=1).tolist(),
+                                                     mat.min(axis=1).tolist())],
+            )
+        return self._echelons[bi]
+
+    def _reduces_to_zero(self, bi: int, arr, amax) -> bool:
+        pidx, maxes = self._echelon(bi)
+        arr, _ = _eliminate(self._rows[bi], pidx, maxes, arr, amax)
+        return arr is None or not arr.any()
 
     def nullspace_matrix(self, bi: int):
         """Integer matrix N with rowspace(block) = {v : v @ N = 0}."""
@@ -333,14 +386,7 @@ class GradedSubspace:
     # -- lattice operations -------------------------------------------------
 
     def sum(self, other: "GradedSubspace") -> "GradedSubspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        b = SpanBuilder(self.ambient)
-        for sub in (self, other):
-            for bi, _, mat in sub.block_rows():
-                for r in range(mat.shape[0]):
-                    b.add_block_row(bi, mat[r].copy())
-        return b.finalize()
+        return subspace_sum(self.ambient, (self, other))
 
     def intersect(self, other: "GradedSubspace") -> "GradedSubspace":
         if self.ambient != other.ambient:
@@ -407,39 +453,17 @@ def _int_row(width: int, comp: dict[int, Fraction]):
     for v in comp.values():
         if isinstance(v, Fraction):
             denom = denom // math.gcd(denom, v.denominator) * v.denominator
-    arr = np.zeros(width, dtype=object)
-    amax = 0
-    for j, v in comp.items():
-        n = int(v * denom) if isinstance(v, Fraction) else int(v) * denom
-        arr[j] = n
-        amax = max(amax, abs(n))
+    vals = [int(v * denom) if isinstance(v, Fraction) else int(v) * denom for v in comp.values()]
+    amax = max(map(abs, vals), default=0)
     if amax == 0:
         return None, 0
-    if amax < _GUARD:
-        arr = arr.astype(np.int64)
+    arr = np.zeros(width, dtype=np.int64 if amax < _GUARD else object)
+    arr[list(comp)] = vals
     return arr, amax
 
 
 def _int_row_from_fractions(vec):
     return _int_row(len(vec), {j: v for j, v in enumerate(vec) if v})[0]
-
-
-def _reduce_to_zero(mat, pivots, arr, amax) -> bool:
-    for i in range(mat.shape[0]):
-        c = arr[pivots[i]]
-        if c == 0:
-            continue
-        row = mat[i]
-        piv = int(row[pivots[i]])
-        rmax = int(max(row.max(), -row.min()))
-        arr, bound = _combine(piv, row, rmax, int(c), arr, amax)
-        if bound >= (1 << 40):
-            arr, _, amax = _primitive(arr)
-            if arr is None:
-                return True
-        else:
-            amax = bound
-    return not arr.any()
 
 
 class SpanBuilder:
@@ -496,7 +520,7 @@ class SpanBuilder:
             blk.canonicalize()
             dt = object if any(r.dtype == object for r in blk.rows) else np.int64
             rows.append(np.array([r.astype(dt) for r in blk.rows]))
-            pivots.append(tuple(blk.pivots))
+            pivots.append(tuple(blk.pidx.tolist()))
         return GradedSubspace(self.ambient, tuple(rows), tuple(pivots))
 
 
@@ -639,13 +663,26 @@ def bracket_closed(ctx, S: GradedSubspace) -> bool:
 
 
 def subspace_sum(ambient: Ambient, parts: Iterable[GradedSubspace]) -> GradedSubspace:
+    """Sum of subspaces of one ambient.
+
+    Per block, the part with the most rows is adopted as it is, and only the
+    rows of the other parts are eliminated against it.
+    """
+    parts = list(parts)
+    if any(p.ambient != ambient for p in parts):
+        raise ValueError("ambient mismatch")
     b = SpanBuilder(ambient)
-    for p in parts:
-        if p.ambient != ambient:
-            raise ValueError("ambient mismatch")
-        for bi, _, mat in p.block_rows():
-            for r in range(mat.shape[0]):
-                b.add_block_row(bi, mat[r].copy())
+    for bi in range(len(ambient.blocks)):
+        mats = [p._rows[bi] for p in parts]
+        present = [k for k, mat in enumerate(mats) if mat is not None]
+        if not present:
+            continue
+        top = max(present, key=lambda k: mats[k].shape[0])
+        b._blocks[bi].adopt(parts[top], bi)
+        for k in present:
+            if k != top:
+                for row in mats[k]:
+                    b.add_block_row(bi, row)
     return b.finalize()
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import conftest
 
 import nclie.current as cur
-from nclie.cli import RunConfig, run_suite
+from nclie.cli import RunConfig, orthogonal_form, run_suite, sl_trace_form
 from nclie.coeffalg import AlgElement, FreeContext, StructureContext, commutator, mul
 from nclie.current import (
     abelian_closure_form,
@@ -173,6 +173,7 @@ def test_criterion_9_oracle_independence(monkeypatch):
     closed_forms = (
         tilde_bound, overline_bound, type2_formula, semisimple_closed_form,
         sl2_closed_form, abelian_closure_form, simple_coefficients_form,
+        sl_trace_form, orthogonal_form,
     )
     ok = True
     for fn in closed_forms:

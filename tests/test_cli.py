@@ -236,3 +236,11 @@ def test_matrix_backend_cartan_command_unsupported(capsys):
     rc = main(["cartan", "--pair", "so:3", "--backend", "matrix:2", "--diag", "1 ; 1 ; 1"])
     assert rc == 3
     assert "unsupported" in capsys.readouterr().err
+
+
+def test_closed_forms_without_a_form_unsupported(capsys):
+    rc = main(["verify", "--suite", "closed-forms", "--pair", "gl:2", "--deg", "3", "--json"])
+    assert rc == 3
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["anchor"], c["verdict"]) for c in checks] == [("closed.none", "unsupported")]
+    assert "gl:2" in checks[0]["name"]

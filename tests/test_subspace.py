@@ -1,13 +1,21 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nclie.subspace import (
+    _GUARD,
     Ambient,
     GradedSubspace,
+    SpanBuilder,
+    _Block,
+    _combine,
+    _int_row,
+    _primitive,
     bracket_saturate,
     fraction_nullspace,
     fraction_rref,
@@ -233,3 +241,211 @@ def test_fraction_solvers_roundtrip():
         assert sum(a * b for a, b in zip([Fraction(1), Fraction(2), Fraction(0)], v)) == 0
     rref, pivots = fraction_rref([[Fraction(0), Fraction(2)], [Fraction(0), Fraction(4)]])
     assert pivots == [1] and rref == [[Fraction(0), Fraction(1)]]
+
+
+# -- the elimination kernel against the full-scan loops ---------------------------------
+
+
+def reference_int_row(width, comp):
+    """The object-array intake: build every row as objects, then narrow to int64."""
+    denom = 1
+    for v in comp.values():
+        if isinstance(v, Fraction):
+            denom = denom // math.gcd(denom, v.denominator) * v.denominator
+    arr = np.zeros(width, dtype=object)
+    amax = 0
+    for j, v in comp.items():
+        n = int(v * denom) if isinstance(v, Fraction) else int(v) * denom
+        arr[j] = n
+        amax = max(amax, abs(n))
+    if amax == 0:
+        return None, 0
+    if amax < _GUARD:
+        arr = arr.astype(np.int64)
+    return arr, amax
+
+
+class ReferenceBlock:
+    """The full-scan echelon block: reduce visits every stored row."""
+
+    def __init__(self):
+        self.rows, self.pivots, self.maxes = [], [], []
+
+    def reduce(self, arr, amax):
+        rows, pivots, maxes = self.rows, self.pivots, self.maxes
+        for i in range(len(rows)):
+            c = arr[pivots[i]]
+            if c == 0:
+                continue
+            arr, bound = _combine(int(rows[i][pivots[i]]), rows[i], maxes[i], int(c), arr, amax)
+            if bound >= (1 << 40):
+                arr, _, amax = _primitive(arr)
+                if arr is None:
+                    return None, -1, 0
+            else:
+                amax = bound
+        return _primitive(arr)
+
+    def insert(self, arr, amax):
+        arr, pivot, amax = self.reduce(arr, amax)
+        if arr is None:
+            return None
+        pos = 0
+        while pos < len(self.pivots) and self.pivots[pos] < pivot:
+            pos += 1
+        self.rows.insert(pos, arr)
+        self.pivots.insert(pos, pivot)
+        self.maxes.insert(pos, amax)
+        return arr
+
+
+def reference_reduce_to_zero(mat, pivots, arr, amax):
+    """The full-scan membership test, recomputing each row's maximum."""
+    for i in range(mat.shape[0]):
+        c = arr[pivots[i]]
+        if c == 0:
+            continue
+        row = mat[i]
+        piv = int(row[pivots[i]])
+        rmax = int(max(row.max(), -row.min()))
+        arr, bound = _combine(piv, row, rmax, int(c), arr, amax)
+        if bound >= (1 << 40):
+            arr, _, amax = _primitive(arr)
+            if arr is None:
+                return True
+        else:
+            amax = bound
+    return not arr.any()
+
+
+def reference_subspace_sum(ambient, parts):
+    """The re-inserting sum: every row of every part goes through elimination."""
+    b = SpanBuilder(ambient)
+    for p in parts:
+        if p.ambient != ambient:
+            raise ValueError("ambient mismatch")
+        for bi, _, mat in p.block_rows():
+            for r in range(mat.shape[0]):
+                b.add_block_row(bi, mat[r].copy())
+    return b.finalize()
+
+
+def same_array(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+def assert_same_subspace(new, ref):
+    assert new == ref
+    assert new.to_jsonable() == ref.to_jsonable()
+    assert [None if m is None else m.dtype for m in new._rows] == [
+        None if m is None else m.dtype for m in ref._rows
+    ]
+    assert hash(new) == hash(ref)
+
+
+WIDTH = 6
+BIG = st.integers(2**62, 2**66) | st.integers(-(2**66), -(2**62))
+ENTRY = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.integers(-(2**41), 2**41), BIG)
+ROW = st.tuples(st.lists(ENTRY, min_size=WIDTH, max_size=WIDTH), st.integers(1, 4))
+
+
+def as_comp(row):
+    entries, denom = row
+    return {j: Fraction(v, denom) for j, v in enumerate(entries) if v}
+
+
+@given(st.lists(ROW, max_size=8), st.lists(ROW, max_size=4))
+@example(  # both rows fit in int64, their cross-multiplication does not
+    rows=[([2**40, 1, 0, 0, 0, 0], 1), ([1, 2**40, 0, 0, 0, 1], 1), ([3, 0, 0, 0, 0, 2**40], 1)],
+    probes=[([2**80 - 1, 0, 0, 0, 0, 2**40], 1), ([0, 0, 1, 0, 0, 0], 1)],
+)
+@example(  # an object row, then rows the promoted combines reduce back to int64
+    rows=[([1, 2**63, 0, 0, 0, 0], 1), ([0, 1, 0, 0, 0, 0], 2), ([5, 0, 7, 0, 0, 0], 1)],
+    probes=[([1, 2**63 + 1, 0, 0, 0, 0], 3), ([0, 0, 0, 1, 0, 0], 1)],
+)
+@settings(max_examples=150, deadline=None)
+def test_elimination_kernel_matches_full_scan(rows, probes):
+    amb = Ambient([(0, WIDTH)])
+    blk, ref = _Block(WIDTH), ReferenceBlock()
+    builder = SpanBuilder(amb)
+    for row in rows:
+        comp = as_comp(row)
+        arr, amax = _int_row(WIDTH, comp)
+        ref_arr, ref_amax = reference_int_row(WIDTH, comp)
+        assert same_array(arr, ref_arr) and amax == ref_amax
+        builder.add(comp)
+        if arr is None:
+            continue
+        assert same_array(blk.insert(arr, amax), ref.insert(ref_arr, ref_amax))
+    assert blk.pidx.tolist() == ref.pivots
+    assert blk.maxes == ref.maxes
+    assert all(same_array(a, b) for a, b in zip(blk.rows, ref.rows))
+    assert len(blk.rows) == len(ref.rows)
+
+    span = builder.finalize()
+    if span.is_zero():
+        return
+    mat, piv = span._rows[0], span._pivots[0]
+    for row in rows + probes:
+        comp = as_comp(row)
+        arr, amax = reference_int_row(WIDTH, comp)
+        if arr is None:
+            continue
+        verdict = reference_reduce_to_zero(mat, piv, arr.copy(), amax)
+        assert span.contains_vector(comp) == verdict
+        assert span.contains_block_row(0, arr.copy(), amax) == verdict
+        assert span.contains_block_row(0, arr.copy()) == verdict
+    assert span._echelon(0)[1] == [int(max(r.max(), -r.min())) for r in mat]
+
+
+def sum_parts():
+    amb = Ambient([(0, 2), (1, 3), (2, 4)])
+    big = 2**63
+    a = GradedSubspace.span(amb, [{2: 1, 4: big}, {3: 1}, {5: 2, 8: -1}, {6: 1, 7: 1}])
+    b = GradedSubspace.span(amb, [{4: 1}, {5: 1, 6: 1}, {0: 1}])
+    # a's degree-1 matrix is object only for its first row; in a + b it becomes int64
+    c = GradedSubspace.span(amb, [{2: 1, 3: 1, 4: 3}, {7: big, 8: 1}])
+    zero = GradedSubspace.zero(amb)
+    return amb, [a, b, c, zero, a.intersect(c)]
+
+
+@pytest.mark.parametrize("pick", [
+    (0, 1), (1, 0), (0, 0), (0, 3), (3, 3), (0, 2), (2, 1), (0, 4), (4, 0),
+    (0, 1, 2), (2, 1, 0), (3, 0, 3, 1), (), (3,),
+])
+def test_subspace_sum_matches_reinsertion(pick):
+    amb, parts = sum_parts()
+    assert parts[0]._rows[1].dtype == object
+    chosen = [parts[k] for k in pick]
+    new = subspace_sum(amb, chosen)
+    assert_same_subspace(new, reference_subspace_sum(amb, chosen))
+    if len(chosen) == 2:
+        assert_same_subspace(chosen[0].sum(chosen[1]), new)
+
+
+def test_subspace_sum_adopted_object_rows_narrow():
+    amb, (a, b, *_) = sum_parts()
+    total = subspace_sum(amb, [a, b])
+    assert total._rows[1].dtype == np.int64
+    assert_same_subspace(total, reference_subspace_sum(amb, [a, b]))
+
+
+@given(st.lists(st.lists(vec_strategy(), max_size=4), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_subspace_sum_matches_reinsertion_random(groups):
+    parts = [GradedSubspace.span(AMB, vs) for vs in groups]
+    parts += parts[:1]  # an overlapping part
+    assert_same_subspace(subspace_sum(AMB, parts), reference_subspace_sum(AMB, parts))
+
+
+def test_subspace_sum_ambient_mismatch_raises_first():
+    other = GradedSubspace.full(Ambient([(0, 2)]))
+    good = GradedSubspace.full(AMB)
+    with pytest.raises(ValueError):
+        subspace_sum(AMB, [good, good, other])
+    with pytest.raises(ValueError):
+        subspace_sum(AMB, iter([other, good]))
+    with pytest.raises(ValueError):
+        good.sum(other)
