@@ -24,7 +24,6 @@ from .coeffalg import (
 from .commfilt import FiltrationCache, ideal_IklS, lie_generated, two_sided_ideal
 from .current import (
     TensorContext,
-    TensorElement,
     TypeMismatchError,
     abelian_closure_form,
     lie_closure,

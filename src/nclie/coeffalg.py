@@ -1,9 +1,13 @@
-"""Exact arithmetic in finite-dimensional graded coefficient algebras.
+"""Exact arithmetic in finite-dimensional graded associative algebras.
 
-Two backends share one element type: a truncated free associative algebra on m
-generators (words of length > D are quotiented to zero, so all identities are
-exact in the quotient) and a structure-constant algebra such as 2x2 rational
-matrices.  Scalars are Fraction throughout; there is no floating point.
+A context is a basis with a degree grading and a basis product mul_basis.
+Two coefficient backends live here: a truncated free associative algebra on
+m generators (words of length > D are quotiented to zero, so all identities
+are exact in the quotient) and a structure-constant algebra such as M_n(Q);
+current.TensorContext is a third context, F (x) M_n.  Every context shares
+one element type, AlgElement, one product (the sparse loop
+subspace.sparse_product) and one inverse.  Scalars are exact rationals
+throughout; there is no floating point.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .subspace import Ambient, GradedSubspace, SpanBuilder
+from .subspace import Ambient, GradedSubspace, SpanBuilder, fraction_solve, sparse_product
 
 
 class ContextMismatchError(ValueError):
@@ -136,93 +140,75 @@ class FreeContext:
         return None
 
 
+def _exact(c):
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class StructureContext:
     """Associative algebra given by a rational multiplication table.
 
-    All basis elements sit in degree 0.  Associativity (and the two-sided
-    unit law, when a unit is declared) is checked on construction.
+    All basis elements sit in degree 0.  Only the nonzero products are
+    stored, as a sparse table, so mul_basis is a lookup; coefficients are
+    ints where they are integral.  Associativity (and the two-sided unit
+    law, when a unit is declared) is checked on construction.
     """
 
     is_free = False
 
     def __init__(self, table, unit=None, labels=None, check=True, key=None):
-        self.table = tuple(
-            tuple(tuple(Fraction(c) for c in cell) for cell in row) for row in table
-        )
-        d = len(self.table)
-        if any(len(row) != d or any(len(cell) != d for cell in row) for row in self.table):
+        d = len(table)
+        if any(len(row) != d or any(len(cell) != d for cell in row) for row in table):
             raise ValueError("table must be d x d with d-vectors as entries")
+        products = {(i, j): enumerate(cell)
+                    for i, row in enumerate(table) for j, cell in enumerate(row)}
+        self._setup(d, products, unit, labels, key)
+        if check:
+            self._check_axioms()
+
+    def _setup(self, d, products, unit, labels, key):
+        """Store the sparse table from {(i, j): (k, coefficient) pairs}."""
         self.dim_algebra = d
+        self.products = tuple(
+            tuple(tuple((k, _exact(c)) for k, c in products.get((i, j), ()) if c)
+                  for j in range(d))
+            for i in range(d)
+        )
         self.unit = None if unit is None else tuple(Fraction(c) for c in unit)
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(d))
         self.ambient = Ambient([(0, d)])
         self.integral = all(
-            c.denominator == 1 for row in self.table for cell in row for c in cell
+            isinstance(c, int) for row in self.products for cell in row for _, c in cell
         )
-        self._key = key or ("structure", self.table, self.unit)
-        if check:
-            self._check_axioms()
+        self._key = key or ("structure", self.products, self.unit)
 
     def _check_axioms(self):
-        d = self.dim_algebra
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    left = self._mul_vec(self._basis_mul(i, j), k, right=True)
-                    right = self._mul_vec(self._basis_mul(j, k), i, right=False)
-                    if left != right:
-                        raise ValueError(f"multiplication table is not associative at ({i},{j},{k})")
+        basis = [self.basis_element(i) for i in range(self.dim_algebra)]
+        for (i, a), (j, b), (k, c) in itertools.product(enumerate(basis), repeat=3):
+            if mul(mul(a, b), c) != mul(a, mul(b, c)):
+                raise ValueError(f"multiplication table is not associative at ({i},{j},{k})")
         if self.unit is not None:
-            for i in range(d):
-                e = [Fraction(0)] * d
-                e[i] = Fraction(1)
-                if self._vec_mul_vec(self.unit, tuple(e)) != tuple(e):
+            one = self.one()
+            for e in basis:
+                if mul(one, e) != e:
                     raise ValueError("declared unit is not a left identity")
-                if self._vec_mul_vec(tuple(e), self.unit) != tuple(e):
+                if mul(e, one) != e:
                     raise ValueError("declared unit is not a right identity")
 
-    def _basis_mul(self, i, j):
-        return self.table[i][j]
+    @classmethod
+    def matrix_algebra(cls, n: int) -> "StructureContext":
+        """The full matrix algebra M_n(Q) in the matrix-unit basis E11, E12, ...
 
-    def _mul_vec(self, vec, k, right):
-        d = self.dim_algebra
-        out = [Fraction(0)] * d
-        for i, c in enumerate(vec):
-            if c:
-                cell = self.table[i][k] if right else self.table[k][i]
-                for t in range(d):
-                    out[t] += c * cell[t]
-        return tuple(out)
-
-    def _vec_mul_vec(self, a, b):
-        d = self.dim_algebra
-        out = [Fraction(0)] * d
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        cell = self.table[i][j]
-                        for t in range(d):
-                            out[t] += ca * cb * cell[t]
-        return tuple(out)
-
-    @staticmethod
-    def matrix_algebra(n: int) -> "StructureContext":
-        """The full matrix algebra M_n(Q) in the matrix-unit basis E11, E12, ..."""
-        d = n * n
-        table = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for e in range(n):
-                        if b == c:
-                            table[a * n + b][c * n + e][a * n + e] = Fraction(1)
-        unit = [Fraction(0)] * d
-        for a in range(n):
-            unit[a * n + a] = Fraction(1)
-        labels = [f"E{i+1}{j+1}" for i in range(n) for j in range(n)]
-        return StructureContext(table, unit=unit, labels=labels, check=False,
-                                key=("matrix-structure", n))
+        The table is filled from the n^3 nonzero products E_ab E_be = E_ae.
+        """
+        products = {
+            (a * n + b, b * n + e): ((a * n + e, 1),)
+            for a in range(n) for b in range(n) for e in range(n)
+        }
+        ctx = cls.__new__(cls)
+        ctx._setup(n * n, products, [int(a == b) for a in range(n) for b in range(n)],
+                   [f"E{i+1}{j+1}" for i in range(n) for j in range(n)], ("matrix-structure", n))
+        return ctx
 
     @property
     def unital(self):
@@ -241,8 +227,7 @@ class StructureContext:
         return f"StructureContext(dim={self.dim_algebra})"
 
     def mul_basis(self, i: int, j: int):
-        cell = self.table[i][j]
-        return tuple((k, c) for k, c in enumerate(cell) if c)
+        return self.products[i][j]
 
     def degree_of_basis(self, i: int) -> int:
         return 0
@@ -277,7 +262,8 @@ class StructureContext:
 
 
 class AlgElement:
-    """Element of a coefficient algebra: sparse rational basis combination."""
+    """Element of any context (F, M_n or F (x) M_n): a sparse rational
+    combination of basis elements."""
 
     __slots__ = ("ctx", "coeffs")
 
@@ -321,6 +307,7 @@ class AlgElement:
         return NotImplemented
 
     def __truediv__(self, scalar):
+        scalar = Fraction(scalar)  # int coefficients divided by an int stay exact
         return AlgElement(self.ctx, {i: v / scalar for i, v in self.coeffs.items()})
 
     def __pow__(self, k: int):
@@ -351,13 +338,6 @@ class AlgElement:
 
     def is_zero(self):
         return not self.coeffs
-
-    def constant_term(self) -> Fraction:
-        """Degree-0 coefficient; for structure contexts the unit coordinate
-        is not isolated, see is_unit()/inverse() instead."""
-        if not self.ctx.is_free or not self.ctx.unital:
-            raise NonUnitError("constant term only defined for unital free contexts")
-        return self.coeffs.get(self.ctx.word_index[()], Fraction(0))
 
     def max_degree(self) -> int:
         return max((self.ctx.degree_of_basis(i) for i in self.coeffs), default=0)
@@ -426,14 +406,7 @@ def mul(a: AlgElement, b: AlgElement) -> AlgElement:
     """Bilinear product; free-context word products past the cap vanish."""
     if a.ctx != b.ctx:
         raise ContextMismatchError("elements from different contexts")
-    out: dict[int, Fraction] = {}
-    mb = a.ctx.mul_basis
-    for i, ci in a.coeffs.items():
-        for j, cj in b.coeffs.items():
-            c = ci * cj
-            for k, ck in mb(i, j):
-                out[k] = out.get(k, Fraction(0)) + c * ck
-    return AlgElement(a.ctx, out)
+    return AlgElement(a.ctx, sparse_product(a.ctx.mul_basis, a.coeffs.items(), b.coeffs.items()))
 
 
 def commutator(a: AlgElement, b: AlgElement) -> AlgElement:
@@ -441,45 +414,37 @@ def commutator(a: AlgElement, b: AlgElement) -> AlgElement:
 
 
 def inverse(a: AlgElement) -> AlgElement:
-    """Exact two-sided inverse of a unit.
+    """Exact two-sided inverse of a unit of any unital context.
 
-    Free context: split off the constant term c and sum the finite geometric
-    series of the nilpotent remainder (degree grading kills powers past D).
-    Structure context: solve the linear system a*x = 1 and check x*a = 1.
+    The degree-0 part a0 is inverted by a dense solve in the degree-0 block,
+    checked on both sides.  Then a = a0 (1 - n) with n = 1 - a0^(-1) a of
+    positive degree, so n is nilpotent and the geometric series
+    (1 + n + n^2 + ...) a0^(-1) stops after at most max_degree terms.
     """
     ctx = a.ctx
     if not getattr(ctx, "unital", False):
         raise NonUnitError("inverse requires a unital context")
-    if ctx.is_free:
-        c = a.constant_term()
-        if c == 0:
-            raise NonUnitError("zero constant term")
-        w = a / c - 1
-        out = ctx.one()
-        power = ctx.one()
-        sign = 1
-        for _ in range(ctx.D):
-            power = mul(power, w)
-            sign = -sign
-            if power.is_zero():
-                break
-            out = out + power * sign
-        return out / c
-    from .subspace import fraction_solve
-
-    d = ctx.dim_algebra
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for i, ci in a.coeffs.items():
-        for j in range(d):
-            for k, ck in ctx.mul_basis(i, j):
-                rows[k][j] += ci * ck
-    sol = fraction_solve(rows, list(ctx.unit))
+    one = ctx.one()
+    width = ctx.ambient.blocks[0][1]
+    a0 = AlgElement(ctx, {i: v for i, v in a.coeffs.items() if i < width})
+    rows = [[Fraction(0)] * width for _ in range(width)]
+    for j in range(width):  # column j is a0 * e_j
+        for k, v in sparse_product(ctx.mul_basis, a0.coeffs.items(), ((j, 1),)).items():
+            rows[k][j] = v
+    sol = fraction_solve(rows, [one.coeffs.get(k, Fraction(0)) for k in range(width)])
     if sol is None:
-        raise NonUnitError("element is singular")
-    inv = AlgElement(ctx, {i: v for i, v in enumerate(sol) if v})
-    if mul(inv, a) != ctx.one():
-        raise NonUnitError("element has no two-sided inverse")
-    return inv
+        raise NonUnitError("degree-0 part is singular")
+    inv0 = AlgElement(ctx, dict(enumerate(sol)))
+    if mul(a0, inv0) != one or mul(inv0, a0) != one:
+        raise NonUnitError("degree-0 part has no two-sided inverse")
+    nil = one - mul(inv0, a)
+    out = power = one
+    for _ in range(ctx.ambient.max_degree):
+        power = mul(power, nil)
+        if power.is_zero():
+            break
+        out = out + power
+    return mul(out, inv0)
 
 
 # -- expression parser -------------------------------------------------------

@@ -5,6 +5,10 @@ closed forms below, only the generic bracket-saturation engine.  Every other
 function builds a candidate subspace from filtration ideals and power spaces
 of the pair, to be compared against the oracle degree by degree.
 
+TensorContext is a context like the coefficient contexts of coeffalg: its
+elements are AlgElements, multiplied by coeffalg.mul and inverted by
+coeffalg.inverse, so F, M_n and F (x) M_n share one element type.
+
 Contexts, pairs and subspaces are immutable; the module-level memo for
 closures and filtration caches is per process, so independent verification
 jobs parallelize across processes without synchronization.
@@ -12,16 +16,12 @@ jobs parallelize across processes without synchronization.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coeffalg import AlgElement, ContextMismatchError, NonUnitError
+from .coeffalg import AlgElement, ContextMismatchError, mul
 from .commfilt import FiltrationCache
 from .pairs import (
     CompatiblePair,
     Matrix,
-    mat,
     mat_identity,
-    mat_inverse,
     mat_pow,
     mat_commutator,
     mat_to_vector,
@@ -34,7 +34,6 @@ from .subspace import (
     GradedSubspace,
     SpanBuilder,
     bracket_saturate,
-    fraction_solve,
     kronecker_span,
     op_bracket,
     op_product,
@@ -99,205 +98,41 @@ class TensorContext:
     def full_subspace(self) -> GradedSubspace:
         return GradedSubspace.full(self.ambient)
 
-    def zero(self) -> "TensorElement":
-        return TensorElement(self, {})
+    def zero(self) -> AlgElement:
+        return AlgElement(self, {})
 
-    def one(self) -> "TensorElement":
-        one_f = self.fctx.one()
-        data: dict[int, Fraction] = {}
-        for fi, cf in one_f.coeffs.items():
-            for a in range(self.n):
-                data[self.flat(fi, a * self.n + a)] = cf
-        return TensorElement(self, data)
+    def one(self) -> AlgElement:
+        return self.pure(self.fctx.one(), mat_identity(self.n))
 
-    def pure(self, f: AlgElement, m: Matrix) -> "TensorElement":
+    def pure(self, f: AlgElement, m: Matrix) -> AlgElement:
         """The element f (x) m."""
         if f.ctx != self.fctx:
             raise ContextMismatchError("coefficient from a different context")
-        data: dict[int, Fraction] = {}
-        for fi, cf in f.coeffs.items():
-            for aidx, cm in mat_to_vector(m).items():
-                data[self.flat(fi, aidx)] = data.get(self.flat(fi, aidx), Fraction(0)) + cf * cm
-        return TensorElement(self, data)
+        mvec = mat_to_vector(m)
+        return AlgElement(self, {self.flat(fi, aidx): cf * cm
+                                 for fi, cf in f.coeffs.items() for aidx, cm in mvec.items()})
 
-    def from_matrix(self, entries) -> "TensorElement":
-        """Build from an n x n array of AlgElements."""
-        data: dict[int, Fraction] = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                for fi, c in entries[i][j].coeffs.items():
-                    k = self.flat(fi, i * self.n + j)
-                    data[k] = data.get(k, Fraction(0)) + c
-        return TensorElement(self, data)
+    def from_matrix(self, entries) -> AlgElement:
+        """Build from an n x n array of coefficient elements."""
+        n = self.n
+        return AlgElement(self, {self.flat(fi, i * n + j): c
+                                 for i in range(n) for j in range(n)
+                                 for fi, c in entries[i][j].coeffs.items()})
 
-
-class TensorElement:
-    """Sparse element of F (x) M_n; equivalently an n x n matrix over F."""
-
-    __slots__ = ("ctx", "data")
-
-    def __init__(self, ctx: TensorContext, data):
-        self.ctx = ctx
-        self.data = {i: v for i, v in data.items() if v}
-
-    def _require_same(self, other):
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("tensor elements from different contexts")
-
-    def __add__(self, other):
-        other = _coerce_tensor(self.ctx, other)
-        self._require_same(other)
-        out = dict(self.data)
-        for i, v in other.data.items():
-            out[i] = out.get(i, Fraction(0)) + v
-        return TensorElement(self.ctx, out)
-
-    def __sub__(self, other):
-        return self + (-_coerce_tensor(self.ctx, other))
-
-    def __neg__(self):
-        return TensorElement(self.ctx, {i: -v for i, v in self.data.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TensorElement(self.ctx, {i: v * other for i, v in self.data.items()})
-        self._require_same(other)
-        return tensor_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _coerce_tensor(self.ctx, other)
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.ctx == other.ctx and self.data == other.data
-
-    def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.data.items()))))
-
-    def __bool__(self):
-        return bool(self.data)
-
-    def is_zero(self):
-        return not self.data
-
-    def to_vector(self):
-        return dict(self.data)
-
-    def entry(self, i: int, j: int) -> AlgElement:
-        n, nn = self.ctx.n, self.ctx.nn
-        want = i * n + j
-        return AlgElement(
-            self.ctx.fctx,
-            {f: v for k, v in self.data.items() for f, a in (divmod(k, nn),) if a == want},
-        )
-
-    def to_matrix(self):
-        return [[self.entry(i, j) for j in range(self.ctx.n)] for i in range(self.ctx.n)]
-
-    def constant_matrix(self) -> Matrix:
-        """Degree-0 part as a rational matrix (unital free contexts)."""
-        fctx = self.ctx.fctx
-        if not (fctx.is_free and fctx.unital):
-            raise NonUnitError("constant matrix needs a unital free coefficient context")
-        unit_idx = fctx.word_index[()]
-        n, nn = self.ctx.n, self.ctx.nn
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for k, v in self.data.items():
-            f, a = divmod(k, nn)
-            if f == unit_idx:
-                rows[a // n][a % n] = v
-        return mat(rows)
-
-    def commutator(self, other):
-        return tensor_mul(self, other) - tensor_mul(other, self)
-
-    def inverse(self) -> "TensorElement":
-        return tensor_inverse(self)
-
-    def max_degree(self) -> int:
-        return max((self.ctx.degree_of_basis(i) for i in self.data), default=0)
-
-    def __str__(self):
-        if not self.data:
-            return "0"
-        parts = []
-        for i in sorted(self.data):
-            c = self.data[i]
-            parts.append(f"{c}*{self.ctx.basis_label(i)}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<{self}>"
+    def to_matrix(self, x: AlgElement) -> list[list[AlgElement]]:
+        """The n x n array of coefficient elements of x, in one pass over x."""
+        n = self.n
+        entries = [[{} for _ in range(n)] for _ in range(n)]
+        for k, v in x.coeffs.items():
+            f, a = divmod(k, self.nn)
+            entries[a // n][a % n][f] = v
+        return [[AlgElement(self.fctx, e) for e in row] for row in entries]
 
 
-def _coerce_tensor(ctx, value):
-    if isinstance(value, TensorElement):
-        return value
-    if isinstance(value, (int, Fraction)):
-        if value == 0:
-            return ctx.zero()
-        return ctx.one() * Fraction(value)
-    raise TypeError(f"cannot coerce {value!r} into {ctx!r}")
-
-
-def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
-    if x.ctx != y.ctx:
-        raise ContextMismatchError("tensor elements from different contexts")
-    mul = x.ctx.mul_basis
-    out: dict[int, Fraction] = {}
-    for i, ci in x.data.items():
-        for j, cj in y.data.items():
-            c = ci * cj
-            for k, ck in mul(i, j):
-                out[k] = out.get(k, Fraction(0)) + c * ck
-    return TensorElement(x.ctx, out)
-
-
-def tensor_inverse(x: TensorElement) -> TensorElement:
-    """Exact inverse: nilpotent-series after splitting the constant matrix in
-    graded contexts, a linear solve in structure-constant contexts."""
-    ctx = x.ctx
-    if ctx.is_free and ctx.unital:
-        c = x.constant_matrix()
-        try:
-            cinv = mat_inverse(c)
-        except Exception as exc:
-            raise NonUnitError("constant-term matrix is singular") from exc
-        cinv_t = ctx.pure(ctx.fctx.one(), cinv)
-        nil = tensor_mul(cinv_t, x) - 1
-        acc = ctx.one()
-        power = ctx.one()
-        sign = 1
-        for _ in range(ctx.fctx.D):
-            power = tensor_mul(power, nil)
-            if power.is_zero():
-                break
-            sign = -sign
-            acc = acc + power * sign
-        return tensor_mul(acc, cinv_t)
-    if not ctx.unital:
-        raise NonUnitError("inverse requires a unital coefficient context")
-    dim = ctx.ambient.dim
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for i, ci in x.data.items():
-        for j in range(dim):
-            for k, ck in ctx.mul_basis(i, j):
-                rows[k][j] += ci * ck
-    one_vec = [Fraction(0)] * dim
-    for i, v in ctx.one().data.items():
-        one_vec[i] = v
-    sol = fraction_solve(rows, one_vec)
-    if sol is None:
-        raise NonUnitError("element is singular")
-    inv = TensorElement(ctx, {i: v for i, v in enumerate(sol) if v})
-    if tensor_mul(inv, x) != ctx.one():
-        raise NonUnitError("element has no two-sided inverse")
-    return inv
+def tensor_mul(x: AlgElement, y: AlgElement) -> AlgElement:
+    """The product in F (x) M_n.  It is coeffalg.mul, kept as a function of
+    its own so that the benchmark's tracer times tensor products apart."""
+    return mul(x, y)
 
 
 # -- span-building helpers ----------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .coeffalg import AlgElement, NonUnitError, inverse, mul
 from .commfilt import FiltrationCache
-from .current import TensorContext, TensorElement, lie_closure, tensor_mul
+from .current import TensorContext, lie_closure, tensor_mul
 from .pairs import (
     CompatiblePair,
     Matrix,
@@ -120,19 +120,19 @@ class DiagonalUnit:
         self.inv = [inverse(f) for f in self.fs]  # raises NonUnitError if not units
         self.n = len(self.fs)
 
-    def to_tensor(self, tctx: TensorContext) -> TensorElement:
+    def to_tensor(self, tctx: TensorContext) -> AlgElement:
         out = tctx.zero()
         for i, f in enumerate(self.fs):
             out = out + tctx.pure(f, mat_unit(self.n, i, i))
         return out
 
-    def conjugate(self, x: TensorElement) -> TensorElement:
+    def conjugate(self, x: AlgElement) -> AlgElement:
         """Entrywise f_i x_ij f_j^(-1), exact and cheap for diagonals."""
         n, nn = x.ctx.n, x.ctx.nn
         if n != self.n:
             raise ValueError("size mismatch")
         out: dict[int, Fraction] = {}
-        entries = x.to_matrix()
+        entries = x.ctx.to_matrix(x)
         for i in range(n):
             for j in range(n):
                 if entries[i][j].is_zero():
@@ -141,14 +141,14 @@ class DiagonalUnit:
                 for fi, c in conj.coeffs.items():
                     k = x.ctx.flat(fi, i * n + j)
                     out[k] = out.get(k, Fraction(0)) + c
-        return TensorElement(x.ctx, out)
+        return AlgElement(x.ctx, out)
 
     def cartan_ratios(self) -> list[AlgElement]:
         """The successive ratios f_i f_(i+1)^(-1) feeding the sl2 criterion."""
         return [mul(self.fs[i], self.inv[i + 1]) for i in range(self.n - 1)]
 
 
-def conjugate(g, x: TensorElement) -> TensorElement:
+def conjugate(g, x: AlgElement) -> AlgElement:
     """g x g^(-1), exact in the truncated algebra."""
     if isinstance(g, DiagonalUnit):
         return g.conjugate(x)
@@ -192,7 +192,7 @@ def in_group_direct(g, pair: CompatiblePair, fctx, L: GradedSubspace | None = No
         if fctx.degree_of_basis(f_idx) > budget:
             continue
         for s_idx, gv in enumerate(gvecs):
-            x = TensorElement(tctx, {tctx.flat(f_idx, ai): c for ai, c in gv.items()})
+            x = AlgElement(tctx, {tctx.flat(f_idx, ai): c for ai, c in gv.items()})
             vectors.append(conj(x).to_vector())
             labels.append((fctx.basis_label(f_idx), s_idx))
     if L.contains_vectors(vectors):
@@ -277,7 +277,7 @@ def conjugation_expansion(diag: DiagonalUnit, u: AlgElement, lowering: bool = Fa
     e, f, _ = sl2_irrep_matrices(n)
     tctx = TensorContext(u.ctx, n)
     target = diag.conjugate(tctx.pure(u, f if lowering else e))
-    entries = target.to_matrix()
+    entries = tctx.to_matrix(target)
     if lowering:
         coords = [entries[n - i][n - i - 1] for i in range(1, n)]
     else:

@@ -13,6 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from .coeffalg import StructureContext
 from .subspace import (
     Ambient,
     GradedSubspace,
@@ -128,50 +129,8 @@ def mat_inverse(a: Matrix) -> Matrix:
     return inv
 
 
-class MatrixContext:
-    """Coordinate context for M_n(Q) in the matrix-unit basis (degree 0)."""
-
-    is_free = False
-
-    def __init__(self, n: int):
-        self.n = n
-        self.ambient = Ambient([(0, n * n)])
-        self.integral = True
-        self.unital = True
-
-    def key(self):
-        return ("matrix", self.n)
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixContext) and self.n == other.n
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def mul_basis(self, i: int, j: int):
-        n = self.n
-        a, b = divmod(i, n)
-        c, d = divmod(j, n)
-        if b != c:
-            return ()
-        return ((a * n + d, 1),)
-
-    def degree_of_basis(self, i: int) -> int:
-        return 0
-
-    def basis_label(self, i: int) -> str:
-        n = self.n
-        return f"E{i // n + 1}{i % n + 1}"
-
-    def full_subspace(self) -> GradedSubspace:
-        return GradedSubspace.full(self.ambient)
-
-    def filtration_subspace(self) -> GradedSubspace:
-        return self.full_subspace()
-
-
 def span_of_matrices(n: int, mats) -> GradedSubspace:
-    return GradedSubspace.span(MatrixContext(n).ambient, [mat_to_vector(m) for m in mats])
+    return GradedSubspace.span(Ambient([(0, n * n)]), [mat_to_vector(m) for m in mats])
 
 
 # -- compatible pairs ----------------------------------------------------------
@@ -185,7 +144,7 @@ class CompatiblePair:
         self.n = n
         self.name = name
         self.witness_candidate = None if witness_candidate is None else mat(witness_candidate)
-        self.mctx = MatrixContext(n)
+        self.mctx = StructureContext.matrix_algebra(n)
         self.g_basis = tuple(mat(m) for m in g_basis)
         self.algebra_basis = None if algebra_basis is None else tuple(mat(m) for m in algebra_basis)
         self.semisimple = semisimple
@@ -294,7 +253,8 @@ class CompatiblePair:
         while self.g_power(k) != self.g_power(k + 1):
             k += 1
             if k > self.mctx.ambient.dim + 1:
-                raise RuntimeError("power sequence failed to stabilize")
+                raise UnsupportedError(f"the powers of g have not stabilized by g^{k}, "
+                                       "so the perfectness test has no stopping point")
         return k
 
     def pair_type(self):

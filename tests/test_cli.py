@@ -244,3 +244,17 @@ def test_closed_forms_without_a_form_unsupported(capsys):
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [(c["anchor"], c["verdict"]) for c in checks] == [("closed.none", "unsupported")]
     assert "gl:2" in checks[0]["name"]
+
+
+def test_nonstabilizing_powers_unsupported(tmp_path, capsys):
+    # g = span{diag(1, 2)} has powers g^k = span{diag(1, 2^k)}, which never
+    # stabilize, so the perfectness test has no stopping point
+    path = tmp_path / "diag12.json"
+    path.write_text(json.dumps({"n": 2, "g_basis": [[[1, 0], [0, 2]]]}))
+    rc = main(["verify", "--suite", "perfect-equality", "--pair", str(path), "--deg", "3",
+               "--json"])
+    assert rc == 3
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["anchor"], c["verdict"]) for c in checks] == [
+        ("pairs.perfect", "unsupported"), ("perfect.equality", "pass")]
+    assert "stabilized" in checks[0]["detail"]

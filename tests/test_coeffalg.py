@@ -10,11 +10,15 @@ from nclie.coeffalg import (
     FreeContext,
     NonUnitError,
     ParseError,
+    StructureContext,
     commutator,
     inverse,
     mul,
     parse,
 )
+from nclie.current import TensorContext
+from nclie.pairs import mat, mat_inverse
+from nclie.subspace import fraction_solve
 
 
 def elements(ctx, max_terms=3):
@@ -71,6 +75,16 @@ def test_structure_table_validation():
     bad = [[[0, 1], [0, 0]], [[1, 0], [0, 0]]]
     with pytest.raises(ValueError):
         StructureContext(bad)
+
+
+def test_division_stays_exact(free23):
+    # coefficients given as ints, and products of such elements, divide exactly
+    x = AlgElement(free23, {1: 1})
+    y = AlgElement(free23, {2: 3})
+    for quotient in (x / 2, mul(x, y) / 4):
+        assert all(type(v) is Fraction for v in quotient.coeffs.values())
+    assert (x / 2).coeffs == {1: Fraction(1, 2)}
+    assert mul(x, y) / 4 == parse("3/4*x*y", free23)
 
 
 # -- commutators -----------------------------------------------------------------
@@ -162,6 +176,121 @@ def test_random_units_invert(free23, data):
     u = free23.one() + (w - w.degree_component(0))
     assert mul(u, inverse(u)) == free23.one()
     assert mul(inverse(u), u) == free23.one()
+
+
+# -- the one inverse against the three it replaced -----------------------------------
+
+
+def reference_free_inverse(a):
+    """The former free-context inverse: split off the constant term c and sum
+    the geometric series of a/c - 1."""
+    ctx = a.ctx
+    if not ctx.unital:
+        raise NonUnitError("inverse requires a unital context")
+    c = a.coeffs.get(ctx.word_index[()], Fraction(0))
+    if c == 0:
+        raise NonUnitError("zero constant term")
+    w = a / c - 1
+    out = ctx.one()
+    power = ctx.one()
+    sign = 1
+    for _ in range(ctx.D):
+        power = mul(power, w)
+        sign = -sign
+        if power.is_zero():
+            break
+        out = out + power * sign
+    return out / c
+
+
+def reference_solve_inverse(a):
+    """The former structure-context (and structure-tensor) inverse: solve
+    a*x = 1 densely over the whole algebra and check x*a = 1."""
+    ctx = a.ctx
+    dim = ctx.ambient.dim
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i, ci in a.coeffs.items():
+        for j in range(dim):
+            for k, ck in ctx.mul_basis(i, j):
+                rows[k][j] += ci * ck
+    one = ctx.one()
+    sol = fraction_solve(rows, [one.coeffs.get(k, Fraction(0)) for k in range(dim)])
+    if sol is None:
+        raise NonUnitError("element is singular")
+    inv = AlgElement(ctx, {i: v for i, v in enumerate(sol) if v})
+    if mul(inv, a) != one:
+        raise NonUnitError("element has no two-sided inverse")
+    return inv
+
+
+def reference_tensor_series_inverse(x):
+    """The former inverse in F (x) M_n over unital free F: invert the constant
+    matrix, then sum the series of the nilpotent rest."""
+    tctx = x.ctx
+    fctx = tctx.fctx
+    n, nn = tctx.n, tctx.nn
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for k, v in x.coeffs.items():
+        f, a = divmod(k, nn)
+        if f == fctx.word_index[()]:
+            rows[a // n][a % n] = v
+    try:
+        cinv = mat_inverse(mat(rows))
+    except Exception as exc:
+        raise NonUnitError("constant-term matrix is singular") from exc
+    cinv_t = tctx.pure(fctx.one(), cinv)
+    nil = mul(cinv_t, x) - 1
+    acc = tctx.one()
+    power = tctx.one()
+    sign = 1
+    for _ in range(fctx.D):
+        power = mul(power, nil)
+        if power.is_zero():
+            break
+        sign = -sign
+        acc = acc + power * sign
+    return mul(acc, cinv_t)
+
+
+_FREE24 = FreeContext(2, 4)
+_M2 = StructureContext.matrix_algebra(2)
+INVERSE_CASES = {
+    "free:2,4": (_FREE24, reference_free_inverse),
+    "matrix:2": (_M2, reference_solve_inverse),
+    "free:2,4 (x) M_2": (TensorContext(_FREE24, 2), reference_tensor_series_inverse),
+    "matrix:2 (x) M_2": (TensorContext(_M2, 2), reference_solve_inverse),
+}
+
+
+def inverse_candidates(ctx):
+    """Degree-0 parts that are often singular, plus sparse higher terms."""
+    small = st.integers(min_value=-2, max_value=2)
+    width = ctx.ambient.blocks[0][1]
+    dim = ctx.ambient.dim
+    head = st.dictionaries(st.integers(0, width - 1), small, max_size=min(width, 4))
+    tail = st.dictionaries(st.integers(0, dim - 1), small, max_size=3)
+    return st.tuples(st.booleans(), head, tail).map(lambda t: AlgElement(ctx, {
+        i: Fraction(v) for i, v in {**t[1], **t[2]}.items()
+    }) + (ctx.one() if t[0] else 0))
+
+
+def outcome(invert, a):
+    try:
+        return invert(a)
+    except NonUnitError:
+        return None
+
+
+@pytest.mark.parametrize("case", list(INVERSE_CASES))
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_inverse_matches_replaced_inverses(case, data):
+    ctx, reference = INVERSE_CASES[case]
+    a = data.draw(inverse_candidates(ctx))
+    got = outcome(inverse, a)
+    assert got == outcome(reference, a)
+    if got is not None:
+        assert mul(a, got) == ctx.one() == mul(got, a)
 
 
 # -- parser -----------------------------------------------------------------------

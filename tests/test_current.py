@@ -4,10 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nclie.coeffalg import FreeContext
+from nclie.coeffalg import AlgElement, FreeContext
 from nclie.current import (
     TensorContext,
-    TensorElement,
     TypeMismatchError,
     abelian_closure_form,
     f_dot_g,
@@ -46,7 +45,7 @@ def random_tensor(tctx, rng, terms=3):
     data = {}
     for _ in range(terms):
         data[rng.randrange(tctx.ambient.dim)] = Fraction(rng.randint(-3, 3))
-    return TensorElement(tctx, data)
+    return AlgElement(tctx, data)
 
 
 # -- tensor arithmetic -----------------------------------------------------------
@@ -115,10 +114,28 @@ def test_tensor_matrix_views(free23):
     tctx = TensorContext(free23, 2)
     x = free23.generator(0)
     t = tctx.pure(x, mat_unit(2, 0, 1)) + tctx.one()
-    entries = t.to_matrix()
+    entries = tctx.to_matrix(t)
     assert entries[0][1] == x
     assert entries[0][0] == free23.one()
     assert tctx.from_matrix(entries) == t
+
+
+def reference_entry(x, i, j):
+    """The former per-entry view: one scan of x for every entry."""
+    n, nn = x.ctx.n, x.ctx.nn
+    return AlgElement(x.ctx.fctx, {f: v for k, v in x.coeffs.items()
+                                   for f, a in (divmod(k, nn),) if a == i * n + j})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_to_matrix_matches_entry_scan(free23, n):
+    tctx = TensorContext(free23, n)
+    rng = random.Random(n)
+    for _ in range(20):
+        t = random_tensor(tctx, rng, terms=6)
+        entries = tctx.to_matrix(t)
+        assert entries == [[reference_entry(t, i, j) for j in range(n)] for i in range(n)]
+        assert tctx.from_matrix(entries) == t
 
 
 def test_tensor_inverse_free(free23):
@@ -338,8 +355,8 @@ def test_trace_characterization(free23):
     fprime = cache.commutator_space(1)
     tctx = TensorContext(free23, 2)
     for vec in L.vectors():
-        t = TensorElement(tctx, {i: Fraction(v) for i, v in vec.items()})
-        entries = t.to_matrix()
+        t = AlgElement(tctx, {i: Fraction(v) for i, v in vec.items()})
+        entries = tctx.to_matrix(t)
         trace = entries[0][0] + entries[1][1]
         assert trace.is_zero() or fprime.contains_vector(trace.to_vector())
 

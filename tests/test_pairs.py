@@ -357,3 +357,29 @@ def test_matrix_inverse_and_charpoly():
     assert char_poly(a) == [Fraction(1), Fraction(-3), Fraction(1)]
     assert rational_eigenvalues(mat([[1, 0], [0, 5]])) == [Fraction(1), Fraction(5)]
     assert rational_eigenvalues(mat([[0, -1], [1, 0]])) is None
+
+
+# -- the matrix context against the one it replaced ----------------------------------
+
+
+def reference_matrix_mul_basis(n, i, j):
+    """The former MatrixContext.mul_basis: E_ab E_cd = [b == c] E_ad."""
+    a, b = divmod(i, n)
+    c, d = divmod(j, n)
+    if b != c:
+        return ()
+    return ((a * n + d, 1),)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_algebra_matches_matrix_context(n):
+    from nclie.coeffalg import StructureContext
+
+    ctx = StructureContext.matrix_algebra(n)
+    assert ctx.ambient.blocks == ((0, n * n),) and ctx.unital and ctx.integral
+    for i, j in itertools.product(range(n * n), repeat=2):
+        got = ctx.mul_basis(i, j)
+        assert got == reference_matrix_mul_basis(n, i, j)
+        assert all(type(c) is int for _, c in got)
+    assert ctx.one().to_vector() == mat_to_vector(mat_identity(n))
+    assert make_gl(n).mctx == ctx

@@ -48,6 +48,16 @@ def test_span_splits_graded_components():
     # a vector with parts in two degrees spans one line per degree
     s = GradedSubspace.span(AMB, [{0: 1, 2: 3}])
     assert [d for _, d in s.dim_profile()] == [1, 1, 0]
+    # the first and the last index of every block land in that block
+    vector, want = {}, {}
+    for bi, ((_, size), start) in enumerate(zip(AMB.blocks, AMB.starts)):
+        for loc in (0, size - 1):
+            assert AMB.split({start + loc: 5}) == {bi: {loc: 5}}
+            line = GradedSubspace.span(AMB, [{start + loc: 1}])
+            assert [d for _, d in line.dim_profile()] == [int(b == bi) for b in range(3)]
+            vector[start + loc] = start + loc + 1
+            want.setdefault(bi, {})[loc] = start + loc + 1
+    assert AMB.split(vector) == want
 
 
 def test_full_span():
