@@ -21,8 +21,9 @@ from fractions import Fraction
 from .coeffalg import AlgElement, FreeContext, NonUnitError, ParseError, StructureContext, parse
 from .commfilt import FiltrationCache
 from . import current as cur
+from .current import orthogonal_form, sl_trace_form
 from . import groups as gr
-from .pairs import UnsupportedError, make_orthogonal, make_sl, pair_by_name
+from .pairs import UnsupportedError, make_orthogonal, pair_by_name
 from .subspace import GradedSubspace, bracket_closed, op_bracket, op_product, subspace_sum
 
 # suite name -> runner(cfg, report); each runner looks its suite function up
@@ -463,38 +464,6 @@ def suite_closed_forms(cfg: RunConfig, report: Report):
     return report
 
 
-def sl_trace_form(pair, fctx):
-    """F' (x) 1 + F (x) sl, the trace-characterized span."""
-    from .pairs import mat_identity, span_of_matrices
-
-    tctx = cur.TensorContext(fctx, pair.n)
-    cache = cur.filtration(fctx)
-    one_span = span_of_matrices(pair.n, [mat_identity(pair.n)])
-    return cur.f_dot_g(pair, fctx).sum(
-        cur.tensor_product_span(tctx, cache.commutator_space(1), one_span)
-    )
-
-
-def orthogonal_form(pair, fctx):
-    """F (x) g + F' (x) 1 + (FF' + F') (x) sl for a nondegenerate form."""
-    from .pairs import mat_identity, make_sl, span_of_matrices
-
-    tctx = cur.TensorContext(fctx, pair.n)
-    cache = cur.filtration(fctx)
-    fprime = cache.commutator_space(1)
-    ffp = op_product(fctx, fctx.full_subspace(), fprime).sum(fprime)
-    one_span = span_of_matrices(pair.n, [mat_identity(pair.n)])
-    sl_span = make_sl(pair.n).g
-    return subspace_sum(
-        tctx.ambient,
-        [
-            cur.f_dot_g(pair, fctx),
-            cur.tensor_product_span(tctx, fprime, one_span),
-            cur.tensor_product_span(tctx, ffp, sl_span),
-        ],
-    )
-
-
 def _free_only(report: Report, fctx, suite: str, anchor: str) -> bool:
     """Record the suite as unsupported unless the coefficients are a truncated
     free algebra, whose words and degrees its seeded instances are drawn from."""
@@ -676,6 +645,8 @@ def cmd_compute(cfg: RunConfig) -> Report:
         )
         pairname = "-"
     else:
+        if cfg.m_cap is not None and cfg.m_cap < 1:
+            raise ValueError(f"--m-cap must be at least 1, got {cfg.m_cap}")
         pair = pair_by_name(cfg.pair)
         pairname = pair.name
         builders = {

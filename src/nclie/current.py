@@ -21,6 +21,7 @@ from .commfilt import FiltrationCache
 from .pairs import (
     CompatiblePair,
     Matrix,
+    make_sl,
     mat_identity,
     mat_pow,
     mat_commutator,
@@ -303,6 +304,36 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
     return subspace_sum(tctx.ambient, parts)
 
 
+def identity_span(n: int) -> GradedSubspace:
+    """The line spanned by the n x n identity matrix."""
+    return span_of_matrices(n, [mat_identity(n)])
+
+
+def sl_trace_form(pair: CompatiblePair, fctx) -> GradedSubspace:
+    """F' (x) 1 + F (x) sl, the trace-characterized span."""
+    tctx = TensorContext(fctx, pair.n)
+    cache = filtration(fctx)
+    return f_dot_g(pair, fctx).sum(
+        tensor_product_span(tctx, cache.commutator_space(1), identity_span(pair.n))
+    )
+
+
+def orthogonal_form(pair: CompatiblePair, fctx) -> GradedSubspace:
+    """F (x) g + F' (x) 1 + (FF' + F') (x) sl for a nondegenerate form."""
+    tctx = TensorContext(fctx, pair.n)
+    cache = filtration(fctx)
+    fprime = cache.commutator_space(1)
+    ffp = op_product(fctx, fctx.full_subspace(), fprime).sum(fprime)
+    return subspace_sum(
+        tctx.ambient,
+        [
+            f_dot_g(pair, fctx),
+            tensor_product_span(tctx, fprime, identity_span(pair.n)),
+            tensor_product_span(tctx, ffp, make_sl(pair.n).g),
+        ],
+    )
+
+
 def type2_formula(pair: CompatiblePair, fctx) -> GradedSubspace:
     """F.g + F' (x) A + FF' (x) [A, A], exact for pairs of type 2."""
     if pair.pair_type() != 2:
@@ -371,9 +402,8 @@ def sl2_closed_form(n: int, fctx) -> GradedSubspace:
     tctx = TensorContext(fctx, n)
     cache = filtration(fctx)
     base = cache.base
-    one_span = span_of_matrices(n, [mat_identity(n)])
     parts = [
-        tensor_product_span(tctx, op_bracket(fctx, base, base), one_span)
+        tensor_product_span(tctx, op_bracket(fctx, base, base), identity_span(n))
     ]
     for k in range(1, n):
         ideal = fctx.full_subspace() if k == 1 else _ideal(cache, k - 1)

@@ -20,7 +20,6 @@ from .subspace import (
     SpanBuilder,
     fraction_left_kernel,
     fraction_nullspace,
-    fraction_rref,
     fraction_solve,
     op_bracket,
     op_product,
@@ -141,12 +140,17 @@ class CompatiblePair:
 
     def __init__(self, n: int, g_basis, algebra_basis=None, name="custom",
                  semisimple=False, key=None, witness_candidate=None):
+        if n < 1:
+            raise ValueError(f"matrix size must be at least 1, got {n}")
         self.n = n
         self.name = name
         self.witness_candidate = None if witness_candidate is None else mat(witness_candidate)
-        self.mctx = StructureContext.matrix_algebra(n)
         self.g_basis = tuple(mat(m) for m in g_basis)
         self.algebra_basis = None if algebra_basis is None else tuple(mat(m) for m in algebra_basis)
+        for m in self.g_basis + (self.algebra_basis or ()):
+            if len(m) != n or any(len(row) != n for row in m):
+                raise ValueError(f"basis matrices must be {n} x {n}")
+        self.mctx = StructureContext.matrix_algebra(n)
         self.semisimple = semisimple
         self.g = span_of_matrices(n, self.g_basis)
         if self.g.dim != len(self.g_basis):
@@ -575,9 +579,8 @@ def make_orthogonal_degenerate(phi) -> CompatiblePair:
         return CompatiblePair(n, g_basis, name="o(phi)", key=("o-degenerate", phi))
     # stabilizer of K: for every kernel vector w, M w must stay in K,
     # i.e. every functional vanishing on K kills M w
-    kmat = [list(w) for w in kernel]
     constraints = []
-    comp = fraction_nullspace_complement(kmat, n)
+    comp = fraction_nullspace(kernel)
     for w in kernel:
         for functional in comp:
             row = [Fraction(0)] * (n * n)
@@ -593,22 +596,6 @@ def make_orthogonal_degenerate(phi) -> CompatiblePair:
         n, g_basis, algebra_basis=a_basis, name="o(phi)-degenerate",
         key=("o-degenerate", phi),
     )
-
-
-def fraction_nullspace_complement(kmat, n):
-    """Functionals vanishing on nothing but testing membership in span(kmat):
-    rows of a matrix whose kernel is exactly span(kmat)."""
-    rref, pivots = fraction_rref(kmat)
-    out = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        row = [Fraction(0)] * n
-        row[c] = Fraction(1)
-        for i, p in enumerate(pivots):
-            row[p] = -rref[i][c]
-        out.append(row)
-    return out
 
 
 def sl2_irrep_matrices(n: int) -> tuple[Matrix, Matrix, Matrix]:
@@ -679,19 +666,25 @@ def pair_from_json(path: str) -> CompatiblePair:
     numbers or "p/q" strings."""
     import json
 
-    with open(path) as fh:
-        data = json.load(fh)
-    n = int(data["n"])
-    g_basis = [
-        [[_json_entry(v) for v in row] for row in m] for m in data["g_basis"]
-    ]
-    algebra = data.get("algebra_basis")
-    if algebra is not None:
-        algebra = [[[_json_entry(v) for v in row] for row in m] for m in algebra]
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        n = int(data["n"])
+        g_basis = [
+            [[_json_entry(v) for v in row] for row in m] for m in data["g_basis"]
+        ]
+        algebra = data.get("algebra_basis")
+        if algebra is not None:
+            algebra = [[[_json_entry(v) for v in row] for row in m] for m in algebra]
+        name = data.get("name", "custom")
+    except (OSError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed pair file {path}: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(name, str):
+        raise ValueError(f"malformed pair file {path}: name must be a string")
     return CompatiblePair(
         n,
         g_basis,
         algebra_basis=algebra,
-        name=data.get("name", "custom"),
+        name=name,
         semisimple=bool(data.get("semisimple", False)),
     )

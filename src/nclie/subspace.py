@@ -8,13 +8,14 @@ Row operations run on numpy int64 arrays guarded against overflow; rows whose
 entries outgrow 64 bits are promoted to object (big-integer) arrays, so every
 result is exact regardless of coefficient growth.
 
-Insertion and membership share one elimination kernel, `_eliminate`.  It
+This is the one exact elimination engine.  Insertion runs `_eliminate`: it
 finds the next stored row whose pivot entry is nonzero in the candidate with
 one vectorized gather over the remaining pivot columns, so its Python work is
-O(combines), not O(stored rows): the sp:4 closure at m=2, D=6 does about
-130 k combines for 57.7 k offered rows, where a scan over every stored row
-made 38.7 M visits.  The kernel does the same combines in the same order as
-that scan, so every stored row and every canonical form is unchanged.
+O(combines), not O(stored rows).  Membership is one integer matrix product of
+the candidates with the nullspace of the block (`contains_all_block_rows`).
+Intersections (Zassenhaus) and the small dense rational solvers
+(`fraction_rref` and the kernels and solutions read off it) build canonical
+subspaces with the same insertion.
 
 Every product and commutator of two sparse vectors, of algebra elements as
 well as of subspace basis rows, is computed by one loop, `sparse_product`,
@@ -129,7 +130,8 @@ def _combine(piv, prow, pmax, coeff, arr, amax):
 
 def _eliminate(rows, pidx, maxes, arr, amax):
     """Reduce arr against echelon rows (ordered by pivot, pivot columns pidx,
-    row maxima maxes); returns (arr, amax), or (None, 0) once arr vanishes.
+    row maxima maxes) for insertion; returns (arr, amax), or (None, 0) once
+    arr vanishes.
 
     Row i is combined in exactly when arr is nonzero at pidx[i] on reaching
     it, as in a scan over every row, and in the same order.  The next such
@@ -213,14 +215,13 @@ class _Block:
 class GradedSubspace:
     """Immutable graded subspace in canonical reduced echelon form."""
 
-    __slots__ = ("ambient", "_rows", "_pivots", "_null", "_echelons", "_hash")
+    __slots__ = ("ambient", "_rows", "_pivots", "_null", "_hash")
 
     def __init__(self, ambient: Ambient, rows, pivots):
         self.ambient = ambient
         self._rows = rows          # tuple over blocks of int matrices (r, w) or None
         self._pivots = pivots      # tuple over blocks of pivot tuples
         self._null = [None] * len(ambient.blocks)
-        self._echelons = [None] * len(ambient.blocks)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -282,37 +283,21 @@ class GradedSubspace:
     # -- membership --------------------------------------------------------
 
     def contains_vector(self, vector) -> bool:
-        for bi, comp in self.ambient.split(vector).items():
-            arr, amax = _int_row(self.ambient.blocks[bi][1], comp)
-            if arr is None:
-                continue
-            if self._rows[bi] is None or not self._reduces_to_zero(bi, arr, amax):
-                return False
-        return True
+        return self.contains_vectors((vector,))
 
     def contains_block_row(self, bi: int, arr, amax=None) -> bool:
-        if amax is None:
-            amax = int(max(arr.max(), -arr.min()))
-        if self._rows[bi] is None:
-            return not arr.any()
-        return self._reduces_to_zero(bi, arr, amax)
+        """Membership of one integer row of block bi (amax is not needed)."""
+        return self.contains_all_block_rows(bi, arr[None, :])
 
     def _echelon(self, bi: int):
-        """Pivot index array and row maxima of block bi, for _eliminate."""
-        if self._echelons[bi] is None:
-            mat = self._rows[bi]
-            # row reductions only: np.abs(mat) would copy the whole block
-            self._echelons[bi] = (
-                np.array(self._pivots[bi], dtype=np.intp),
-                [int(max(hi, -lo)) for hi, lo in zip(mat.max(axis=1).tolist(),
-                                                     mat.min(axis=1).tolist())],
-            )
-        return self._echelons[bi]
-
-    def _reduces_to_zero(self, bi: int, arr, amax) -> bool:
-        pidx, maxes = self._echelon(bi)
-        arr, _ = _eliminate(self._rows[bi], pidx, maxes, arr, amax)
-        return arr is None or not arr.any()
+        """Pivot index array and row maxima of block bi, as _Block stores them."""
+        mat = self._rows[bi]
+        # row reductions only: np.abs(mat) would copy the whole block
+        return (
+            np.array(self._pivots[bi], dtype=np.intp),
+            [int(max(hi, -lo)) for hi, lo in zip(mat.max(axis=1).tolist(),
+                                                 mat.min(axis=1).tolist())],
+        )
 
     def nullspace_matrix(self, bi: int):
         """Integer matrix N with rowspace(block) = {v : v @ N = 0}."""
@@ -356,16 +341,20 @@ class GradedSubspace:
         return not prod.any()
 
     def contains_vectors(self, vectors) -> bool:
-        """Batched membership test for an iterable of sparse rational vectors."""
+        """Batched membership test for an iterable of sparse rational vectors:
+        one integer matrix per block, filled directly, for contains_all_block_rows."""
         batches: dict[int, list] = {}
         for vec in vectors:
-            for bi, comp in self.ambient.split(vec).items():
-                arr, _ = _int_row(self.ambient.blocks[bi][1], comp)
-                if arr is not None:
-                    batches.setdefault(bi, []).append(arr)
+            items = list(vec.items() if isinstance(vec, dict) else vec)
+            for bi, comp in self.ambient.split(_normalize_int_items(items)).items():
+                batches.setdefault(bi, []).append(comp)
         for bi, rows in batches.items():
-            dtype = object if any(r.dtype == object for r in rows) else np.int64
-            mat = np.array([r.astype(dtype) for r in rows])
+            big = max(abs(v) for row in rows for v in row.values())
+            mat = np.zeros((len(rows), self.ambient.blocks[bi][1]),
+                           dtype=np.int64 if big < _GUARD else object)
+            for r, row in enumerate(rows):
+                for loc, v in row.items():
+                    mat[r, loc] = v
             if not self.contains_all_block_rows(bi, mat):
                 return False
         return True
@@ -384,24 +373,24 @@ class GradedSubspace:
         return subspace_sum(self.ambient, (self, other))
 
     def intersect(self, other: "GradedSubspace") -> "GradedSubspace":
+        """Intersection by Zassenhaus, per block: in an echelon basis of the
+        rows (a | a), a in self, and (b | 0), b in other, the rows with their
+        pivot in the right half have right halves spanning the intersection."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
         b = SpanBuilder(self.ambient)
-        for bi in range(len(self.ambient.blocks)):
+        for bi, (_, width) in enumerate(self.ambient.blocks):
             ra, rb = self._rows[bi], other._rows[bi]
             if ra is None or rb is None:
                 continue
-            stacked = [[Fraction(int(v)) for v in row] for row in ra] + [
-                [Fraction(int(v)) for v in row] for row in rb
-            ]
-            for combo in fraction_left_kernel(stacked):
-                vec = [Fraction(0)] * self.ambient.blocks[bi][1]
-                for i in range(ra.shape[0]):
-                    if combo[i]:
-                        for j in range(len(vec)):
-                            vec[j] += combo[i] * stacked[i][j]
-                if any(vec):
-                    b.add_block_row(bi, _int_row_from_fractions(vec))
+            blk = _Block(2 * width)
+            for row in ra:
+                blk.insert(np.concatenate([row, row]), int(max(row.max(), -row.min())))
+            for row in rb:
+                blk.insert(np.concatenate([row, np.zeros_like(row)]), int(max(row.max(), -row.min())))
+            for row, pivot in zip(blk.rows, blk.pidx.tolist()):
+                if pivot >= width:
+                    b.add_block_row(bi, row[width:])
         return b.finalize()
 
     def __eq__(self, other):
@@ -457,10 +446,6 @@ def _int_row(width: int, comp: dict[int, Fraction]):
     return arr, amax
 
 
-def _int_row_from_fractions(vec):
-    return _int_row(len(vec), {j: v for j, v in enumerate(vec) if v})[0]
-
-
 class SpanBuilder:
     """Accumulates vectors into an echelon basis; finalize() canonicalizes."""
 
@@ -486,8 +471,6 @@ class SpanBuilder:
         return added
 
     def add_block_row(self, bi: int, arr) -> bool:
-        if arr is None:
-            return False
         if arr.dtype != object:
             arr = arr.astype(np.int64)
         amax = int(max(arr.max(), -arr.min())) if arr.any() else 0
@@ -607,43 +590,24 @@ def _op_bilinear(ctx, s1, s2, commutator):
 
 
 def bracket_closed(ctx, S: GradedSubspace) -> bool:
-    """Exact check that [S, S] is contained in S.
-
-    Brackets of basis pairs are batched per degree block and tested against
-    the nullspace of S, so membership is one integer matrix product.
-    """
+    """Exact check that [S, S] is contained in S: the brackets of basis pairs
+    are tested together by contains_vectors."""
     amb = ctx.ambient
     if S.ambient != amb:
         raise ValueError("ambient mismatch")
     maxdeg = amb.max_degree
     mul = ctx.mul_basis
-    supports = []
-    for bi, deg, mat in S.block_rows():
-        for r in range(mat.shape[0]):
-            supports.append((deg, _row_support(amb, bi, mat[r])))
-    batches: dict[int, list] = {}
-    for a in range(len(supports)):
-        d1, r1 = supports[a]
-        for b in range(a + 1, len(supports)):
-            d2, r2 = supports[b]
-            if d1 + d2 > maxdeg:
-                continue
-            items = [(i, v) for i, v in sparse_product(mul, r1, r2, True).items() if v]
-            if not items:
-                continue
-            for bi, comp in amb.split(_normalize_int_items(items)).items():
-                batches.setdefault(bi, []).append(comp)
-    for bi, rows in batches.items():
-        width = amb.blocks[bi][1]
-        big = max(abs(v) for row in rows for v in row.values())
-        dtype = np.int64 if big < _GUARD else object
-        matc = np.zeros((len(rows), width), dtype=dtype)
-        for r, row in enumerate(rows):
-            for loc, v in row.items():
-                matc[r, loc] = v
-        if not S.contains_all_block_rows(bi, matc):
-            return False
-    return True
+    supports = [
+        (deg, _row_support(amb, bi, mat[r]))
+        for bi, deg, mat in S.block_rows()
+        for r in range(mat.shape[0])
+    ]
+    return S.contains_vectors(
+        sparse_product(mul, r1, r2, True)
+        for a, (d1, r1) in enumerate(supports)
+        for d2, r2 in supports[a + 1:]
+        if d1 + d2 <= maxdeg
+    )
 
 
 def subspace_sum(ambient: Ambient, parts: Iterable[GradedSubspace]) -> GradedSubspace:
@@ -701,8 +665,7 @@ def bracket_saturate(ctx, generators, sweeps=None) -> GradedSubspace:
         fresh = []
         for bi_r, arr_r in frontier:
             deg_r = amb.blocks[bi_r][0]
-            start = amb.starts[bi_r]
-            items_r = [(start + j, int(arr_r[j])) for j in np.nonzero(arr_r)[0].tolist()]
+            items_r = _row_support(amb, bi_r, arr_r)
             for deg_g, items_g in gens:
                 if deg_g + deg_r > maxdeg:
                     continue
@@ -733,29 +696,16 @@ def _normalize_int_items(items):
 
 
 def fraction_rref(rows: list[list[Fraction]]):
-    """In-place-free RREF over Fraction; returns (rows, pivot columns)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
+    """Reduced row echelon form over Q, (rows, pivot columns): the canonical
+    basis of the row space with each row divided by its pivot entry."""
+    if not rows or not rows[0]:
         return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    width = len(rows[0])
+    span = GradedSubspace.span(
+        Ambient([(0, width)]), ({j: Fraction(v) for j, v in enumerate(r) if v} for r in rows)
+    )
+    dense = [[vec.get(j, Fraction(0)) for j in range(width)] for vec in span.vectors()]
+    return dense, list(span._pivots[0])
 
 
 def fraction_nullspace(rows: list[list[Fraction]]):
@@ -777,10 +727,7 @@ def fraction_nullspace(rows: list[list[Fraction]]):
 
 def fraction_left_kernel(rows: list[list[Fraction]]):
     """Basis of {y : y @ rows = 0}."""
-    if not rows:
-        return []
-    transpose = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-    return fraction_nullspace(transpose)
+    return fraction_nullspace([list(col) for col in zip(*rows)])
 
 
 def fraction_solve(rows: list[list[Fraction]], rhs: list[Fraction]):

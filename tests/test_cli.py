@@ -258,3 +258,30 @@ def test_nonstabilizing_powers_unsupported(tmp_path, capsys):
     assert [(c["anchor"], c["verdict"]) for c in checks] == [
         ("pairs.perfect", "unsupported"), ("perfect.equality", "pass")]
     assert "stabilized" in checks[0]["detail"]
+
+
+@pytest.mark.parametrize("content", [
+    '{"g_basis": [[[0, 1], [0, 0]]]}',                               # no "n"
+    '{"n": 2, "g_basis": [[[0, "1/0"], [0, 0]]]}',                   # zero denominator
+    '[[[0, 1], [0, 0]]]',                                            # not an object
+    '{"n": 2, "g_basis": [[[1, 0]]]}',                               # 1 x 2 matrix for n = 2
+    '{"n": 2, "g_basis": [[[0, 1], [0, 0], [0, 0]]]}',               # 3 x 2 matrix
+    '{"n": 2, "g_basis": [[[0, 1], [0, 0]]], "algebra_basis": 3}',   # algebra not a list
+    '{"n": -2, "g_basis": []}',                                      # negative size
+    '{"n": 2, "g_basis": [[[0, 1], [0, 0]]], "name": 5}',            # name not a string
+    None,                                                            # no such file
+])
+def test_malformed_pair_file_config_error(tmp_path, capsys, content):
+    path = tmp_path / "pair.json"
+    if content is not None:
+        path.write_text(content)
+    rc = main(["verify", "--suite", "perfect-equality", "--pair", str(path), "--deg", "3"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_compute_rejects_m_cap_below_one(capsys, cap):
+    rc = main(["compute", "--object", "closure", "--pair", "sl:2", "--deg", "3", "--m-cap", cap])
+    assert rc == 2
+    assert "--m-cap" in capsys.readouterr().err

@@ -30,8 +30,11 @@ from nclie.pairs import (
     pair_by_name,
     rational_eigenvalues,
     sl2_irrep_matrices,
+    span_of_matrices,
+    vector_to_mat,
 )
-from nclie.subspace import SpanBuilder
+from nclie.subspace import SpanBuilder, fraction_nullspace
+from test_subspace import reference_nullspace_complement
 
 
 # -- builders -----------------------------------------------------------------
@@ -341,6 +344,35 @@ def test_degenerate_rank3_is_type_2():
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
     )
     assert pair.pair_type() == 2
+
+
+@pytest.mark.parametrize("phi", [
+    [[1, 0], [0, 0]],
+    [[0, 0], [0, 0]],
+    [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[1, 1, 0], [1, 1, 0], [0, 0, 0]],
+    [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+    [[0, 2, 1], [-2, 0, 3], [-1, -3, 0]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+    [[2, 1, 0, 1], [1, 2, 0, 1], [0, 0, 0, 0], [1, 1, 0, 1]],
+])
+def test_degenerate_stabilizer_matches_reference_complement(phi):
+    n = len(phi)
+    kernel = reference_nullspace_complement(mat(phi), n)
+    comp = reference_nullspace_complement(kernel, n) if kernel else []
+    if kernel:
+        assert fraction_nullspace(kernel) == comp
+    constraints = [
+        [functional[a] * w[b] for a in range(n) for b in range(n)]
+        for w in kernel for functional in comp
+    ]
+    if constraints:
+        basis = reference_nullspace_complement(constraints, n * n)
+        expected = span_of_matrices(n, [vector_to_mat(dict(enumerate(v)), n) for v in basis])
+    else:
+        expected = make_gl(n).algebra
+    pair = make_orthogonal_degenerate(phi)
+    assert pair.algebra == expected
 
 
 def test_degenerate_rejects_mixed_form():

@@ -15,13 +15,18 @@ from nclie.subspace import (
     _Block,
     _combine,
     _int_row,
+    _normalize_int_items,
     _primitive,
+    _row_support,
+    bracket_closed,
     bracket_saturate,
+    fraction_left_kernel,
     fraction_nullspace,
     fraction_rref,
     fraction_solve,
     op_bracket,
     op_product,
+    sparse_product,
     subspace_sum,
 )
 
@@ -459,3 +464,203 @@ def test_subspace_sum_ambient_mismatch_raises_first():
         subspace_sum(AMB, iter([other, good]))
     with pytest.raises(ValueError):
         good.sum(other)
+
+
+# -- the solvers, intersection and membership against the Fraction-era code --------------
+
+
+def reference_fraction_rref(rows):
+    """Fraction Gauss-Jordan elimination; returns (rows, pivot columns)."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def reference_nullspace_complement(kmat, n):
+    """Rows of a matrix whose kernel is exactly span(kmat), read off the
+    Gauss-Jordan form; for n = len(kmat[0]) it is the right kernel of kmat."""
+    rref, pivots = reference_fraction_rref(kmat)
+    out = []
+    for c in range(n):
+        if c in pivots:
+            continue
+        row = [Fraction(0)] * n
+        row[c] = Fraction(1)
+        for i, p in enumerate(pivots):
+            row[p] = -rref[i][c]
+        out.append(row)
+    return out
+
+
+def reference_solve(rows, rhs):
+    ncols = len(rows[0])
+    rref, pivots = reference_fraction_rref([list(r) + [v] for r, v in zip(rows, rhs)])
+    sol = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        if p == ncols:
+            return None
+        sol[p] = rref[i][ncols]
+    return sol
+
+
+def reference_intersect(s, t):
+    """Intersection through the Fraction left kernel of the stacked blocks."""
+    b = SpanBuilder(s.ambient)
+    for bi, (_, width) in enumerate(s.ambient.blocks):
+        ra, rb = s._rows[bi], t._rows[bi]
+        if ra is None or rb is None:
+            continue
+        stacked = [[Fraction(int(v)) for v in row] for row in ra] + [
+            [Fraction(int(v)) for v in row] for row in rb
+        ]
+        transpose = [list(col) for col in zip(*stacked)]
+        for combo in reference_nullspace_complement(transpose, len(stacked)):
+            vec = [Fraction(0)] * width
+            for i in range(ra.shape[0]):
+                if combo[i]:
+                    for j in range(width):
+                        vec[j] += combo[i] * stacked[i][j]
+            if any(vec):
+                b.add_block_row(bi, _int_row(width, {j: v for j, v in enumerate(vec) if v})[0])
+    return b.finalize()
+
+
+def reference_contains_vector(s, vector):
+    """Membership by eliminating each block component to zero."""
+    for bi, comp in s.ambient.split(vector).items():
+        arr, amax = reference_int_row(s.ambient.blocks[bi][1], comp)
+        if arr is None:
+            continue
+        if s._rows[bi] is None or not reference_reduce_to_zero(s._rows[bi], s._pivots[bi], arr, amax):
+            return False
+    return True
+
+
+def reference_bracket_closed(ctx, S):
+    """The closedness check with its own per-block batching."""
+    amb = ctx.ambient
+    maxdeg = amb.max_degree
+    mul = ctx.mul_basis
+    supports = []
+    for bi, deg, mat in S.block_rows():
+        for r in range(mat.shape[0]):
+            supports.append((deg, _row_support(amb, bi, mat[r])))
+    batches = {}
+    for a in range(len(supports)):
+        d1, r1 = supports[a]
+        for b in range(a + 1, len(supports)):
+            d2, r2 = supports[b]
+            if d1 + d2 > maxdeg:
+                continue
+            items = [(i, v) for i, v in sparse_product(mul, r1, r2, True).items() if v]
+            if not items:
+                continue
+            for bi, comp in amb.split(_normalize_int_items(items)).items():
+                batches.setdefault(bi, []).append(comp)
+    for bi, rows in batches.items():
+        width = amb.blocks[bi][1]
+        big = max(abs(v) for row in rows for v in row.values())
+        matc = np.zeros((len(rows), width), dtype=np.int64 if big < _GUARD else object)
+        for r, row in enumerate(rows):
+            for loc, v in row.items():
+                matc[r, loc] = v
+        if not S.contains_all_block_rows(bi, matc):
+            return False
+    return True
+
+
+FRACTION = st.builds(Fraction, ENTRY, st.integers(1, 3))
+
+
+@st.composite
+def dense_matrices(draw):
+    width = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(FRACTION, min_size=width, max_size=width), max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append([2 * v for v in rows[draw(st.integers(0, len(rows) - 1))]])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * width)
+    return rows
+
+
+@given(dense_matrices(), st.lists(FRACTION, min_size=7, max_size=7))
+@example(rows=[[Fraction(0), Fraction(2)], [Fraction(0), Fraction(4)]], rhs=[Fraction(1)] * 7)
+@example(rows=[[Fraction(2**70, 3), Fraction(1)], [Fraction(1), Fraction(2**64)]], rhs=[Fraction(0)] * 7)
+@settings(max_examples=150, deadline=None)
+def test_fraction_solvers_match_gauss_jordan(rows, rhs):
+    assert fraction_rref(rows) == reference_fraction_rref(rows)
+    if not rows:
+        return
+    width = len(rows[0])
+    assert fraction_nullspace(rows) == reference_nullspace_complement(rows, width)
+    transpose = [list(col) for col in zip(*rows)]
+    assert fraction_left_kernel(rows) == reference_nullspace_complement(transpose, len(rows))
+    assert fraction_solve(rows, rhs[:len(rows)]) == reference_solve(rows, rhs[:len(rows)])
+
+
+AMB3 = Ambient([(0, 2), (1, 3), (2, 4)])
+SPARSE = st.dictionaries(st.integers(0, AMB3.dim - 1), FRACTION.filter(bool), max_size=5)
+
+
+@given(st.lists(SPARSE, max_size=4), st.lists(SPARSE, max_size=4), st.lists(SPARSE, max_size=4))
+@example(  # a shared row past the int64 guard
+    shared=[{2: Fraction(2**63), 3: Fraction(1)}], a_only=[{3: Fraction(1)}], b_only=[{4: Fraction(5)}],
+)
+@settings(max_examples=120, deadline=None)
+def test_intersect_matches_fraction_round_trip(shared, a_only, b_only):
+    a = GradedSubspace.span(AMB3, shared + a_only)
+    b = GradedSubspace.span(AMB3, shared + b_only)
+    assert_same_subspace(a.intersect(b), reference_intersect(a, b))
+    assert_same_subspace(b.intersect(a), reference_intersect(b, a))
+    assert_same_subspace(a.intersect(a), a)
+
+
+@given(st.lists(SPARSE, max_size=5), st.lists(SPARSE, max_size=4), st.lists(st.integers(-3, 3), max_size=5))
+@settings(max_examples=120, deadline=None)
+def test_membership_matches_elimination(vectors, outsiders, coeffs):
+    s = GradedSubspace.span(AMB3, vectors)
+    member = {}
+    for c, v in zip(coeffs, vectors):
+        for i, x in v.items():
+            member[i] = member.get(i, 0) + c * x
+    probes = [member] + vectors + outsiders
+    verdicts = [reference_contains_vector(s, p) for p in probes]
+    assert verdicts[0] and all(verdicts[1:len(vectors) + 1])
+    assert [s.contains_vector(p) for p in probes] == verdicts
+    assert s.contains_vectors(probes) == all(verdicts)
+    assert s.contains_vectors(outsiders) == all(verdicts[len(vectors) + 1:])
+
+
+# homogeneous generators of degree 1 (indices 1-2) or 2 (indices 3-6) in the free algebra on 2 letters
+FREE_GEN = st.sampled_from([(1, 2), (3, 6)]).flatmap(
+    lambda block: st.dictionaries(st.integers(*block), st.integers(-3, 3) | BIG, min_size=1, max_size=3)
+)
+
+
+@given(st.lists(FREE_GEN, min_size=1, max_size=3))
+@example(gens=[{1: 1}, {2: 1}])
+@example(gens=[{1: 1, 2: 2**63}, {3: 1}])
+@settings(max_examples=60, deadline=None)
+def test_bracket_closed_matches_own_batching(free23, gens):
+    for span in (GradedSubspace.span(free23.ambient, gens), bracket_saturate(free23, gens)):
+        assert bracket_closed(free23, span) == reference_bracket_closed(free23, span)
+    assert bracket_closed(free23, bracket_saturate(free23, gens))
