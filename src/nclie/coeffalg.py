@@ -12,6 +12,7 @@ throughout; there is no floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -196,10 +197,12 @@ class StructureContext:
                     raise ValueError("declared unit is not a right identity")
 
     @classmethod
+    @functools.cache
     def matrix_algebra(cls, n: int) -> "StructureContext":
         """The full matrix algebra M_n(Q) in the matrix-unit basis E11, E12, ...
 
         The table is filled from the n^3 nonzero products E_ab E_be = E_ae.
+        Contexts are immutable, so one is built per n and shared.
         """
         products = {
             (a * n + b, b * n + e): ((a * n + e, 1),)

@@ -16,20 +16,9 @@ jobs parallelize across processes without synchronization.
 
 from __future__ import annotations
 
-from .coeffalg import AlgElement, ContextMismatchError, mul
+from .coeffalg import AlgElement, ContextMismatchError, StructureContext, commutator, mul
 from .commfilt import FiltrationCache
-from .pairs import (
-    CompatiblePair,
-    Matrix,
-    make_sl,
-    mat_identity,
-    mat_pow,
-    mat_commutator,
-    mat_to_vector,
-    sl2_irrep_matrices,
-    make_sl2_irrep,
-    span_of_matrices,
-)
+from .pairs import CompatiblePair, make_sl, make_sl2_irrep, sl2_irrep_matrices, span_of_matrices
 from .subspace import (
     Ambient,
     GradedSubspace,
@@ -53,6 +42,7 @@ class TensorContext:
         self.fctx = fctx
         self.n = n
         self.nn = n * n
+        self.mctx = StructureContext.matrix_algebra(n)
         fblocks = fctx.ambient.blocks
         self.ambient = Ambient([(d, s * self.nn) for d, s in fblocks])
         self.integral = fctx.integral
@@ -103,15 +93,14 @@ class TensorContext:
         return AlgElement(self, {})
 
     def one(self) -> AlgElement:
-        return self.pure(self.fctx.one(), mat_identity(self.n))
+        return self.pure(self.fctx.one(), self.mctx.one())
 
-    def pure(self, f: AlgElement, m: Matrix) -> AlgElement:
-        """The element f (x) m."""
-        if f.ctx != self.fctx:
-            raise ContextMismatchError("coefficient from a different context")
-        mvec = mat_to_vector(m)
+    def pure(self, f: AlgElement, m: AlgElement) -> AlgElement:
+        """The element f (x) m, for f in F and m in M_n."""
+        if f.ctx != self.fctx or m.ctx != self.mctx:
+            raise ContextMismatchError("factor from a different context")
         return AlgElement(self, {self.flat(fi, aidx): cf * cm
-                                 for fi, cf in f.coeffs.items() for aidx, cm in mvec.items()})
+                                 for fi, cf in f.coeffs.items() for aidx, cm in m.coeffs.items()})
 
     def from_matrix(self, entries) -> AlgElement:
         """Build from an n x n array of coefficient elements."""
@@ -149,15 +138,15 @@ def tensor_product_span(tctx: TensorContext, fsub: GradedSubspace, asub: GradedS
     return kronecker_span(fsub, asub)
 
 
-def fg_generator_vectors(pair: CompatiblePair, tctx: TensorContext):
-    """The spanning set {w (x) s} of F . g used to generate the closure."""
-    gens = []
-    fdim = tctx.fctx.ambient.dim
-    gvecs = [mat_to_vector(m) for m in pair.g_basis]
-    for f_idx in range(fdim):
-        for gv in gvecs:
-            gens.append({tctx.flat(f_idx, ai): c for ai, c in gv.items()})
-    return gens
+def fg_generator_vectors(pair: CompatiblePair, tctx: TensorContext, max_degree=None):
+    """The spanning set {w (x) s} of F . g used to generate the closure, for
+    every basis word w (of degree at most max_degree, when given) and, for
+    each w in turn, every s of the g basis in order."""
+    fctx = tctx.fctx
+    return [{tctx.flat(f_idx, ai): c for ai, c in s.coeffs.items()}
+            for f_idx in range(fctx.ambient.dim)
+            if max_degree is None or fctx.degree_of_basis(f_idx) <= max_degree
+            for s in pair.g_basis]
 
 
 _closure_memo: dict = {}
@@ -183,10 +172,6 @@ def filtration(fctx) -> FiltrationCache:
     if key not in _closure_memo:
         _closure_memo[key] = FiltrationCache(fctx)
     return _closure_memo[key]
-
-
-def _ideal(cache: FiltrationCache, k: int) -> GradedSubspace:
-    return cache.ideal_Ik(k)
 
 
 def _hard_cap(fctx, pair) -> int:
@@ -231,8 +216,8 @@ def tilde_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> GradedS
     cap = _hard_cap(fctx, pair)
     while k < cap:
         k += 1
-        ik = _ideal(cache, k)
-        fik = op_bracket(fctx, base, _ideal(cache, k - 1))
+        ik = cache.ideal_Ik(k)
+        fik = op_bracket(fctx, base, cache.ideal_Ik(k - 1))
         gb = pair.bracket_power(k + 1)
         gp = pair.g_power(k + 1)
         if ik.is_zero() and fik.is_zero():
@@ -306,7 +291,7 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
 
 def identity_span(n: int) -> GradedSubspace:
     """The line spanned by the n x n identity matrix."""
-    return span_of_matrices(n, [mat_identity(n)])
+    return span_of_matrices(n, [StructureContext.matrix_algebra(n).one()])
 
 
 def sl_trace_form(pair: CompatiblePair, fctx) -> GradedSubspace:
@@ -367,8 +352,8 @@ def semisimple_closed_form(pair: CompatiblePair, fctx) -> GradedSubspace:
     cap = _hard_cap(fctx, pair)
     while k < cap:
         k += 1
-        ik1 = _ideal(cache, k - 1)
-        fik2 = op_bracket(fctx, base, _ideal(cache, k - 2))
+        ik1 = cache.ideal_Ik(k - 1)
+        fik2 = op_bracket(fctx, base, cache.ideal_Ik(k - 2))
         gplus = pair.bracket_power(k)
         zk = pair.center_part(k)
         if ik1.is_zero() and fik2.is_zero():
@@ -386,10 +371,10 @@ def sl2_module_span(n: int, k: int) -> GradedSubspace:
     """The irreducible piece generated by E^k: iterated ad F applied to E^k."""
     e, f, _ = sl2_irrep_matrices(n)
     b = SpanBuilder(Ambient([(0, n * n)]))
-    cur = mat_pow(e, k)
+    cur = e**k
     for _ in range(2 * k + 1):
-        b.add(mat_to_vector(cur))
-        cur = mat_commutator(f, cur)
+        b.add(cur.coeffs)
+        cur = commutator(f, cur)
     return b.finalize()
 
 
@@ -406,7 +391,7 @@ def sl2_closed_form(n: int, fctx) -> GradedSubspace:
         tensor_product_span(tctx, op_bracket(fctx, base, base), identity_span(n))
     ]
     for k in range(1, n):
-        ideal = fctx.full_subspace() if k == 1 else _ideal(cache, k - 1)
+        ideal = fctx.full_subspace() if k == 1 else cache.ideal_Ik(k - 1)
         parts.append(tensor_product_span(tctx, ideal, sl2_module_span(n, k)))
     return subspace_sum(tctx.ambient, parts)
 

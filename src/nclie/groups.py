@@ -17,21 +17,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffalg import AlgElement, NonUnitError, inverse, mul
+from .coeffalg import AlgElement, NonUnitError, StructureContext, inverse, mul
 from .commfilt import FiltrationCache
-from .current import TensorContext, lie_closure, tensor_mul
-from .pairs import (
-    CompatiblePair,
-    Matrix,
-    mat_pow,
-    mat_is_zero,
-    mat_to_vector,
-    sl2_irrep_matrices,
-    mat,
-    mat_unit,
-    mat_zero,
-)
-from .subspace import GradedSubspace, fraction_solve
+from .current import TensorContext, fg_generator_vectors, lie_closure, tensor_mul
+from .pairs import CompatiblePair, sl2_irrep_matrices
+from .subspace import GradedSubspace
 
 
 class BudgetExhaustedError(ValueError):
@@ -123,7 +113,7 @@ class DiagonalUnit:
     def to_tensor(self, tctx: TensorContext) -> AlgElement:
         out = tctx.zero()
         for i, f in enumerate(self.fs):
-            out = out + tctx.pure(f, mat_unit(self.n, i, i))
+            out = out + tctx.pure(f, tctx.mctx.basis_element(i * (self.n + 1)))
         return out
 
     def conjugate(self, x: AlgElement) -> AlgElement:
@@ -185,20 +175,14 @@ def in_group_direct(g, pair: CompatiblePair, fctx, L: GradedSubspace | None = No
     else:
         ginv = g.inverse()  # raises NonUnitError when g is not invertible
         conj = lambda x: tensor_mul(tensor_mul(g, x), ginv)
-    gvecs = [mat_to_vector(m) for m in pair.g_basis]
-    vectors = []
-    labels = []
-    for f_idx in range(fctx.ambient.dim):
-        if fctx.degree_of_basis(f_idx) > budget:
-            continue
-        for s_idx, gv in enumerate(gvecs):
-            x = AlgElement(tctx, {tctx.flat(f_idx, ai): c for ai, c in gv.items()})
-            vectors.append(conj(x).to_vector())
-            labels.append((fctx.basis_label(f_idx), s_idx))
+    gens = fg_generator_vectors(pair, tctx, max_degree=budget)
+    vectors = [conj(AlgElement(tctx, x)).to_vector() for x in gens]
     if L.contains_vectors(vectors):
         return MembershipReport(True, budget, len(vectors))
-    for vec, label in zip(vectors, labels):
+    for i, (x, vec) in enumerate(zip(gens, vectors)):
         if not L.contains_vector(vec):
+            # every entry of w (x) s has the word index of w
+            label = (fctx.basis_label(tctx.unflat(min(x))[0]), i % len(pair.g_basis))
             return MembershipReport(False, budget, len(vectors), failure=label)
     raise AssertionError("batched and per-vector membership disagree")
 
@@ -248,26 +232,20 @@ def stabilization_conditions(diag: DiagonalUnit, u: AlgElement, cache: Filtratio
 # -- the weight-two basis and diagonal conjugation expansion -------------------
 
 
-def ek_basis(n: int) -> list[Matrix]:
+def ek_basis(n: int) -> list[AlgElement]:
     """Superdiagonal matrices: row k collects i*C(i-1, k) E_(i, i+1)."""
-    out = []
-    for k in range(n - 1):
-        m = [list(r) for r in mat_zero(n)]
-        for i in range(k + 1, n):
-            m[i - 1][i] = Fraction(i * binomial(i - 1, k))
-        out.append(mat(m))
-    return out
+    mctx = StructureContext.matrix_algebra(n)
+    return [AlgElement(mctx, {(i - 1) * n + i: Fraction(i * binomial(i - 1, k))
+                              for i in range(k + 1, n)})
+            for k in range(n - 1)]
 
 
-def fk_basis(n: int) -> list[Matrix]:
+def fk_basis(n: int) -> list[AlgElement]:
     """Mirror images of ek_basis on the subdiagonal."""
-    out = []
-    for k in range(n - 1):
-        m = [list(r) for r in mat_zero(n)]
-        for i in range(k + 1, n):
-            m[n - i][n - i - 1] = Fraction(i * binomial(i - 1, k))
-        out.append(mat(m))
-    return out
+    mctx = StructureContext.matrix_algebra(n)
+    return [AlgElement(mctx, {(n - i) * n + n - i - 1: Fraction(i * binomial(i - 1, k))
+                              for i in range(k + 1, n)})
+            for k in range(n - 1)]
 
 
 def conjugation_expansion(diag: DiagonalUnit, u: AlgElement, lowering: bool = False):
@@ -282,19 +260,19 @@ def conjugation_expansion(diag: DiagonalUnit, u: AlgElement, lowering: bool = Fa
         coords = [entries[n - i][n - i - 1] for i in range(1, n)]
     else:
         coords = [entries[i - 1][i] for i in range(1, n)]
-    rows = [
-        [Fraction(i * binomial(i - 1, k)) for k in range(n - 1)] for i in range(1, n)
-    ]
-    inv_cols = []
-    for j in range(n - 1):
-        rhs = [Fraction(1 if t == j else 0) for t in range(n - 1)]
-        inv_cols.append(fraction_solve(rows, rhs))
+    # coords[i - 1] = sum_k i*C(i-1, k) out[k], so out = B^(-1) coords
+    m = n - 1
+    if not m:
+        return []
+    binv = inverse(AlgElement(StructureContext.matrix_algebra(m),
+                              {(i - 1) * m + k: Fraction(i * binomial(i - 1, k))
+                               for i in range(1, n) for k in range(m)}))
     zero = u.ctx.zero()
     out = []
-    for k in range(n - 1):
+    for k in range(m):
         acc = zero
-        for i in range(n - 1):
-            c = inv_cols[i][k]
+        for i in range(m):
+            c = binv.coeffs.get(k * m + i)
             if c:
                 acc = acc + coords[i] * c
         out.append(acc)
@@ -447,8 +425,8 @@ def from_delta_to_d_check(fs, u: AlgElement, i: int, j: int):
 # -- elementary generators and nilpotence --------------------------------------
 
 
-def nilpotent_basis_elements(pair: CompatiblePair) -> list[Matrix]:
-    return [b for b in pair.g_basis if mat_is_zero(mat_pow(b, pair.n))]
+def nilpotent_basis_elements(pair: CompatiblePair) -> list[AlgElement]:
+    return [b for b in pair.g_basis if (b**pair.n).is_zero()]
 
 
 def elementary_generators(pair: CompatiblePair, fctx, degree_cap: int,

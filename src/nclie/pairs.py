@@ -2,8 +2,12 @@
 
 A is either all n x n rational matrices or a declared subalgebra given by a
 basis; g is given by a matrix basis with [g, g] inside g checked exactly on
-construction.  Powers of g, the pair type, perfectness, enveloping-center
-data, and the split strong-grading witness all reduce to exact subspace
+construction.  Every matrix is an element of the M_n context
+StructureContext.matrix_algebra(n) (pair.mctx), so matrix products,
+commutators, powers and inverses are those of coeffalg; rows of rationals
+from outside (a JSON pair file, a caller's basis) become elements through
+`matrix`.  Powers of g, the pair type, perfectness, enveloping-center data,
+and the split strong-grading witness all reduce to exact subspace
 computations in the matrix-unit coordinates of M_n.
 """
 
@@ -13,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .coeffalg import StructureContext
+from .coeffalg import AlgElement, StructureContext, commutator, mul
 from .subspace import (
     Ambient,
     GradedSubspace,
@@ -25,8 +29,6 @@ from .subspace import (
     op_product,
 )
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-
 INFINITE = math.inf
 
 
@@ -34,102 +36,27 @@ class UnsupportedError(ValueError):
     """Raised when a computation needs structure outside the rational-split scope."""
 
 
-# -- exact rational matrices --------------------------------------------------
+def matrix(n: int, rows) -> AlgElement:
+    """The element of M_n with the given n x n rows of rationals; an element
+    of M_n is returned as it is."""
+    mctx = StructureContext.matrix_algebra(n)
+    if isinstance(rows, AlgElement):
+        if rows.ctx != mctx:
+            raise ValueError(f"basis matrices must be {n} x {n}")
+        return rows
+    rows = [list(row) for row in rows]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"basis matrices must be {n} x {n}")
+    return AlgElement(mctx, {i * n + j: Fraction(v)
+                             for i, row in enumerate(rows) for j, v in enumerate(row)})
 
 
-def mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
-def mat_zero(n: int) -> Matrix:
-    return tuple((Fraction(0),) * n for _ in range(n))
-
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def mat_unit(n: int, i: int, j: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if (r, c) == (i, j) else 0) for c in range(n)) for r in range(n)
-    )
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    out = mat_identity(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
-
-
-def mat_trace(a: Matrix) -> Fraction:
-    return sum(a[i][i] for i in range(len(a)))
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(not v for row in a for v in row)
-
-
-def mat_to_vector(a: Matrix) -> dict[int, Fraction]:
-    n = len(a)
-    return {i * n + j: a[i][j] for i in range(n) for j in range(n) if a[i][j]}
-
-
-def vector_to_mat(vec, n: int) -> Matrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for idx, v in vec.items() if isinstance(vec, dict) else vec:
-        rows[idx // n][idx % n] = Fraction(v)
-    return mat(rows)
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    cols = []
-    for j in range(n):
-        rhs = [Fraction(1 if i == j else 0) for i in range(n)]
-        sol = fraction_solve([list(r) for r in a], rhs)
-        if sol is None:
-            raise UnsupportedError("matrix is singular")
-        cols.append(sol)
-    inv = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    if mat_mul(inv, a) != mat_identity(n):
-        raise UnsupportedError("matrix is singular")
-    return inv
+def _combination(ctx, coeffs, elements) -> AlgElement:
+    return sum((e * c for c, e in zip(coeffs, elements) if c), ctx.zero())
 
 
 def span_of_matrices(n: int, mats) -> GradedSubspace:
-    return GradedSubspace.span(Ambient([(0, n * n)]), [mat_to_vector(m) for m in mats])
+    return GradedSubspace.span(Ambient([(0, n * n)]), [m.coeffs for m in mats])
 
 
 # -- compatible pairs ----------------------------------------------------------
@@ -144,13 +71,10 @@ class CompatiblePair:
             raise ValueError(f"matrix size must be at least 1, got {n}")
         self.n = n
         self.name = name
-        self.witness_candidate = None if witness_candidate is None else mat(witness_candidate)
-        self.g_basis = tuple(mat(m) for m in g_basis)
-        self.algebra_basis = None if algebra_basis is None else tuple(mat(m) for m in algebra_basis)
-        for m in self.g_basis + (self.algebra_basis or ()):
-            if len(m) != n or any(len(row) != n for row in m):
-                raise ValueError(f"basis matrices must be {n} x {n}")
         self.mctx = StructureContext.matrix_algebra(n)
+        self.witness_candidate = None if witness_candidate is None else matrix(n, witness_candidate)
+        self.g_basis = tuple(matrix(n, m) for m in g_basis)
+        self.algebra_basis = None if algebra_basis is None else tuple(matrix(n, m) for m in algebra_basis)
         self.semisimple = semisimple
         self.g = span_of_matrices(n, self.g_basis)
         if self.g.dim != len(self.g_basis):
@@ -163,10 +87,10 @@ class CompatiblePair:
                 raise ValueError("algebra basis matrices are linearly dependent")
             if not op_product(self.mctx, self.algebra, self.algebra).issubset(self.algebra):
                 raise ValueError("declared algebra is not closed under products")
-            if not self.algebra.contains_vector(mat_to_vector(mat_identity(n))):
+            if not self.algebra.contains_vector(self.mctx.one().coeffs):
                 raise ValueError("declared algebra must contain the identity")
         for a, b in itertools.combinations_with_replacement(self.g_basis, 2):
-            if not self.g.contains_vector(mat_to_vector(mat_commutator(a, b))):
+            if not self.g.contains_vector(commutator(a, b).coeffs):
                 raise ValueError("g is not closed under the commutator")
         if not self.g.issubset(self.algebra):
             raise ValueError("g does not lie inside the declared algebra")
@@ -219,23 +143,20 @@ class CompatiblePair:
         """
         if k < 2:
             raise ValueError("k must be >= 2")
-        memo = {(): mat_identity(self.n)}
+        memo = {(): self.mctx.one()}
 
         def sym(ms):
             if ms not in memo:
-                total = mat_zero(self.n)
+                total = self.mctx.zero()
                 for pos, x in enumerate(ms):
                     if pos and ms[pos - 1] == x:
                         continue
-                    rest = sym(ms[:pos] + ms[pos + 1:])
-                    total = mat_add(total, mat_mul(self.g_basis[x], rest))
+                    total = total + mul(self.g_basis[x], sym(ms[:pos] + ms[pos + 1:]))
                 memo[ms] = total
             return memo[ms]
 
-        b = SpanBuilder(self.mctx.ambient)
-        for combo in itertools.combinations_with_replacement(range(len(self.g_basis)), k):
-            b.add(mat_to_vector(sym(combo)))
-        return b.finalize()
+        combos = itertools.combinations_with_replacement(range(len(self.g_basis)), k)
+        return GradedSubspace.span(self.mctx.ambient, (sym(c).coeffs for c in combos))
 
     def envelope(self) -> GradedSubspace:
         """The associative subalgebra generated by g: sum of all powers."""
@@ -297,27 +218,14 @@ class CompatiblePair:
     def center(self) -> GradedSubspace:
         """Center of the enveloping algebra of g."""
         if self._center is None:
-            env = self.envelope()
-            basis = [vector_to_mat(v, self.n) for v in env.vectors()]
-            if not basis:
-                self._center = GradedSubspace.zero(self.mctx.ambient)
-                return self._center
-            rows = []
-            for c in basis:
-                row = []
-                for b in basis:
-                    comm = mat_commutator(c, b)
-                    row.extend(comm[i][j] for i in range(self.n) for j in range(self.n))
-                rows.append(row)
-            combos = fraction_left_kernel(rows)
-            bld = SpanBuilder(self.mctx.ambient)
-            for combo in combos:
-                z = mat_zero(self.n)
-                for coef, c in zip(combo, basis):
-                    if coef:
-                        z = mat_add(z, mat_scale(coef, c))
-                bld.add(mat_to_vector(z))
-            self._center = bld.finalize()
+            basis = [self.mctx.element_from_vector(v) for v in self.envelope().vectors()]
+            nn = self.mctx.dim_algebra
+            rows = [[commutator(c, b).coeffs.get(k, 0) for b in basis for k in range(nn)]
+                    for c in basis]
+            self._center = GradedSubspace.span(
+                self.mctx.ambient,
+                [_combination(self.mctx, combo, basis).coeffs for combo in fraction_left_kernel(rows)],
+            )
         return self._center
 
     def center_part(self, k: int) -> GradedSubspace:
@@ -326,17 +234,13 @@ class CompatiblePair:
             raise ValueError("k must be >= 1")
         return self.center().intersect(self.g_power(k))
 
-    def coordinates_in_g(self, m: Matrix):
-        """Coordinates of a matrix in the declared g basis (None if outside)."""
-        rows = [
-            [self.g_basis[b][i][j] for b in range(len(self.g_basis))]
-            for i in range(self.n)
-            for j in range(self.n)
-        ]
-        rhs = [m[i][j] for i in range(self.n) for j in range(self.n)]
-        return fraction_solve(rows, rhs)
+    def coordinates_in_g(self, m: AlgElement):
+        """Coordinates of an element of M_n in the declared g basis (None if outside)."""
+        nn = self.mctx.dim_algebra
+        rows = [[b.coeffs.get(k, 0) for b in self.g_basis] for k in range(nn)]
+        return fraction_solve(rows, [m.coeffs.get(k, 0) for k in range(nn)])
 
-    def strongly_graded_witness(self, h0: Matrix) -> bool:
+    def strongly_graded_witness(self, h0) -> bool:
         """Split strong-grading test for a candidate grading element h0 in g.
 
         True iff ad h0 acts diagonalizably on g with rational eigenvalues and
@@ -344,13 +248,13 @@ class CompatiblePair:
         Raises UnsupportedError when the characteristic polynomial does not
         split over the rationals.
         """
-        h0 = mat(h0)
+        h0 = matrix(self.n, h0)
         if self.coordinates_in_g(h0) is None:
             raise ValueError("witness candidate must lie in g")
         dim = len(self.g_basis)
         ad = []
         for b in self.g_basis:
-            coords = self.coordinates_in_g(mat_commutator(h0, b))
+            coords = self.coordinates_in_g(commutator(h0, b))
             if coords is None:
                 raise ValueError("g is not ad-stable, compatibility broken")
             ad.append(coords)
@@ -373,11 +277,7 @@ class CompatiblePair:
         bld = SpanBuilder(self.mctx.ambient)
 
         def realize(vec):
-            z = mat_zero(self.n)
-            for coef, b in zip(vec, self.g_basis):
-                if coef:
-                    z = mat_add(z, mat_scale(coef, b))
-            return z
+            return _combination(self.mctx, vec, self.g_basis)
 
         for c, basis in eigenspaces.items():
             if c == 0:
@@ -386,10 +286,10 @@ class CompatiblePair:
                 continue
             for va in basis:
                 for vb in eigenspaces[-c]:
-                    bld.add(mat_to_vector(mat_commutator(realize(va), realize(vb))))
+                    bld.add(commutator(realize(va), realize(vb)).coeffs)
         span = bld.finalize()
         null = GradedSubspace.span(
-            self.mctx.ambient, [mat_to_vector(realize(v)) for v in eigenspaces.get(Fraction(0), [])]
+            self.mctx.ambient, [realize(v).coeffs for v in eigenspaces.get(Fraction(0), [])]
         )
         return span == null
 
@@ -398,16 +298,19 @@ class CompatiblePair:
 
 
 def char_poly(a) -> list[Fraction]:
-    """Coefficients [1, c1, ..., cn] of det(xI - A) by Faddeev-LeVerrier."""
+    """Coefficients [1, c1, ..., cn] of det(xI - A) by Faddeev-LeVerrier, for
+    A given by its n x n rows, in M_n."""
     n = len(a)
-    am = mat(a)
-    m = mat_identity(n)
+    if not n:  # ad of a zero g is 0 x 0, and there is no M_0 context
+        return [Fraction(1)]
+    am = matrix(n, a)
+    m = am.ctx.one()
     coeffs = [Fraction(1)]
     for k in range(1, n + 1):
-        am_m = mat_mul(am, m)
-        ck = -mat_trace(am_m) / k
+        am_m = mul(am, m)
+        ck = -sum((am_m.coeffs.get(i * (n + 1), 0) for i in range(n)), Fraction(0)) / k
         coeffs.append(ck)
-        m = mat_add(am_m, mat_scale(ck, mat_identity(n)))
+        m = am_m + ck
     return coeffs
 
 
@@ -473,76 +376,69 @@ def _divisors(n):
 # -- built-in pair families -----------------------------------------------------
 
 
-def _principal_diagonal(n: int) -> Matrix:
+def _principal_diagonal(n: int) -> AlgElement:
     """diag(n-1, n-3, ..., 1-n): a regular split grading element."""
-    return tuple(
-        tuple(Fraction(n - 1 - 2 * i if i == j else 0) for j in range(n))
-        for i in range(n)
-    )
+    return AlgElement(StructureContext.matrix_algebra(n),
+                      {i * (n + 1): Fraction(n - 1 - 2 * i) for i in range(n)})
 
 
 def make_gl(n: int) -> CompatiblePair:
     if n < 1:
         raise ValueError("n must be >= 1")
-    basis = [mat_unit(n, i, j) for i in range(n) for j in range(n)]
-    return CompatiblePair(n, basis, name=f"gl:{n}", semisimple=False, key=("gl", n),
-                          witness_candidate=_principal_diagonal(n))
+    unit = StructureContext.matrix_algebra(n).basis_element
+    return CompatiblePair(n, [unit(k) for k in range(n * n)], name=f"gl:{n}", semisimple=False,
+                          key=("gl", n), witness_candidate=_principal_diagonal(n))
 
 
 def make_sl(n: int) -> CompatiblePair:
     if n < 2:
         raise ValueError("n must be >= 2")
-    basis = [mat_unit(n, i, j) for i in range(n) for j in range(n) if i != j]
+    unit = StructureContext.matrix_algebra(n).basis_element
+    basis = [unit(i * n + j) for i in range(n) for j in range(n) if i != j]
     for i in range(n - 1):
-        basis.append(mat_sub(mat_unit(n, i, i), mat_unit(n, i + 1, i + 1)))
+        basis.append(unit(i * (n + 1)) - unit((i + 1) * (n + 1)))
     return CompatiblePair(n, basis, name=f"sl:{n}", semisimple=True, key=("sl", n),
                           witness_candidate=_principal_diagonal(n))
 
 
-def antidiagonal_symmetric_form(n: int) -> Matrix:
-    """Phi(x, y) = x1*yn + x2*y(n-1) + ... + xn*y1."""
-    return tuple(
-        tuple(Fraction(1 if i + j == n - 1 else 0) for j in range(n)) for i in range(n)
-    )
+def antidiagonal_symmetric_form(n: int) -> AlgElement:
+    """Phi(x, y) = x1*yn + x2*y(n-1) + ... + xn*y1, as its Gram matrix in M_n."""
+    return AlgElement(StructureContext.matrix_algebra(n),
+                      {i * n + n - 1 - i: Fraction(1) for i in range(n)})
 
 
-def antidiagonal_skew_form(n: int) -> Matrix:
+def antidiagonal_skew_form(n: int) -> AlgElement:
     """Skew form with +1 on the upper antidiagonal half and -1 on the lower."""
     if n % 2:
         raise ValueError("skew form needs even size")
-    m = n // 2
-    return tuple(
-        tuple(
-            Fraction((1 if i < m else -1) if i + j == n - 1 else 0) for j in range(n)
-        )
-        for i in range(n)
-    )
+    return AlgElement(StructureContext.matrix_algebra(n),
+                      {i * n + n - 1 - i: Fraction(1 if i < n // 2 else -1) for i in range(n)})
 
 
-def orthogonal_lie_algebra(phi: Matrix) -> list[Matrix]:
-    """Basis of {M : Phi(Mu, v) + Phi(u, Mv) = 0}, i.e. ker of M -> M^T Phi + Phi M."""
-    n = len(phi)
+def orthogonal_lie_algebra(phi: AlgElement) -> list[AlgElement]:
+    """Basis of {M : Phi(Mu, v) + Phi(u, Mv) = 0}, i.e. ker of M -> M^T Phi + Phi M,
+    for the Gram matrix Phi of a form, an element of M_n."""
+    n = math.isqrt(phi.ctx.dim_algebra)
+    entry = phi.coeffs.get
     # (M^T Phi)[u][v] = sum_a M[a][u] Phi[a][v]; (Phi M)[u][v] = sum_a Phi[u][a] M[a][v]
     rows = []
     for u in range(n):
         for v in range(n):
             row = [Fraction(0)] * (n * n)
             for a in range(n):
-                row[a * n + u] += phi[a][v]
-                row[a * n + v] += phi[u][a]
+                row[a * n + u] += entry(a * n + v, 0)
+                row[a * n + v] += entry(u * n + a, 0)
             rows.append(row)
-    basis = fraction_nullspace(rows)
-    return [vector_to_mat({i: c for i, c in enumerate(vec) if c}, n) for vec in basis]
+    return [phi.ctx.element_from_vector(enumerate(vec)) for vec in fraction_nullspace(rows)]
 
 
-def _mirrored_diagonal(n: int) -> Matrix:
+def _mirrored_diagonal(n: int) -> AlgElement:
     """diag(d_1, ..., d_n) with d_i + d_(n+1-i) = 0: lies in both antidiagonal
     families, with distinct nonzero entries in the upper half."""
     half = [n + 1 - 2 * i for i in range(n // 2)]
     entries = half + ([0] if n % 2 else []) + [-v for v in reversed(half)]
-    return tuple(
-        tuple(Fraction(entries[i] if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    return AlgElement(StructureContext.matrix_algebra(n),
+                      {i * (n + 1): Fraction(v) for i, v in enumerate(entries)})
 
 
 def make_orthogonal(n: int) -> CompatiblePair:
@@ -566,14 +462,15 @@ def make_symplectic(n: int) -> CompatiblePair:
 
 
 def make_orthogonal_degenerate(phi) -> CompatiblePair:
-    """Pair (o(Phi), stabilizer of the kernel of Phi) for a possibly degenerate form."""
-    phi = mat(phi)
+    """Pair (o(Phi), stabilizer of the kernel of Phi) for a possibly degenerate
+    form, given by the rows of its Gram matrix."""
     n = len(phi)
-    sym = phi == mat_transpose(phi)
-    skew = phi == mat_scale(-1, mat_transpose(phi))
-    if not (sym or skew):
+    phi = matrix(n, phi)
+    flipped = {(k % n) * n + k // n: v for k, v in phi.coeffs.items()}
+    if flipped != phi.coeffs and flipped != (-phi).coeffs:
         raise ValueError("form must be symmetric or skew-symmetric")
-    kernel = fraction_nullspace([list(r) for r in phi])  # right kernel = left by (skew)symmetry
+    # right kernel = left kernel by (skew)symmetry
+    kernel = fraction_nullspace([[phi.coeffs.get(i * n + j, 0) for j in range(n)] for i in range(n)])
     g_basis = orthogonal_lie_algebra(phi)
     if not kernel:
         return CompatiblePair(n, g_basis, name="o(phi)", key=("o-degenerate", phi))
@@ -590,26 +487,20 @@ def make_orthogonal_degenerate(phi) -> CompatiblePair:
             constraints.append(row)
     if not constraints:  # K is everything: the stabilizer condition is vacuous
         return CompatiblePair(n, g_basis, name="o(phi)-degenerate", key=("o-degenerate", phi))
-    a_basis_vecs = fraction_nullspace(constraints)
-    a_basis = [vector_to_mat({i: c for i, c in enumerate(v) if c}, n) for v in a_basis_vecs]
+    a_basis = [phi.ctx.element_from_vector(enumerate(v)) for v in fraction_nullspace(constraints)]
     return CompatiblePair(
         n, g_basis, algebra_basis=a_basis, name="o(phi)-degenerate",
         key=("o-degenerate", phi),
     )
 
 
-def sl2_irrep_matrices(n: int) -> tuple[Matrix, Matrix, Matrix]:
+def sl2_irrep_matrices(n: int) -> tuple[AlgElement, AlgElement, AlgElement]:
     """The n-dimensional irreducible representation of sl2: raising E with
     weights 1..n-1 above the diagonal, lowering F mirrored, H = [E, F]."""
-    e = mat_zero(n)
-    e = [list(r) for r in e]
-    f = [list(r) for r in mat_zero(n)]
-    for i in range(1, n):
-        e[i - 1][i] = Fraction(i)
-        f[n - i][n - i - 1] = Fraction(i)
-    e, f = mat(e), mat(f)
-    h = mat_commutator(e, f)
-    return e, f, h
+    mctx = StructureContext.matrix_algebra(n)
+    e = AlgElement(mctx, {(i - 1) * n + i: Fraction(i) for i in range(1, n)})
+    f = AlgElement(mctx, {(n - i) * n + n - i - 1: Fraction(i) for i in range(1, n)})
+    return e, f, commutator(e, f)
 
 
 def make_sl2_irrep(n: int) -> CompatiblePair:
@@ -625,11 +516,10 @@ def make_sl2_irrep(n: int) -> CompatiblePair:
 def make_abelian_nilpotent(n: int) -> CompatiblePair:
     if n < 2:
         raise ValueError("n must be >= 2")
-    jordan = [list(r) for r in mat_zero(n)]
-    for i in range(n - 1):
-        jordan[i][i + 1] = Fraction(1)
-    return CompatiblePair(n, [mat(jordan)], name=f"jordan:{n}", key=("jordan", n),
-                          witness_candidate=mat(jordan))
+    jordan = AlgElement(StructureContext.matrix_algebra(n),
+                        {i * (n + 1) + 1: Fraction(1) for i in range(n - 1)})
+    return CompatiblePair(n, [jordan], name=f"jordan:{n}", key=("jordan", n),
+                          witness_candidate=jordan)
 
 
 _BUILDERS = {

@@ -285,8 +285,8 @@ class GradedSubspace:
     def contains_vector(self, vector) -> bool:
         return self.contains_vectors((vector,))
 
-    def contains_block_row(self, bi: int, arr, amax=None) -> bool:
-        """Membership of one integer row of block bi (amax is not needed)."""
+    def contains_block_row(self, bi: int, arr) -> bool:
+        """Membership of one integer row of block bi."""
         return self.contains_all_block_rows(bi, arr[None, :])
 
     def _echelon(self, bi: int):
@@ -653,7 +653,7 @@ def bracket_saturate(ctx, generators, sweeps=None) -> GradedSubspace:
         items = [(i, v) for i, v in (g.items() if isinstance(g, dict) else g) if v]
         if not items:
             continue
-        deg = amb.degree_of(items[0][0])
+        deg = min(amb.degree_of(i) for i, _ in items)  # brackets with g start there
         norm = _normalize_int_items(items)
         gens.append((deg, norm))
         frontier.extend(builder.add_tracked(dict(norm)))

@@ -17,8 +17,9 @@ from nclie.coeffalg import (
     parse,
 )
 from nclie.current import TensorContext
-from nclie.pairs import mat, mat_inverse
+from nclie.pairs import UnsupportedError, matrix
 from nclie.subspace import fraction_solve
+from test_pairs import mat, mat_inverse
 
 
 def elements(ctx, max_terms=3):
@@ -236,9 +237,9 @@ def reference_tensor_series_inverse(x):
             rows[a // n][a % n] = v
     try:
         cinv = mat_inverse(mat(rows))
-    except Exception as exc:
+    except UnsupportedError as exc:
         raise NonUnitError("constant-term matrix is singular") from exc
-    cinv_t = tctx.pure(fctx.one(), cinv)
+    cinv_t = tctx.pure(fctx.one(), matrix(n, cinv))
     nil = mul(cinv_t, x) - 1
     acc = tctx.one()
     power = tctx.one()

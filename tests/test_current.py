@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nclie.coeffalg import AlgElement, FreeContext
+from nclie.coeffalg import AlgElement, FreeContext, commutator, mul
 from nclie.current import (
     TensorContext,
     TypeMismatchError,
@@ -29,7 +29,7 @@ from nclie.pairs import (
     make_orthogonal,
     make_sl,
     make_sl2_irrep,
-    mat_unit,
+    matrix,
     pair_by_name,
 )
 from nclie.subspace import (
@@ -39,6 +39,7 @@ from nclie.subspace import (
     bracket_closed,
     bracket_saturate,
 )
+from test_pairs import unit
 
 
 def random_tensor(tctx, rng, terms=3):
@@ -54,10 +55,10 @@ def random_tensor(tctx, rng, terms=3):
 def test_pure_tensor_product(free23):
     tctx = TensorContext(free23, 2)
     x, y = free23.generators()
-    a = tctx.pure(x, mat_unit(2, 0, 1))
-    b = tctx.pure(y, mat_unit(2, 1, 0))
+    a = tctx.pure(x, unit(2, 0, 1))
+    b = tctx.pure(y, unit(2, 1, 0))
     prod = tensor_mul(a, b)
-    assert prod == tctx.pure(x * y, mat_unit(2, 0, 0))
+    assert prod == tctx.pure(x * y, unit(2, 0, 0))
 
 
 def test_tensor_unit(free23):
@@ -81,11 +82,7 @@ def test_commutator_coefficient_identity(free23):
         left = tensor_mul(tctx.pure(s, e), tctx.pure(t, f)) - tensor_mul(
             tctx.pure(t, f), tctx.pure(s, e)
         )
-        from nclie.pairs import mat_commutator, mat_mul
-
-        right = tctx.pure(s * t, mat_commutator(e, f)) + tctx.pure(
-            s * t - t * s, mat_mul(f, e)
-        )
+        right = tctx.pure(s * t, commutator(e, f)) + tctx.pure(s * t - t * s, mul(f, e))
         assert left == right
 
 
@@ -97,9 +94,7 @@ def parse_random(ctx, rng):
 
 
 def random_matrix(n, rng):
-    from nclie.pairs import mat
-
-    return mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+    return matrix(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
 
 
 def test_tensor_product_associative(free23):
@@ -113,7 +108,7 @@ def test_tensor_product_associative(free23):
 def test_tensor_matrix_views(free23):
     tctx = TensorContext(free23, 2)
     x = free23.generator(0)
-    t = tctx.pure(x, mat_unit(2, 0, 1)) + tctx.one()
+    t = tctx.pure(x, unit(2, 0, 1)) + tctx.one()
     entries = tctx.to_matrix(t)
     assert entries[0][1] == x
     assert entries[0][0] == free23.one()
@@ -141,15 +136,15 @@ def test_to_matrix_matches_entry_scan(free23, n):
 def test_tensor_inverse_free(free23):
     tctx = TensorContext(free23, 2)
     x = free23.generator(0)
-    g = tctx.one() + tctx.pure(x, mat_unit(2, 0, 1))
+    g = tctx.one() + tctx.pure(x, unit(2, 0, 1))
     ginv = g.inverse()
-    assert ginv == tctx.one() - tctx.pure(x, mat_unit(2, 0, 1))
+    assert ginv == tctx.one() - tctx.pure(x, unit(2, 0, 1))
     assert tensor_mul(g, ginv) == tctx.one()
 
 
 def test_tensor_inverse_structure(m2ctx):
     tctx = TensorContext(m2ctx, 2)
-    g = tctx.one() + tctx.pure(m2ctx.basis_element(1), mat_unit(2, 0, 1))
+    g = tctx.one() + tctx.pure(m2ctx.basis_element(1), unit(2, 0, 1))
     assert tensor_mul(g, g.inverse()) == tctx.one()
 
 

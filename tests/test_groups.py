@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nclie.coeffalg import AlgElement, FreeContext, NonUnitError, inverse, mul, parse
-from nclie.current import TensorContext, filtration, lie_closure
+from nclie.current import TensorContext, fg_generator_vectors, filtration, lie_closure
 from nclie.groups import (
     BudgetExhaustedError,
     DiagonalUnit,
@@ -35,10 +35,11 @@ from nclie.pairs import (
     make_orthogonal,
     make_sl,
     make_sl2_irrep,
-    mat_unit,
+    pair_by_name,
     sl2_irrep_matrices,
     span_of_matrices,
 )
+from test_pairs import unit
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +91,7 @@ def test_starred_table(fctx):
 def test_conjugation_by_identity(fctx):
     tctx = TensorContext(fctx, 2)
     one_diag = DiagonalUnit([fctx.one(), fctx.one()])
-    x = tctx.pure(fctx.generator(0), mat_unit(2, 0, 1))
+    x = tctx.pure(fctx.generator(0), unit(2, 0, 1))
     assert conjugate(one_diag, x) == x
     assert conjugate(tctx.one(), x) == x
 
@@ -100,21 +101,21 @@ def test_scalar_diagonal_scales_units(fctx):
     one = fctx.one()
     diag = DiagonalUnit([one * 2, one * 3])
     u = fctx.generator(1)
-    x = tctx.pure(u, mat_unit(2, 0, 1))
-    assert conjugate(diag, x) == tctx.pure(u * Fraction(2, 3), mat_unit(2, 0, 1))
+    x = tctx.pure(u, unit(2, 0, 1))
+    assert conjugate(diag, x) == tctx.pure(u * Fraction(2, 3), unit(2, 0, 1))
 
 
 def test_unipotent_conjugation_expansion(fctx):
     # (1 + x (x) E) (y (x) F) (1 - x (x) E) written out in matrix units
     tctx = TensorContext(fctx, 2)
     x, y = fctx.generators()
-    E, F = mat_unit(2, 0, 1), mat_unit(2, 1, 0)
+    E, F = unit(2, 0, 1), unit(2, 1, 0)
     g = tctx.one() + tctx.pure(x, E)
     out = conjugate(g, tctx.pure(y, F))
     expected = (
         tctx.pure(y, F)
-        + tctx.pure(x * y, mat_unit(2, 0, 0))
-        - tctx.pure(y * x, mat_unit(2, 1, 1))
+        + tctx.pure(x * y, unit(2, 0, 0))
+        - tctx.pure(y * x, unit(2, 1, 1))
         - tctx.pure(x * y * x, E)
     )
     assert out == expected
@@ -141,7 +142,7 @@ def test_gl_pair_contains_every_unit(fctx):
     diag = DiagonalUnit([parse("1+x", fctx), parse("1+y-2*x*y", fctx)])
     assert in_group_direct(diag, sl2, fctx, L).verdict
     tctx = TensorContext(fctx, 2)
-    g = tctx.one() + tctx.pure(fctx.generator(0), mat_unit(2, 0, 1))
+    g = tctx.one() + tctx.pure(fctx.generator(0), unit(2, 0, 1))
     assert in_group_direct(g, sl2, fctx, L).verdict
 
 
@@ -149,6 +150,51 @@ def test_budget_validation(fctx):
     sl2 = make_sl(2)
     with pytest.raises(BudgetExhaustedError):
         in_group_direct(DiagonalUnit([fctx.one()] * 2), sl2, fctx, max_word_degree=-1)
+
+
+def reference_direct(g, pair, fctx, L, budget):
+    """The former in_group_direct loop, which built its own w (x) s and labels:
+    (verdict, vectors checked, first failing (word, g-basis index))."""
+    tctx = TensorContext(fctx, pair.n)
+    vectors, labels = [], []
+    for f_idx in range(fctx.ambient.dim):
+        if fctx.degree_of_basis(f_idx) > budget:
+            continue
+        for s_idx, s in enumerate(pair.g_basis):
+            x = tctx.pure(AlgElement(fctx, {f_idx: Fraction(1)}), s)
+            vectors.append(conjugate(g, x).to_vector())
+            labels.append((fctx.basis_label(f_idx), s_idx))
+    failure = next((lab for v, lab in zip(vectors, labels) if not L.contains_vector(v)), None)
+    return failure is None, len(vectors), failure
+
+
+def test_direct_report_matches_reference_loop():
+    fctx = FreeContext(2, 3)
+    x, y = fctx.generators()
+    one = fctx.one()
+    failures = set()
+    for name in ("sl2irrep:3", "sp:4"):
+        pair = pair_by_name(name)
+        L = lie_closure(pair, fctx)
+        tctx = TensorContext(fctx, pair.n)
+        cands = [
+            DiagonalUnit([one] * (pair.n - 1) + [one + x * y]),
+            DiagonalUnit([one + y] + [one] * (pair.n - 2) + [one + x * y]),
+            DiagonalUnit([one] * (pair.n - 1) + [one + x * y - y * x]),
+            tctx.one() + tctx.pure(y, pair.g_basis[1]),
+        ] + elementary_generators(pair, fctx, 1)[:4]
+        for budget in range(fctx.D + 1):
+            assert fg_generator_vectors(pair, tctx, max_degree=budget) == [
+                tctx.pure(AlgElement(fctx, {f: Fraction(1)}), s).to_vector()
+                for f in range(fctx.ambient.dim) if fctx.degree_of_basis(f) <= budget
+                for s in pair.g_basis
+            ]
+            for g in cands:
+                rep = in_group_direct(g, pair, fctx, L, max_word_degree=budget)
+                want = reference_direct(g, pair, fctx, L, budget)
+                assert (rep.verdict, rep.checked, rep.failure) == want and rep.budget == budget
+                failures.add(rep.failure)
+    assert None in failures and len(failures) > 2
 
 
 def test_elementary_generator_in_group(fctx):
@@ -277,20 +323,9 @@ def test_superdiagonal_inversion_identity():
     for n in (3, 4, 5):
         eks = ek_basis(n)
         for i in range(1, n):
-            total = None
-            for k in range(i - 1, n - 1):
-                coef = Fraction((-1) ** (k + 1 - i) * math.comb(k, i - 1))
-                term = tuple(tuple(coef * v for v in row) for row in eks[k])
-                total = term if total is None else tuple(
-                    tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(total, term)
-                )
-            expected = tuple(
-                tuple(
-                    Fraction(i if (r, c) == (i - 1, i) else 0) for c in range(n)
-                )
-                for r in range(n)
-            )
-            assert total == expected
+            total = sum((eks[k] * ((-1) ** (k + 1 - i) * math.comb(k, i - 1))
+                         for k in range(i - 1, n - 1)), eks[0].ctx.zero())
+            assert total == unit(n, i - 1, i) * i
 
 
 def test_conjugation_expansion_agrees(fctx):

@@ -1,12 +1,18 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nclie.coeffalg import NonUnitError, StructureContext, commutator, inverse, mul
 from nclie.pairs import (
     INFINITE,
     CompatiblePair,
     UnsupportedError,
+    _deflate,
+    _find_rational_root,
     char_poly,
     make_abelian_nilpotent,
     make_gl,
@@ -15,26 +21,216 @@ from nclie.pairs import (
     make_sl,
     make_sl2_irrep,
     make_symplectic,
-    mat,
-    mat_add,
-    mat_commutator,
-    mat_identity,
-    mat_inverse,
-    mat_is_zero,
-    mat_mul,
-    mat_pow,
-    mat_scale,
-    mat_sub,
-    mat_to_vector,
-    mat_zero,
+    matrix,
     pair_by_name,
     rational_eigenvalues,
     sl2_irrep_matrices,
-    span_of_matrices,
-    vector_to_mat,
 )
-from nclie.subspace import SpanBuilder, fraction_nullspace
+from nclie.subspace import (
+    GradedSubspace,
+    SpanBuilder,
+    fraction_left_kernel,
+    fraction_nullspace,
+    fraction_solve,
+)
 from test_subspace import reference_nullspace_complement
+
+
+# -- the tuple matrices of the former pairs module, kept as references ----------
+#
+# A matrix was a tuple of Fraction tuples with its own arithmetic; pairs now
+# holds every matrix as an element of the M_n context.  The helpers and the
+# tuple versions of tilde_power, center, char_poly and the witness test below
+# are that former code, against which the element code is compared.
+
+
+def unit(n, i, j):
+    """The matrix unit E_(i+1, j+1) of M_n, as an element."""
+    return StructureContext.matrix_algebra(n).basis_element(i * n + j)
+
+
+def mat(rows):
+    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+def mat_zero(n):
+    return tuple((Fraction(0),) * n for _ in range(n))
+
+
+def mat_identity(n):
+    return tuple(
+        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
+    )
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c, a):
+    c = Fraction(c)
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def mat_commutator(a, b):
+    return mat_add(mat_mul(a, b), mat_scale(-1, mat_mul(b, a)))
+
+
+def mat_pow(a, k):
+    out = mat_identity(len(a))
+    for _ in range(k):
+        out = mat_mul(out, a)
+    return out
+
+
+def mat_to_vector(a):
+    n = len(a)
+    return {i * n + j: a[i][j] for i in range(n) for j in range(n) if a[i][j]}
+
+
+def vector_to_mat(vec, n):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for idx, v in vec.items() if isinstance(vec, dict) else vec:
+        rows[idx // n][idx % n] = Fraction(v)
+    return mat(rows)
+
+
+def mat_inverse(a):
+    n = len(a)
+    cols = []
+    for j in range(n):
+        rhs = [Fraction(1 if i == j else 0) for i in range(n)]
+        sol = fraction_solve([list(r) for r in a], rhs)
+        if sol is None:
+            raise UnsupportedError("matrix is singular")
+        cols.append(sol)
+    inv = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    if mat_mul(inv, a) != mat_identity(n):
+        raise UnsupportedError("matrix is singular")
+    return inv
+
+
+def rows_of(x):
+    """The tuple matrix of an element of M_n."""
+    return vector_to_mat(x.coeffs, math.isqrt(x.ctx.dim_algebra))
+
+
+def reference_sym_power(pair, k):
+    """The former tilde_power: the memoized polarization recursion on tuples."""
+    basis = [rows_of(b) for b in pair.g_basis]
+    memo = {(): mat_identity(pair.n)}
+
+    def sym(ms):
+        if ms not in memo:
+            total = mat_zero(pair.n)
+            for pos, x in enumerate(ms):
+                if pos and ms[pos - 1] == x:
+                    continue
+                total = mat_add(total, mat_mul(basis[x], sym(ms[:pos] + ms[pos + 1:])))
+            memo[ms] = total
+        return memo[ms]
+
+    b = SpanBuilder(pair.mctx.ambient)
+    for combo in itertools.combinations_with_replacement(range(len(basis)), k):
+        b.add(mat_to_vector(sym(combo)))
+    return b.finalize()
+
+
+def reference_center(pair):
+    """The former center: left kernel of the commutator table, on tuples."""
+    n = pair.n
+    basis = [vector_to_mat(v, n) for v in pair.envelope().vectors()]
+    rows = []
+    for c in basis:
+        row = []
+        for b in basis:
+            comm = mat_commutator(c, b)
+            row.extend(comm[i][j] for i in range(n) for j in range(n))
+        rows.append(row)
+    vecs = []
+    for combo in fraction_left_kernel(rows) if basis else []:
+        z = mat_zero(n)
+        for coef, c in zip(combo, basis):
+            if coef:
+                z = mat_add(z, mat_scale(coef, c))
+        vecs.append(mat_to_vector(z))
+    return GradedSubspace.span(pair.mctx.ambient, vecs)
+
+
+def reference_char_poly(a):
+    """The former Faddeev-LeVerrier loop on tuples."""
+    n = len(a)
+    am = mat(a)
+    m = mat_identity(n)
+    coeffs = [Fraction(1)]
+    for k in range(1, n + 1):
+        am_m = mat_mul(am, m)
+        ck = -sum(am_m[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        m = mat_add(am_m, mat_scale(ck, mat_identity(n)))
+    return coeffs
+
+
+def reference_witness(pair, h0):
+    """The former strongly_graded_witness on tuples; "unsupported" when the
+    characteristic polynomial of ad h0 does not split."""
+    n = pair.n
+    basis = [rows_of(b) for b in pair.g_basis]
+    h0 = rows_of(h0)
+
+    def coords(m):
+        rows = [[b[i][j] for b in basis] for i in range(n) for j in range(n)]
+        return fraction_solve(rows, [m[i][j] for i in range(n) for j in range(n)])
+
+    if coords(h0) is None:
+        return "outside g"
+    dim = len(basis)
+    ad = [coords(mat_commutator(h0, b)) for b in basis]
+    admat = [[ad[j][i] for j in range(dim)] for i in range(dim)]
+    poly, roots = reference_char_poly(admat), []
+    while len(poly) > 1:
+        root = _find_rational_root(poly)
+        if root is None:
+            return "unsupported"
+        roots.append(root)
+        poly = _deflate(poly, root)
+    eigenspaces = {
+        c: fraction_nullspace([[admat[i][j] - (c if i == j else 0) for j in range(dim)]
+                               for i in range(dim)])
+        for c in sorted(set(roots))
+    }
+    if sum(map(len, eigenspaces.values())) != dim:
+        return False
+
+    def realize(vec):
+        z = mat_zero(n)
+        for coef, b in zip(vec, basis):
+            if coef:
+                z = mat_add(z, mat_scale(coef, b))
+        return z
+
+    brackets = [mat_to_vector(mat_commutator(realize(va), realize(vb)))
+                for c, vecs in eigenspaces.items() if c != 0 and -c in eigenspaces
+                for va in vecs for vb in eigenspaces[-c]]
+    null = [mat_to_vector(realize(v)) for v in eigenspaces.get(Fraction(0), [])]
+    amb = pair.mctx.ambient
+    return GradedSubspace.span(amb, brackets) == GradedSubspace.span(amb, null)
+
+
+def witness_verdict(pair, h0):
+    try:
+        return pair.strongly_graded_witness(h0)
+    except UnsupportedError:
+        return "unsupported"
+    except ValueError:
+        return "outside g"
 
 
 # -- builders -----------------------------------------------------------------
@@ -90,7 +286,7 @@ def test_pair_from_json(tmp_path):
     path.write_text(json.dumps(payload))
     pair = pair_by_name(str(path))
     assert pair.name == "half-diag" and pair.g.dim == 1
-    assert pair.g.contains_vector(mat_to_vector(mat([[1, 0], [0, -1]])))
+    assert pair.g.contains_vector(matrix(2, [[1, 0], [0, -1]]).coeffs)
 
 
 # -- sl2 irreducible representation ----------------------------------------------
@@ -99,19 +295,16 @@ def test_pair_from_json(tmp_path):
 def test_sl2_irrep_relations():
     for n in (2, 3, 4, 5):
         e, f, h = sl2_irrep_matrices(n)
-        assert mat_commutator(h, e) == mat_scale(2, e)
-        assert mat_commutator(h, f) == mat_scale(-2, f)
-        assert mat_commutator(e, f) == h
+        assert commutator(h, e) == e * 2
+        assert commutator(h, f) == f * -2
+        assert commutator(e, f) == h
 
 
 def test_casimir_scalar():
     for n in (2, 3, 4, 5):
         e, f, h = sl2_irrep_matrices(n)
-        cas = mat_add(
-            mat_add(mat_scale(2, mat_mul(e, f)), mat_scale(2, mat_mul(f, e))),
-            mat_mul(h, h),
-        )
-        assert cas == mat_scale(n * n - 1, mat_identity(n))
+        cas = mul(e, f) * 2 + mul(f, e) * 2 + mul(h, h)
+        assert cas == e.ctx.one() * (n * n - 1)
 
 
 # -- abelian nilpotent pair -------------------------------------------------------
@@ -121,7 +314,7 @@ def test_abelian_pair_properties():
     pair = make_abelian_nilpotent(3)
     n_mat = pair.g_basis[0]
     assert pair.bracket_power(1).is_zero()
-    assert mat_is_zero(mat_pow(n_mat, 3))
+    assert (n_mat**3).is_zero() and not (n_mat**2).is_zero()
     for k in (1, 2):
         assert pair.g_power(k).dim == 1
     assert pair.g_power(3).is_zero()
@@ -134,7 +327,7 @@ def test_g_power_basics():
     sl2 = make_sl(2)
     assert sl2.g_power(1) == sl2.g
     # the identity shows up in degree two
-    assert sl2.g_power(2).contains_vector(mat_to_vector(mat_identity(2)))
+    assert sl2.g_power(2).contains_vector(sl2.mctx.one().coeffs)
     assert sl2.g_power(2).dim == 4
     ir3 = make_sl2_irrep(3)
     assert ir3.g_power(2).dim == 9
@@ -173,13 +366,14 @@ def test_tilde_power_is_contained():
 
 def reference_tilde_power(pair, k):
     """The permutation sum: every distinct ordering of every k-multiset."""
+    basis = [rows_of(b) for b in pair.g_basis]
     b = SpanBuilder(pair.mctx.ambient)
-    for combo in itertools.combinations_with_replacement(range(len(pair.g_basis)), k):
+    for combo in itertools.combinations_with_replacement(range(len(basis)), k):
         total = mat_zero(pair.n)
         for perm in set(itertools.permutations(combo)):
-            prod = pair.g_basis[perm[0]]
+            prod = basis[perm[0]]
             for idx in perm[1:]:
-                prod = mat_mul(prod, pair.g_basis[idx])
+                prod = mat_mul(prod, basis[idx])
             total = mat_add(total, prod)
         b.add(mat_to_vector(total))
     return b.finalize()
@@ -245,7 +439,7 @@ def test_jordan3_perfect_regression():
 def test_center_parts_sl2():
     sl2 = make_sl(2)
     z2 = sl2.center_part(2)
-    assert z2.dim == 1 and z2.contains_vector(mat_to_vector(mat_identity(2)))
+    assert z2.dim == 1 and z2.contains_vector(sl2.mctx.one().coeffs)
     assert sl2.center_part(1).is_zero()
 
 
@@ -268,7 +462,8 @@ def test_witness_sl2_cartan():
 
 def test_witness_sl3_diagonal():
     pair = make_sl(3)
-    assert pair.strongly_graded_witness(mat([[1, 0, 0], [0, 0, 0], [0, 0, -1]]))
+    # rows from outside are accepted as they are
+    assert pair.strongly_graded_witness([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
 
 
 def test_witness_fails_for_abelian():
@@ -284,7 +479,7 @@ def test_witness_nonsplit_unsupported():
     found = False
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            cand = mat_sub(basis[i], basis[j])
+            cand = basis[i] - basis[j]
             try:
                 pair.strongly_graded_witness(cand)
             except UnsupportedError:
@@ -294,7 +489,7 @@ def test_witness_nonsplit_unsupported():
 
 def test_witness_must_lie_in_g():
     with pytest.raises(ValueError):
-        make_sl(2).strongly_graded_witness(mat_identity(2))
+        make_sl(2).strongly_graded_witness(make_sl(2).mctx.one())
 
 
 def test_builtin_witness_candidates():
@@ -368,7 +563,8 @@ def test_degenerate_stabilizer_matches_reference_complement(phi):
     ]
     if constraints:
         basis = reference_nullspace_complement(constraints, n * n)
-        expected = span_of_matrices(n, [vector_to_mat(dict(enumerate(v)), n) for v in basis])
+        expected = GradedSubspace.span(make_gl(n).mctx.ambient,
+                                       [mat_to_vector(vector_to_mat(enumerate(v), n)) for v in basis])
     else:
         expected = make_gl(n).algebra
     pair = make_orthogonal_degenerate(phi)
@@ -384,11 +580,64 @@ def test_degenerate_rejects_mixed_form():
 
 
 def test_matrix_inverse_and_charpoly():
-    a = mat([[2, 1], [1, 1]])
-    assert mat_mul(a, mat_inverse(a)) == mat_identity(2)
+    a = [[2, 1], [1, 1]]
+    assert rows_of(inverse(matrix(2, a))) == mat([[1, -1], [-1, 2]])
     assert char_poly(a) == [Fraction(1), Fraction(-3), Fraction(1)]
-    assert rational_eigenvalues(mat([[1, 0], [0, 5]])) == [Fraction(1), Fraction(5)]
-    assert rational_eigenvalues(mat([[0, -1], [1, 0]])) is None
+    assert char_poly([]) == reference_char_poly([]) == [Fraction(1)]
+    assert rational_eigenvalues([[1, 0], [0, 5]]) == [Fraction(1), Fraction(5)]
+    assert rational_eigenvalues([[0, -1], [1, 0]]) is None
+
+
+def test_matrix_input_boundary():
+    x = matrix(2, [["1/2", 0], [0, Fraction(-3, 4)]])
+    assert x.ctx == StructureContext.matrix_algebra(2)
+    assert x.coeffs == {0: Fraction(1, 2), 3: Fraction(-3, 4)}
+    assert matrix(2, x) is x
+    for bad in ([[1, 0]], [[1, 0], [0]], [[1, 0], [0, 1], [0, 0]], unit(3, 0, 1)):
+        with pytest.raises(ValueError, match="basis matrices must be 2 x 2"):
+            matrix(2, bad)
+
+
+def square_pair(n):
+    entries = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.tuples(entries, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(square_pair), st.integers(0, 4))
+def test_element_arithmetic_matches_tuple_reference(rows, k):
+    a_rows, b_rows = rows
+    n = len(a_rows)
+    a, b = matrix(n, a_rows), matrix(n, b_rows)
+    ra, rb = mat(a_rows), mat(b_rows)
+    assert rows_of(mul(a, b)) == mat_mul(ra, rb)
+    assert rows_of(commutator(a, b)) == mat_commutator(ra, rb)
+    assert rows_of(a**k) == mat_pow(ra, k)
+    try:
+        expected = mat_inverse(ra)
+    except UnsupportedError:
+        with pytest.raises(NonUnitError):
+            inverse(a)
+    else:
+        assert rows_of(inverse(a)) == expected
+
+
+FAMILIES = ("gl:2", "sl:3", "so:4", "sp:4", "sl2irrep:4", "jordan:3")
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_family_matches_tuple_reference(name):
+    pair = pair_by_name(name)
+    for k in (2, 3, 4):
+        assert pair.tilde_power(k).to_jsonable() == reference_sym_power(pair, k).to_jsonable()
+    assert pair.center().to_jsonable() == reference_center(pair).to_jsonable()
+    dense = sum((b * (i + 1) for i, b in enumerate(pair.g_basis)), pair.mctx.zero())
+    for x in pair.g_basis + (pair.witness_candidate, dense):
+        assert char_poly(rows_of(x)) == reference_char_poly(rows_of(x))
+    assert witness_verdict(pair, pair.witness_candidate) == reference_witness(
+        pair, pair.witness_candidate)
+    for x in pair.g_basis + (dense, pair.mctx.one()):
+        assert witness_verdict(pair, x) == reference_witness(pair, x)
 
 
 # -- the matrix context against the one it replaced ----------------------------------
