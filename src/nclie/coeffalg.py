@@ -16,7 +16,14 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .subspace import Ambient, GradedSubspace, SpanBuilder, fraction_solve, sparse_product
+from .subspace import (
+    Ambient,
+    GradedSubspace,
+    SpanBuilder,
+    fraction_solve,
+    int_matrix,
+    sparse_product,
+)
 
 
 class ContextMismatchError(ValueError):
@@ -416,13 +423,31 @@ def commutator(a: AlgElement, b: AlgElement) -> AlgElement:
     return mul(a, b) - mul(b, a)
 
 
+def multiplication_matrix(ctx, coeffs: dict[int, int], right: bool = False):
+    """Integer matrix of x -> a x (x -> x a with right=True) on row vectors,
+    for the element a with integer coefficients {basis index: int}: row p is
+    the coordinate vector of a e_p (e_p a), filled from ctx.mul_basis, so
+    the product a x is x @ M for a row vector x."""
+    if not ctx.integral:
+        raise ValueError(f"{ctx!r} has a non-integral basis product")
+    dim = ctx.ambient.dim
+    items = list(coeffs.items())
+    return int_matrix(
+        [sparse_product(ctx.mul_basis, ((p, 1),), items) if right
+         else sparse_product(ctx.mul_basis, items, ((p, 1),))
+         for p in range(dim)],
+        dim,
+    )
+
+
 def inverse(a: AlgElement) -> AlgElement:
     """Exact two-sided inverse of a unit of any unital context.
 
-    The degree-0 part a0 is inverted by a dense solve in the degree-0 block,
-    checked on both sides.  Then a = a0 (1 - n) with n = 1 - a0^(-1) a of
-    positive degree, so n is nilpotent and the geometric series
-    (1 + n + n^2 + ...) a0^(-1) stops after at most max_degree terms.
+    The degree-0 part a0 is inverted by a dense solve in the degree-0 block
+    (one division when that block has width 1), checked on both sides.  Then
+    a = a0 (1 - n) with n = 1 - a0^(-1) a of positive degree, so n is
+    nilpotent and the geometric series (1 + n + n^2 + ...) a0^(-1) stops
+    after at most max_degree terms.
     """
     ctx = a.ctx
     if not getattr(ctx, "unital", False):
@@ -434,7 +459,11 @@ def inverse(a: AlgElement) -> AlgElement:
     for j in range(width):  # column j is a0 * e_j
         for k, v in sparse_product(ctx.mul_basis, a0.coeffs.items(), ((j, 1),)).items():
             rows[k][j] = v
-    sol = fraction_solve(rows, [one.coeffs.get(k, Fraction(0)) for k in range(width)])
+    rhs = [Fraction(one.coeffs.get(k, 0)) for k in range(width)]
+    if width == 1:  # every unit of a free context: one division
+        sol = [rhs[0] / rows[0][0]] if rows[0][0] else None
+    else:
+        sol = fraction_solve(rows, rhs)
     if sol is None:
         raise NonUnitError("degree-0 part is singular")
     inv0 = AlgElement(ctx, dict(enumerate(sol)))

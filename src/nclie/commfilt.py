@@ -13,6 +13,7 @@ ones while staying inside the graded coordinates.
 
 from __future__ import annotations
 
+from .pairs import UnsupportedError
 from .subspace import GradedSubspace, bracket_saturate, op_bracket, op_product, subspace_sum
 
 
@@ -106,7 +107,9 @@ class FiltrationCache:
                         break
                     ell += 1
                     if ell > cap:
-                        raise RuntimeError("ideal saturation failed to stabilize")
+                        raise UnsupportedError(
+                            f"ideal I_{k} did not stabilize within {cap} factors"
+                        )
                 self._ik[k] = self.ideal_Ik_le(k, ell)
         return self._ik[k]
 

@@ -18,7 +18,14 @@ from __future__ import annotations
 
 from .coeffalg import AlgElement, ContextMismatchError, StructureContext, commutator, mul
 from .commfilt import FiltrationCache
-from .pairs import CompatiblePair, make_sl, make_sl2_irrep, sl2_irrep_matrices, span_of_matrices
+from .pairs import (
+    CompatiblePair,
+    UnsupportedError,
+    make_sl,
+    make_sl2_irrep,
+    sl2_irrep_matrices,
+    span_of_matrices,
+)
 from .subspace import (
     Ambient,
     GradedSubspace,
@@ -178,6 +185,12 @@ def _hard_cap(fctx, pair) -> int:
     return 2 * (fctx.ambient.dim + pair.mctx.ambient.dim) + 4
 
 
+def _cap_reached(name: str, pair: CompatiblePair, cap: int) -> UnsupportedError:
+    """The error for a series whose terms neither vanished nor repeated
+    within cap steps: its partial sum is not proven to be the whole sum."""
+    return UnsupportedError(f"{name} for {pair.name}: no zero or repeated term within {cap} steps")
+
+
 def f_dot_g(pair: CompatiblePair, fctx) -> GradedSubspace:
     tctx = TensorContext(fctx, pair.n)
     return tensor_product_span(tctx, fctx.full_subspace(), pair.g)
@@ -212,10 +225,8 @@ def tilde_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> GradedS
             )
         return subspace_sum(tctx.ambient, parts)
     prev = None
-    k = 0
     cap = _hard_cap(fctx, pair)
-    while k < cap:
-        k += 1
+    for k in range(1, cap + 1):
         ik = cache.ideal_Ik(k)
         fik = op_bracket(fctx, base, cache.ideal_Ik(k - 1))
         gb = pair.bracket_power(k + 1)
@@ -228,6 +239,8 @@ def tilde_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> GradedS
         prev = state
         parts.append(tensor_product_span(tctx, ik, gb))
         parts.append(tensor_product_span(tctx, fik, gp))
+    else:
+        raise _cap_reached("tilde_bound", pair, cap)
     return subspace_sum(tctx.ambient, parts)
 
 
@@ -348,10 +361,8 @@ def semisimple_closed_form(pair: CompatiblePair, fctx) -> GradedSubspace:
     base = cache.base
     parts = [f_dot_g(pair, fctx)]
     prev = None
-    k = 1
     cap = _hard_cap(fctx, pair)
-    while k < cap:
-        k += 1
+    for k in range(2, cap + 1):
         ik1 = cache.ideal_Ik(k - 1)
         fik2 = op_bracket(fctx, base, cache.ideal_Ik(k - 2))
         gplus = pair.bracket_power(k)
@@ -364,6 +375,8 @@ def semisimple_closed_form(pair: CompatiblePair, fctx) -> GradedSubspace:
         prev = state
         parts.append(tensor_product_span(tctx, ik1, gplus))
         parts.append(tensor_product_span(tctx, fik2, zk))
+    else:
+        raise _cap_reached("semisimple_closed_form", pair, cap)
     return subspace_sum(tctx.ambient, parts)
 
 
@@ -416,10 +429,8 @@ def abelian_closure_form(pair: CompatiblePair, fctx) -> GradedSubspace:
     tctx = TensorContext(fctx, pair.n)
     cache = filtration(fctx)
     parts = [f_dot_g(pair, fctx)]
-    k = 0
     cap = _hard_cap(fctx, pair)
-    while k < cap:
-        k += 1
+    for k in range(1, cap + 1):
         fk = cache.commutator_space(k)
         if fk.is_zero():
             break
@@ -427,6 +438,8 @@ def abelian_closure_form(pair: CompatiblePair, fctx) -> GradedSubspace:
         if gp.is_zero():
             break
         parts.append(tensor_product_span(tctx, fk, gp))
+    else:
+        raise _cap_reached("abelian_closure_form", pair, cap)
     return subspace_sum(tctx.ambient, parts)
 
 

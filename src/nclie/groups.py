@@ -6,6 +6,14 @@ classical and sl2-irrep pairs, the noncommutative difference-derivative
 calculus behind the sl2 criterion, elementary unipotent generators, and a
 probe for the conjectural characterization by conjugated generators.
 
+The direct test (`in_group_direct`) reads conjugation as a linear map: the
+conjugates g (w (x) s) g^(-1) of every word w and every s in the g basis are
+tested at once, per degree block of the closure, by integer matrix products
+of the left and right multiplication matrices of the entries of g and
+g^(-1) (coeffalg.multiplication_matrix) with the block's nullspace, in
+subspace.exact_product (float64 BLAS when exact, then int64, then big
+integers); no element is built per conjugate.
+
 All verdicts are exact statements about the truncated coefficient algebra,
 which is itself a unital associative algebra, so the criteria apply to it
 verbatim and the full word range up to the truncation degree is decidable.
@@ -17,11 +25,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffalg import AlgElement, NonUnitError, StructureContext, inverse, mul
+import numpy as np
+
+from .coeffalg import (
+    AlgElement,
+    ContextMismatchError,
+    NonUnitError,
+    StructureContext,
+    inverse,
+    mul,
+    multiplication_matrix,
+)
 from .commfilt import FiltrationCache
-from .current import TensorContext, fg_generator_vectors, lie_closure, tensor_mul
+from .current import TensorContext, lie_closure, tensor_mul
 from .pairs import CompatiblePair, sl2_irrep_matrices
-from .subspace import GradedSubspace
+from .subspace import GradedSubspace, exact_product, int_matrix
 
 
 class BudgetExhaustedError(ValueError):
@@ -163,28 +181,92 @@ def in_group_direct(g, pair: CompatiblePair, fctx, L: GradedSubspace | None = No
     the default budget (every word of the context) the verdict is the exact
     group-membership statement for it.  A caller-supplied smaller budget
     restricts the words tested; a negative budget leaves nothing testable.
+
+    Conjugation is linear, so every conjugate is tested at once, per degree
+    block of the closure, with integer matrix products.  With g = sum g_ik
+    (x) E_ik and g^(-1) = sum h_lj (x) E_lj,
+
+        g (w (x) s) g^(-1) = sum_ij (sum_kl s_kl g_ik w h_lj) (x) E_ij,
+
+    and g_ik w h_lj is row w of Lmat(g_ik) @ Rmat(h_lj), the matrices of left
+    and right multiplication on F.  The conjugate lies in block b of the
+    closure iff its block-b part is killed by the nullspace N of that block;
+    the rows of N for the unit E_ij are N_ij = N[i*n + j :: n^2].  So with
+
+        Q_il = sum_j Rmat(h_lj)[:, block b] @ N_ij,
+        U_kl = sum_i Lmat(g_ik)[words] @ Q_il,
+
+    the (w, s) conjugate fails on block b iff sum_kl s_kl U_kl[w] != 0.  All
+    entries of g share one denominator, all of g^(-1) another and each s its
+    own, so every (w, s) row is scaled by one nonzero number and its
+    membership is unchanged.  The products run in exact_product; for a
+    diagonal g only g_kk and h_ll are nonzero, so each sum has one term.
     """
     tctx = TensorContext(fctx, pair.n)
     if L is None:
         L = lie_closure(pair, fctx)
+    if L.ambient != tctx.ambient:
+        raise ValueError("the closure lives in another ambient")
     budget = fctx.D if max_word_degree is None else max_word_degree
     if budget < 0:
         raise BudgetExhaustedError("degree budget exhausted, nothing to test")
+    n, nn = pair.n, pair.n * pair.n
     if isinstance(g, DiagonalUnit):
-        conj = g.conjugate
+        if g.n != n:
+            raise ValueError("size mismatch")
+        if g.ctx != fctx:
+            raise ContextMismatchError("diagonal from a different context")
+        zero = fctx.zero()
+        gmat = [[g.fs[i] if i == k else zero for k in range(n)] for i in range(n)]
+        hmat = [[g.inv[i] if i == k else zero for k in range(n)] for i in range(n)]
     else:
-        ginv = g.inverse()  # raises NonUnitError when g is not invertible
-        conj = lambda x: tensor_mul(tensor_mul(g, x), ginv)
-    gens = fg_generator_vectors(pair, tctx, max_degree=budget)
-    vectors = [conj(AlgElement(tctx, x)).to_vector() for x in gens]
-    if L.contains_vectors(vectors):
-        return MembershipReport(True, budget, len(vectors))
-    for i, (x, vec) in enumerate(zip(gens, vectors)):
-        if not L.contains_vector(vec):
-            # every entry of w (x) s has the word index of w
-            label = (fctx.basis_label(tctx.unflat(min(x))[0]), i % len(pair.g_basis))
-            return MembershipReport(False, budget, len(vectors), failure=label)
-    raise AssertionError("batched and per-vector membership disagree")
+        if g.ctx != tctx:
+            raise ContextMismatchError("unit from a different context")
+        gmat, hmat = tctx.to_matrix(g), tctx.to_matrix(inverse(g))  # NonUnitError if no unit
+    words = [f for f in range(fctx.ambient.dim) if fctx.degree_of_basis(f) <= budget]
+    gint = _common_denominator([e for row in gmat for e in row])   # index i*n + k
+    hint = _common_denominator([e for row in hmat for e in row])   # index l*n + j
+    left = {ik: multiplication_matrix(fctx, c)[words] for ik, c in enumerate(gint) if c}
+    right = {lj: multiplication_matrix(fctx, c, right=True) for lj, c in enumerate(hint) if c}
+    smat = int_matrix([_common_denominator([s])[0] for s in pair.g_basis], nn)
+    used = [kl for kl in range(nn) if smat[:, kl].any()]
+    fail = np.zeros((len(pair.g_basis), len(words)), dtype=bool)
+    for b, (start, (_, size)) in enumerate(zip(fctx.ambient.starts, fctx.ambient.blocks)):
+        null = L.nullspace_matrix(b)
+        if null.shape[1] == 0:
+            continue
+        cols = slice(start, start + size)
+        q = {}  # Q_il, built when first needed
+        units = []
+        for kl in used:
+            k, l = divmod(kl, n)
+            ids = [i for i in range(n) if i * n + k in left]
+            for i in ids:
+                if (i, l) not in q:
+                    js = [j for j in range(n) if l * n + j in right]
+                    q[i, l] = exact_product(np.hstack([right[l * n + j][:, cols] for j in js]),
+                                            np.vstack([null[i * n + j::nn] for j in js]))
+            units.append(exact_product(np.hstack([left[i * n + k] for i in ids]),
+                                       np.vstack([q[i, l] for i in ids])).reshape(-1))
+        residues = exact_product(smat[:, used], np.vstack(units))
+        fail |= residues.reshape(len(pair.g_basis), len(words), -1).any(axis=2)
+    checked = len(words) * len(pair.g_basis)
+    hits = np.flatnonzero(fail.T)  # (w, s) in the order of fg_generator_vectors
+    if not len(hits):
+        return MembershipReport(True, budget, checked)
+    w, s = divmod(int(hits[0]), len(pair.g_basis))
+    return MembershipReport(False, budget, checked, failure=(fctx.basis_label(words[w]), s))
+
+
+def _common_denominator(elements) -> list[dict[int, int]]:
+    """The coefficients of the elements as integers, all scaled by one common
+    denominator."""
+    den = 1
+    for e in elements:
+        for v in e.coeffs.values():
+            if isinstance(v, Fraction):
+                den = math.lcm(den, v.denominator)
+    return [{i: int(v * den) for i, v in e.coeffs.items()} for e in elements]
 
 
 def cartan_criterion_classical(diag: DiagonalUnit, cache: FiltrationCache):

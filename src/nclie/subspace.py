@@ -13,6 +13,11 @@ finds the next stored row whose pivot entry is nonzero in the candidate with
 one vectorized gather over the remaining pivot columns, so its Python work is
 O(combines), not O(stored rows).  Membership is one integer matrix product of
 the candidates with the nullspace of the block (`contains_all_block_rows`).
+Integer matrix products run in `exact_product`, in the cheapest dtype that
+is exact (`product_dtype`): every partial sum of a dot product is bounded
+by max|a| * max|b| * inner, and float64 holds every integer below 2^53, so
+below that bound a float64 BLAS product is exact; int64 serves up to
+_GUARD = 2^62 and Python integers beyond.
 Intersections (Zassenhaus) and the small dense rational solvers
 (`fraction_rref` and the kernels and solutions read off it) build canonical
 subspaces with the same insertion.
@@ -32,6 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 _GUARD = 1 << 62
+_FLOAT_EXACT = 1 << 53
 
 
 class Ambient:
@@ -328,17 +334,7 @@ class GradedSubspace:
         null = self.nullspace_matrix(bi)
         if null.shape[1] == 0:
             return True
-        cmax = int(abs(mat).max()) if mat.size else 0
-        nmax = int(abs(null).max()) if null.size else 0
-        if (
-            mat.dtype == object
-            or null.dtype == object
-            or cmax * nmax * mat.shape[1] >= _GUARD
-        ):
-            prod = mat.astype(object) @ null.astype(object)
-        else:
-            prod = mat @ null
-        return not prod.any()
+        return not exact_product(mat, null).any()
 
     def contains_vectors(self, vectors) -> bool:
         """Batched membership test for an iterable of sparse rational vectors:
@@ -349,13 +345,7 @@ class GradedSubspace:
             for bi, comp in self.ambient.split(_normalize_int_items(items)).items():
                 batches.setdefault(bi, []).append(comp)
         for bi, rows in batches.items():
-            big = max(abs(v) for row in rows for v in row.values())
-            mat = np.zeros((len(rows), self.ambient.blocks[bi][1]),
-                           dtype=np.int64 if big < _GUARD else object)
-            for r, row in enumerate(rows):
-                for loc, v in row.items():
-                    mat[r, loc] = v
-            if not self.contains_all_block_rows(bi, mat):
+            if not self.contains_all_block_rows(bi, int_matrix(rows, self.ambient.blocks[bi][1])):
                 return False
         return True
 
@@ -429,6 +419,43 @@ class GradedSubspace:
                 )
             out.append({"degree": deg, "dim": mat.shape[0], "rows": rows})
         return out
+
+
+def int_matrix(rows, width: int):
+    """Dense integer matrix from sparse rows {column: int}: int64 when every
+    entry is below _GUARD in absolute value, object (big integers) otherwise."""
+    big = max((abs(v) for row in rows for v in row.values()), default=0)
+    mat = np.zeros((len(rows), width), dtype=np.int64 if big < _GUARD else object)
+    for r, row in enumerate(rows):
+        for col, v in row.items():
+            mat[r, col] = v
+    return mat
+
+
+def product_dtype(amax: int, bmax: int, inner: int):
+    """The dtype in which a product of integer matrices is exact, given bounds
+    amax and bmax on their entries and the inner dimension.
+
+    Every partial sum of a dot product is at most amax*bmax*inner in absolute
+    value.  float64 represents every integer below 2^53 exactly, so below
+    that bound a BLAS product in float64 is exact; below _GUARD int64 cannot
+    overflow; beyond it the product runs on Python integers.
+    """
+    bound = amax * bmax * inner
+    if bound < _FLOAT_EXACT:
+        return np.float64
+    return np.int64 if bound < _GUARD else object
+
+
+def exact_product(a, b):
+    """a @ b for integer matrices (int64 or object), in the cheapest exact
+    dtype (product_dtype); the result is int64, or object when it may not
+    fit in int64."""
+    amax = int(abs(a).max()) if a.size else 0
+    bmax = int(abs(b).max()) if b.size else 0
+    dtype = product_dtype(amax, bmax, a.shape[1])
+    out = a.astype(dtype) @ b.astype(dtype)
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def _int_row(width: int, comp: dict[int, Fraction]):

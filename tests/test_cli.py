@@ -10,9 +10,12 @@ from nclie.cli import (
     battery_diagonals,
     main,
 )
+from nclie import current
 from nclie.coeffalg import FreeContext
+from nclie.commfilt import FiltrationCache
 from nclie.current import filtration
 from nclie.pairs import make_orthogonal
+from nclie.subspace import GradedSubspace
 
 
 def strip_ms(payload):
@@ -285,3 +288,24 @@ def test_compute_rejects_m_cap_below_one(capsys, cap):
     rc = main(["compute", "--object", "closure", "--pair", "sl:2", "--deg", "3", "--m-cap", cap])
     assert rc == 2
     assert "--m-cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "--object", "tilde", "--pair", "sp:4"],
+    ["compute", "--object", "semisimple", "--pair", "sp:4"],
+    ["verify", "--suite", "closed-forms", "--pair", "jordan:4"],
+])
+def test_series_past_the_cap_exits_three(monkeypatch, capsys, args):
+    monkeypatch.setattr(current, "_hard_cap", lambda fctx, pair: 2)
+    assert main(args + ["--deg", "4"]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "within 2 steps" in captured.out + captured.err
+
+
+def test_ideal_that_never_stabilizes_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(current, "_closure_memo", {})  # no ideal cached by earlier tests
+    monkeypatch.setattr(FiltrationCache, "ideal_Ik_le",
+                        lambda self, k, l: self.base if l % 2 else GradedSubspace.zero(self.ctx.ambient))
+    assert main(["compute", "--object", "ideal", "--k", "2", "--deg", "3"]) == 3
+    assert "did not stabilize" in capsys.readouterr().err

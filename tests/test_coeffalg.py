@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nclie import coeffalg
 from nclie.coeffalg import (
     AlgElement,
     ContextMismatchError,
@@ -14,6 +16,7 @@ from nclie.coeffalg import (
     commutator,
     inverse,
     mul,
+    multiplication_matrix,
     parse,
 )
 from nclie.current import TensorContext
@@ -295,6 +298,43 @@ def test_inverse_matches_replaced_inverses(case, data):
 
 
 # -- parser -----------------------------------------------------------------------
+
+
+def test_free_unit_inverse_divides_once(free23, monkeypatch):
+    # the degree-0 block of a free context has width 1: no dense solve
+    def no_solve(rows, rhs):
+        raise AssertionError("fraction_solve called for a 1 x 1 block")
+
+    monkeypatch.setattr(coeffalg, "fraction_solve", no_solve)
+    for text in ("3+x", "1/2-x*y+2*y", "-5", "1+x+y*x*y"):
+        u = parse(text, free23)
+        inv = inverse(u)
+        assert mul(u, inv) == free23.one() == mul(inv, u)
+    with pytest.raises(NonUnitError):
+        inverse(parse("x+y", free23))
+
+
+@pytest.mark.parametrize("ctx", [FreeContext(2, 3), TensorContext(FreeContext(2, 2), 2)],
+                         ids=["free", "tensor"])
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_multiplication_matrix_is_the_product(ctx, data):
+    # integer a (entries of elements() times 12), rational x
+    a = AlgElement(ctx, {i: int(v * 12) for i, v in data.draw(elements(ctx)).coeffs.items()})
+    x = data.draw(elements(ctx))
+    row = np.array([x.coeffs.get(p, Fraction(0)) for p in range(ctx.ambient.dim)], dtype=object)
+
+    def coords(e):
+        return [e.coeffs.get(q, 0) for q in range(ctx.ambient.dim)]
+
+    assert list(row @ multiplication_matrix(ctx, a.coeffs)) == coords(mul(a, x))
+    assert list(row @ multiplication_matrix(ctx, a.coeffs, right=True)) == coords(mul(x, a))
+
+
+def test_multiplication_matrix_needs_integral_products():
+    half = StructureContext([[[Fraction(1, 2)]]])
+    with pytest.raises(ValueError, match="non-integral"):
+        multiplication_matrix(half, {0: 1})
 
 
 def test_parse_examples(free23):

@@ -6,6 +6,7 @@ import pytest
 
 from nclie.coeffalg import FreeContext
 from nclie.commfilt import FiltrationCache, ideal_IklS, lie_generated, two_sided_ideal
+from nclie.pairs import UnsupportedError
 from nclie.subspace import GradedSubspace, op_bracket, op_product, subspace_sum
 
 
@@ -217,3 +218,14 @@ def test_unital_closed_form_on_matrix_backend(m2ctx):
         ikk = cache.ideal_Ikl(k, k)
         closed = ikk.sum(op_product(m2ctx, cache.base, ikk))
         assert closed == cache.ideal_Ik(k)
+
+
+def test_ideal_that_never_stabilizes_unsupported(monkeypatch):
+    # partial sums that alternate with the factor count never repeat, so the
+    # fixed point is never proven
+    cache = FiltrationCache(FreeContext(2, 3))
+    full, zero = cache.ctx.full_subspace(), GradedSubspace.zero(cache.ctx.ambient)
+    monkeypatch.setattr(FiltrationCache, "ideal_Ik_le",
+                        lambda self, k, l: full if l % 2 else zero)
+    with pytest.raises(UnsupportedError, match="did not stabilize"):
+        cache.ideal_Ik(1)

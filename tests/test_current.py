@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nclie import current
 from nclie.coeffalg import AlgElement, FreeContext, commutator, mul
 from nclie.current import (
     TensorContext,
@@ -24,6 +25,7 @@ from nclie.current import (
     type2_formula,
 )
 from nclie.pairs import (
+    UnsupportedError,
     make_abelian_nilpotent,
     make_gl,
     make_orthogonal,
@@ -465,3 +467,21 @@ def test_tensor_span_rejects_foreign_matrix_ambient(free24):
     tctx = TensorContext(free24, 2)
     with pytest.raises(ValueError):
         tensor_product_span(tctx, free24.full_subspace(), make_sl(3).g)
+
+
+# -- capped series raise instead of returning a partial sum -----------------------
+
+
+@pytest.mark.parametrize("build, name", [
+    (tilde_bound, "sp:4"),
+    (semisimple_closed_form, "sp:4"),
+    (abelian_closure_form, "jordan:4"),
+])
+def test_series_past_the_cap_unsupported(monkeypatch, build, name):
+    # with two steps allowed, none of these series has reached a zero or a
+    # repeated term at D = 4, so the partial sum is not proven complete
+    fctx = FreeContext(2, 4)
+    pair = pair_by_name(name)
+    monkeypatch.setattr(current, "_hard_cap", lambda fctx, pair: 2)
+    with pytest.raises(UnsupportedError, match="within 2 steps"):
+        build(pair, fctx)

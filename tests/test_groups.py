@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from nclie import coeffalg, current, groups
+from nclie.cli import battery_diagonals
 from nclie.coeffalg import AlgElement, FreeContext, NonUnitError, inverse, mul, parse
 from nclie.current import TensorContext, fg_generator_vectors, filtration, lie_closure
 from nclie.groups import (
@@ -35,6 +37,7 @@ from nclie.pairs import (
     make_orthogonal,
     make_sl,
     make_sl2_irrep,
+    matrix,
     pair_by_name,
     sl2_irrep_matrices,
     span_of_matrices,
@@ -195,6 +198,84 @@ def test_direct_report_matches_reference_loop():
                 assert (rep.verdict, rep.checked, rep.failure) == want and rep.budget == budget
                 failures.add(rep.failure)
     assert None in failures and len(failures) > 2
+
+
+@pytest.mark.parametrize("name", ["sp:4", "sl2irrep:4"])
+def test_direct_matches_reference_on_battery(monkeypatch, name):
+    fctx = FreeContext(2, 4)
+    pair = pair_by_name(name)
+    L = lie_closure(pair, fctx)
+    tctx = TensorContext(fctx, pair.n)
+    x, y = fctx.generators()
+    one = fctx.one()
+    rng = random.Random(f"direct/{name}")
+    cands = [d for _, d in battery_diagonals(pair, fctx, filtration(fctx), rng, 12)]
+    # entries of 2^40 and beyond, over a common denominator of 2^40
+    big = DiagonalUnit([one * 2**40 + x * y, one, one + y * 2**41, one * Fraction(1, 2**40)])
+    # a non-diagonal unit whose degree-0 part is a dense rational matrix
+    dense = matrix(pair.n, [[Fraction(i + 1, j + 1) if i <= j else 0 for j in range(pair.n)]
+                            for i in range(pair.n)])
+    general = tctx.pure(one, dense) + tctx.pure(x, pair.g_basis[0]) + tctx.pure(y * x, pair.g_basis[-1])
+    dtypes = []
+    real = groups.exact_product
+
+    def recording_product(a, b):
+        out = real(a, b)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(groups, "exact_product", recording_product)
+    verdicts = set()
+    for g in cands + [big, general]:
+        dtypes.clear()
+        rep = in_group_direct(g, pair, fctx, L)
+        want = reference_direct(g, pair, fctx, L, fctx.D)
+        assert (rep.verdict, rep.checked, rep.failure) == want
+        verdicts.add(rep.verdict)
+        if g is big:
+            assert object in dtypes  # beyond float64 and int64
+    assert verdicts == {True, False}
+
+
+def test_diagonal_direct_test_builds_no_elements(monkeypatch):
+    fctx = FreeContext(2, 3)
+    pair = pair_by_name("sp:4")
+    L = lie_closure(pair, fctx)
+    x, y = fctx.generators()
+    one = fctx.one()
+    diag = DiagonalUnit([one + x, one, one + x * y, one - y])
+    calls = {"mul": 0, "elements": 0}
+    real_mul, real_init = coeffalg.mul, AlgElement.__init__
+
+    def counting_mul(a, b):
+        calls["mul"] += 1
+        return real_mul(a, b)
+
+    def counting_init(self, ctx, coeffs):
+        calls["elements"] += 1
+        real_init(self, ctx, coeffs)
+
+    for module in (coeffalg, current, groups):
+        monkeypatch.setattr(module, "mul", counting_mul)
+    monkeypatch.setattr(AlgElement, "__init__", counting_init)
+    rep = in_group_direct(diag, pair, fctx, L)
+    assert rep.checked == fctx.ambient.dim * len(pair.g_basis)
+    assert calls["mul"] == 0
+    assert calls["elements"] <= 1  # the zero off the diagonal, not one per w (x) s
+
+
+def test_direct_rejects_foreign_inputs(fctx):
+    pair = make_sl(2)
+    L = lie_closure(pair, fctx)
+    other = FreeContext(2, 3)
+    with pytest.raises(ValueError, match="size mismatch"):
+        in_group_direct(DiagonalUnit([fctx.one()] * 3), pair, fctx, L)
+    with pytest.raises(coeffalg.ContextMismatchError):
+        in_group_direct(DiagonalUnit([other.one()] * 2), pair, fctx, L)
+    with pytest.raises(coeffalg.ContextMismatchError):
+        in_group_direct(TensorContext(other, 2).one(), pair, fctx, L)
+    with pytest.raises(NonUnitError):
+        in_group_direct(TensorContext(fctx, 2).pure(fctx.generator(0), unit(2, 0, 0)), pair, fctx, L)
 
 
 def test_elementary_generator_in_group(fctx):

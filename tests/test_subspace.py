@@ -20,12 +20,14 @@ from nclie.subspace import (
     _row_support,
     bracket_closed,
     bracket_saturate,
+    exact_product,
     fraction_left_kernel,
     fraction_nullspace,
     fraction_rref,
     fraction_solve,
     op_bracket,
     op_product,
+    product_dtype,
     sparse_product,
     subspace_sum,
 )
@@ -692,3 +694,42 @@ def test_bracket_closed_matches_own_batching(free23, gens):
     for span in (GradedSubspace.span(free23.ambient, gens), bracket_saturate(free23, gens)):
         assert bracket_closed(free23, span) == reference_bracket_closed(free23, span)
     assert bracket_closed(free23, bracket_saturate(free23, gens))
+
+
+# -- the exact matrix product ------------------------------------------------------
+
+
+def _int_or_object(rows):
+    big = max((abs(v) for row in rows for v in row), default=0)
+    return np.array(rows, dtype=np.int64 if big < 2**62 else object).reshape(len(rows), -1)
+
+
+@st.composite
+def product_operands(draw):
+    """Integer matrices whose entry bounds put amax * bmax * inner on either
+    side of 2^53 and of 2^62; entries reach past 2^64."""
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def matrix(r, c):
+        top = 2 ** draw(st.integers(0, 66))
+        entry = st.one_of(st.integers(-top, top), st.sampled_from((top, -top, top - 1, 0)))
+        return _int_or_object([[draw(entry) for _ in range(c)] for _ in range(r)])
+
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+@given(product_operands())
+@example((np.array([[2**53 - 1]]), np.array([[1]])))        # largest float64 bound
+@example((np.array([[2**26, 2**26]]), np.array([[2**26], [-2**26]])))  # bound 2^53
+@example((np.array([[2**61 - 1, 1]]), np.array([[1], [1]])))   # largest int64 bound
+@example((np.array([[2**31, 2**31]]), np.array([[2**30], [2**30]])))   # bound 2^62
+@settings(max_examples=200, deadline=None)
+def test_exact_product_matches_object_reference(operands):
+    a, b = operands
+    amax, bmax = int(abs(a).max()), int(abs(b).max())
+    bound = amax * bmax * a.shape[1]
+    want = np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
+    assert product_dtype(amax, bmax, a.shape[1]) is want
+    out = exact_product(a, b)
+    assert out.dtype == (object if want is object else np.int64)
+    assert out.tolist() == (a.astype(object) @ b.astype(object)).tolist()
