@@ -627,6 +627,8 @@ def run_suite(name: str, cfg: RunConfig, report: Report | None = None) -> Report
 
 
 def cmd_verify(cfg: RunConfig) -> Report:
+    if cfg.count < 1:
+        raise ValueError(f"--count must be at least 1, got {cfg.count}")
     report = Report(cfg)
     names = SUITES if cfg.suite == "all" else tuple(s.strip() for s in cfg.suite.split(","))
     for name in names:
@@ -787,8 +789,12 @@ def main(argv=None) -> int:
         return 2
     payload = json.dumps(report.jsonable(), indent=2) if cfg.as_json else report.to_text()
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         print(payload)
     return report.exit_code()

@@ -42,6 +42,12 @@ class ParseError(ValueError):
 
 _DEFAULT_NAMES = ("x", "y", "z", "w")
 
+# The most basis words a free context may have; a larger one is refused
+# before any word is built.  Dense blocks grow with the square of the block
+# size and F (x) M_n multiplies every width by n^2, so past this size (2,047
+# words for m = 2, D = 10) no closure or bound is affordable.
+MAX_WORDS = 2048
+
 
 class FreeContext:
     """Free associative algebra on m generators truncated at word length D.
@@ -59,18 +65,26 @@ class FreeContext:
             m = len(names)
         else:
             m = int(generators)
-            if names is None:
-                names = _DEFAULT_NAMES[:m] if m <= 4 else tuple(f"x{i+1}" for i in range(m))
-            names = tuple(names)
-        if m < 1 or len(names) != m:
-            raise ValueError("need at least one generator, one name each")
+        if m < 1:
+            raise ValueError("need at least one generator")
         if degree_cap < 1:
             raise ValueError("degree cap must be >= 1")
-        self.m = m
         self.D = int(degree_cap)
+        lo = 0 if unital else 1
+        count = 0
+        for length in range(lo, self.D + 1):
+            count += m**length
+            if count > MAX_WORDS:
+                raise ValueError(f"{m} generators at degree {self.D} give at least {count} "
+                                 f"basis words, more than the limit of {MAX_WORDS}")
+        if names is None:
+            names = _DEFAULT_NAMES[:m] if m <= 4 else tuple(f"x{i+1}" for i in range(m))
+        names = tuple(names)
+        if len(names) != m or len(set(names)) != m:
+            raise ValueError("need one distinct name per generator")
+        self.m = m
         self.unital = bool(unital)
         self.names = names
-        lo = 0 if unital else 1
         words = []
         for length in range(lo, self.D + 1):
             words.extend(itertools.product(range(m), repeat=length))

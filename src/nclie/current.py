@@ -2,8 +2,9 @@
 
 The saturation closure lie_closure is the oracle: it never consults the
 closed forms below, only the generic bracket-saturation engine.  Every other
-function builds a candidate subspace from filtration ideals and power spaces
-of the pair, to be compared against the oracle degree by degree.
+function builds a candidate subspace as a list of terms (U, V), a filtration
+ideal U of F and a power space V of the pair, summed by kron_sum, to be
+compared against the oracle degree by degree.
 
 TensorContext is a context like the coefficient contexts of coeffalg: its
 elements are AlgElements, multiplied by coeffalg.mul and inverted by
@@ -22,7 +23,6 @@ from .pairs import (
     CompatiblePair,
     UnsupportedError,
     make_sl,
-    make_sl2_irrep,
     sl2_irrep_matrices,
     span_of_matrices,
 )
@@ -191,6 +191,22 @@ def _cap_reached(name: str, pair: CompatiblePair, cap: int) -> UnsupportedError:
     return UnsupportedError(f"{name} for {pair.name}: no zero or repeated term within {cap} steps")
 
 
+def kron_sum(tctx: TensorContext, terms) -> GradedSubspace:
+    """The span of U (x) V over the terms (U, V), U in F and V in M_n.
+
+    Span is bilinear, so the terms are grouped by V and each group's U are
+    summed in F, n^2 times smaller than F (x) M_n; only one Kronecker part
+    per distinct V reaches the final sum.
+    """
+    groups: dict[GradedSubspace, list[GradedSubspace]] = {}
+    for u, v in terms:
+        groups.setdefault(v, []).append(u)
+    return subspace_sum(tctx.ambient, [
+        tensor_product_span(tctx, subspace_sum(tctx.fctx.ambient, us), v)
+        for v, us in groups.items()
+    ])
+
+
 def f_dot_g(pair: CompatiblePair, fctx) -> GradedSubspace:
     tctx = TensorContext(fctx, pair.n)
     return tensor_product_span(tctx, fctx.full_subspace(), pair.g)
@@ -198,32 +214,24 @@ def f_dot_g(pair: CompatiblePair, fctx) -> GradedSubspace:
 
 def f_langle_g_filtered(pair: CompatiblePair, fctx, m: int) -> GradedSubspace:
     """Sum of F (x) g^k for k = 1..m, the reference filtration."""
-    tctx = TensorContext(fctx, pair.n)
     full = fctx.full_subspace()
-    return subspace_sum(
-        tctx.ambient,
-        [tensor_product_span(tctx, full, pair.g_power(k)) for k in range(1, m + 1)],
-    )
+    terms = [(full, pair.g_power(k)) for k in range(1, m + 1)]
+    return kron_sum(TensorContext(fctx, pair.n), terms)
 
 
 def tilde_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> GradedSubspace:
     """Closed-form upper bound: F.g plus ideal terms I_k (x) [g, g^(k+1)] and
     [F, I_(k-1)] (x) g^(k+1); with m_cap the partial-sum ideals bound each term."""
-    tctx = TensorContext(fctx, pair.n)
     cache = filtration(fctx)
     base = cache.base
-    parts = [f_dot_g(pair, fctx)]
+    terms = [(fctx.full_subspace(), pair.g)]
     if m_cap is not None:
         for k in range(1, m_cap):
             ell = m_cap - k
-            parts.append(
-                tensor_product_span(tctx, cache.ideal_Ik_le(k, ell), pair.bracket_power(k + 1))
-            )
             low = cache.ideal_Ik_le(k - 1, ell)
-            parts.append(
-                tensor_product_span(tctx, op_bracket(fctx, base, low), pair.g_power(k + 1))
-            )
-        return subspace_sum(tctx.ambient, parts)
+            terms.append((cache.ideal_Ik_le(k, ell), pair.bracket_power(k + 1)))
+            terms.append((op_bracket(fctx, base, low), pair.g_power(k + 1)))
+        return kron_sum(TensorContext(fctx, pair.n), terms)
     prev = None
     cap = _hard_cap(fctx, pair)
     for k in range(1, cap + 1):
@@ -237,11 +245,10 @@ def tilde_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> GradedS
         if state == prev:
             break
         prev = state
-        parts.append(tensor_product_span(tctx, ik, gb))
-        parts.append(tensor_product_span(tctx, fik, gp))
+        terms += [(ik, gb), (fik, gp)]
     else:
         raise _cap_reached("tilde_bound", pair, cap)
-    return subspace_sum(tctx.ambient, parts)
+    return kron_sum(TensorContext(fctx, pair.n), terms)
 
 
 def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> GradedSubspace:
@@ -254,15 +261,14 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
     tctx = TensorContext(fctx, pair.n)
     cache = filtration(fctx)
     jcache = FiltrationCache(pair.mctx, generating=pair.g)
-    parts = [f_dot_g(pair, fctx)]
+    terms = [(fctx.full_subspace(), pair.g)]
     graded = fctx.is_free
     max_layer = (fctx.D - 2 if graded else _hard_cap(fctx, pair))
     if m_cap is not None:
         max_layer = min(max_layer, m_cap - 2)
-    bld_dims = None
+    dim = None
     stale = 0
-    s = 0
-    while s <= max_layer:
+    for s in range(max_layer + 1):
         for k1 in range(s + 1):
             for k2 in range(s - k1 + 1):
                 for l1 in range(s - k1 - k2 + 1):
@@ -275,31 +281,14 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
                     j2 = jcache.ideal_Ikl(l2, k2 + 1)
                     if j1.is_zero() or j2.is_zero():
                         continue
-                    parts.append(
-                        tensor_product_span(
-                            tctx,
-                            op_product(fctx, i1, i2),
-                            op_bracket(pair.mctx, j1, j2),
-                        )
-                    )
-                    parts.append(
-                        tensor_product_span(
-                            tctx,
-                            op_bracket(fctx, i1, i2),
-                            op_product(pair.mctx, j2, j1),
-                        )
-                    )
+                    terms.append((op_product(fctx, i1, i2), op_bracket(pair.mctx, j1, j2)))
+                    terms.append((op_bracket(fctx, i1, i2), op_product(pair.mctx, j2, j1)))
         if not graded:
-            merged = subspace_sum(tctx.ambient, parts)
-            parts = [merged]
-            dims = merged.dim
-            grew = bld_dims is None or dims > bld_dims
-            bld_dims = dims
-            stale = 0 if grew else stale + 1
+            prev, dim = dim, kron_sum(tctx, terms).dim
+            stale = 0 if prev is None or dim > prev else stale + 1
             if stale >= 2:
                 break
-        s += 1
-    return subspace_sum(tctx.ambient, parts)
+    return kron_sum(tctx, terms)
 
 
 def identity_span(n: int) -> GradedSubspace:
@@ -309,46 +298,35 @@ def identity_span(n: int) -> GradedSubspace:
 
 def sl_trace_form(pair: CompatiblePair, fctx) -> GradedSubspace:
     """F' (x) 1 + F (x) sl, the trace-characterized span."""
-    tctx = TensorContext(fctx, pair.n)
-    cache = filtration(fctx)
-    return f_dot_g(pair, fctx).sum(
-        tensor_product_span(tctx, cache.commutator_space(1), identity_span(pair.n))
-    )
+    fprime = filtration(fctx).commutator_space(1)
+    return kron_sum(TensorContext(fctx, pair.n), [
+        (fctx.full_subspace(), pair.g),
+        (fprime, identity_span(pair.n)),
+    ])
 
 
 def orthogonal_form(pair: CompatiblePair, fctx) -> GradedSubspace:
     """F (x) g + F' (x) 1 + (FF' + F') (x) sl for a nondegenerate form."""
-    tctx = TensorContext(fctx, pair.n)
-    cache = filtration(fctx)
-    fprime = cache.commutator_space(1)
+    fprime = filtration(fctx).commutator_space(1)
     ffp = op_product(fctx, fctx.full_subspace(), fprime).sum(fprime)
-    return subspace_sum(
-        tctx.ambient,
-        [
-            f_dot_g(pair, fctx),
-            tensor_product_span(tctx, fprime, identity_span(pair.n)),
-            tensor_product_span(tctx, ffp, make_sl(pair.n).g),
-        ],
-    )
+    return kron_sum(TensorContext(fctx, pair.n), [
+        (fctx.full_subspace(), pair.g),
+        (fprime, identity_span(pair.n)),
+        (ffp, make_sl(pair.n).g),
+    ])
 
 
 def type2_formula(pair: CompatiblePair, fctx) -> GradedSubspace:
     """F.g + F' (x) A + FF' (x) [A, A], exact for pairs of type 2."""
     if pair.pair_type() != 2:
         raise TypeMismatchError(f"{pair.name} is not of type 2")
-    tctx = TensorContext(fctx, pair.n)
-    cache = filtration(fctx)
-    fprime = cache.commutator_space(1)
-    ffprime = op_product(fctx, fctx.full_subspace(), fprime)
-    a_bracket = op_bracket(pair.mctx, pair.algebra, pair.algebra)
-    return subspace_sum(
-        tctx.ambient,
-        [
-            f_dot_g(pair, fctx),
-            tensor_product_span(tctx, fprime, pair.algebra),
-            tensor_product_span(tctx, ffprime, a_bracket),
-        ],
-    )
+    fprime = filtration(fctx).commutator_space(1)
+    return kron_sum(TensorContext(fctx, pair.n), [
+        (fctx.full_subspace(), pair.g),
+        (fprime, pair.algebra),
+        (op_product(fctx, fctx.full_subspace(), fprime),
+         op_bracket(pair.mctx, pair.algebra, pair.algebra)),
+    ])
 
 
 def semisimple_closed_form(pair: CompatiblePair, fctx) -> GradedSubspace:
@@ -356,10 +334,9 @@ def semisimple_closed_form(pair: CompatiblePair, fctx) -> GradedSubspace:
     perfect, _ = pair.is_perfect()
     if not (pair.semisimple and perfect):
         raise ValueError("closed form requires a declared-semisimple perfect pair")
-    tctx = TensorContext(fctx, pair.n)
     cache = filtration(fctx)
     base = cache.base
-    parts = [f_dot_g(pair, fctx)]
+    terms = [(fctx.full_subspace(), pair.g)]
     prev = None
     cap = _hard_cap(fctx, pair)
     for k in range(2, cap + 1):
@@ -373,11 +350,10 @@ def semisimple_closed_form(pair: CompatiblePair, fctx) -> GradedSubspace:
         if state == prev:
             break
         prev = state
-        parts.append(tensor_product_span(tctx, ik1, gplus))
-        parts.append(tensor_product_span(tctx, fik2, zk))
+        terms += [(ik1, gplus), (fik2, zk)]
     else:
         raise _cap_reached("semisimple_closed_form", pair, cap)
-    return subspace_sum(tctx.ambient, parts)
+    return kron_sum(TensorContext(fctx, pair.n), terms)
 
 
 def sl2_module_span(n: int, k: int) -> GradedSubspace:
@@ -396,17 +372,12 @@ def sl2_closed_form(n: int, fctx) -> GradedSubspace:
     n-dimensional irreducible module of sl2."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    pair = make_sl2_irrep(n)
-    tctx = TensorContext(fctx, n)
     cache = filtration(fctx)
-    base = cache.base
-    parts = [
-        tensor_product_span(tctx, op_bracket(fctx, base, base), identity_span(n))
-    ]
+    terms = [(op_bracket(fctx, cache.base, cache.base), identity_span(n))]
     for k in range(1, n):
         ideal = fctx.full_subspace() if k == 1 else cache.ideal_Ik(k - 1)
-        parts.append(tensor_product_span(tctx, ideal, sl2_module_span(n, k)))
-    return subspace_sum(tctx.ambient, parts)
+        terms.append((ideal, sl2_module_span(n, k)))
+    return kron_sum(TensorContext(fctx, n), terms)
 
 
 def lower_bound_terms(pair: CompatiblePair, fctx, k: int):
@@ -426,9 +397,8 @@ def lower_bound_terms(pair: CompatiblePair, fctx, k: int):
 
 def abelian_closure_form(pair: CompatiblePair, fctx) -> GradedSubspace:
     """Sum of F^(k) (x) g^(k+1): the exact closure for abelian g."""
-    tctx = TensorContext(fctx, pair.n)
     cache = filtration(fctx)
-    parts = [f_dot_g(pair, fctx)]
+    terms = [(fctx.full_subspace(), pair.g)]
     cap = _hard_cap(fctx, pair)
     for k in range(1, cap + 1):
         fk = cache.commutator_space(k)
@@ -437,24 +407,20 @@ def abelian_closure_form(pair: CompatiblePair, fctx) -> GradedSubspace:
         gp = pair.g_power(k + 1)
         if gp.is_zero():
             break
-        parts.append(tensor_product_span(tctx, fk, gp))
+        terms.append((fk, gp))
     else:
         raise _cap_reached("abelian_closure_form", pair, cap)
-    return subspace_sum(tctx.ambient, parts)
+    return kron_sum(TensorContext(fctx, pair.n), terms)
 
 
 def simple_coefficients_form(pair: CompatiblePair, fctx) -> GradedSubspace:
     """F.g + F (x) [g, <g>] + [F, F] (x) <g>, exact when I_1(F) = F and the
     pair is perfect (for example 2x2 matrix coefficients)."""
-    tctx = TensorContext(fctx, pair.n)
-    cache = filtration(fctx)
+    base = filtration(fctx).base
     full = fctx.full_subspace()
     env = pair.envelope()
-    return subspace_sum(
-        tctx.ambient,
-        [
-            f_dot_g(pair, fctx),
-            tensor_product_span(tctx, full, op_bracket(pair.mctx, pair.g, env)),
-            tensor_product_span(tctx, op_bracket(fctx, cache.base, cache.base), env),
-        ],
-    )
+    return kron_sum(TensorContext(fctx, pair.n), [
+        (full, pair.g),
+        (full, op_bracket(pair.mctx, pair.g, env)),
+        (op_bracket(fctx, base, base), env),
+    ])

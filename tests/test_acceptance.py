@@ -167,7 +167,7 @@ def test_criterion_9_oracle_independence(monkeypatch):
     closed_forms = (
         tilde_bound, overline_bound, type2_formula, semisimple_closed_form,
         sl2_closed_form, abelian_closure_form, simple_coefficients_form,
-        sl_trace_form, orthogonal_form,
+        sl_trace_form, orthogonal_form, cur.f_langle_g_filtered, cur.kron_sum,
     )
     ok = True
     for fn in closed_forms:

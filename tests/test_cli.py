@@ -10,7 +10,7 @@ from nclie.cli import (
     battery_diagonals,
     main,
 )
-from nclie import current
+from nclie import cli, coeffalg, current
 from nclie.coeffalg import FreeContext
 from nclie.commfilt import FiltrationCache
 from nclie.current import filtration
@@ -309,3 +309,31 @@ def test_ideal_that_never_stabilizes_exits_three(monkeypatch, capsys):
                         lambda self, k, l: self.base if l % 2 else GradedSubspace.zero(self.ctx.ambient))
     assert main(["compute", "--object", "ideal", "--k", "2", "--deg", "3"]) == 3
     assert "did not stabilize" in capsys.readouterr().err
+
+
+def test_out_to_missing_directory_config_error(tmp_path, capsys):
+    rc = main(["verify", "--suite", "perfect-equality", "--pair", "sl:2", "--deg", "3",
+               "--out", str(tmp_path / "missing" / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_rejects_count_below_one(monkeypatch, capsys, count):
+    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("a suite ran"))
+    rc = main(["verify", "--suite", "cartan-classical", "--pair", "sp:4", "--deg", "3",
+               "--count", count])
+    assert rc == 2
+    assert "--count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "--object", "ideal", "--gens", "2", "--deg", "60"],
+    ["verify", "--suite", "perfect-equality", "--gens", "x,x", "--deg", "3"],
+])
+def test_oversized_or_ambiguous_free_context_config_error(monkeypatch, capsys, args):
+    # the refusal comes before any word is built
+    monkeypatch.setattr(coeffalg, "itertools", None)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -54,6 +54,34 @@ def test_matrix_units_multiply(m2ctx):
     assert mul(e12, e12).is_zero()
 
 
+@pytest.fixture
+def no_words(monkeypatch):
+    """Make building any word of a free context an error."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("words were built")
+    monkeypatch.setattr(coeffalg, "itertools", type("NoProduct", (), {"product": forbidden}))
+
+
+@pytest.mark.parametrize("args", [
+    (2, 10**9), (1, 10**9), (10**12, 1), (2, 11), (3, 7), (2, 12, False),
+])
+def test_oversized_free_context_refused_before_allocation(no_words, args):
+    with pytest.raises(ValueError, match=f"limit of {coeffalg.MAX_WORDS}"):
+        FreeContext(*args)
+
+
+def test_largest_two_generator_context_allowed():
+    # 2^11 - 1 = 2047 words for m = 2, D = 10, and 2046 without the unit
+    assert FreeContext(2, 10).ambient.dim == 2047 <= coeffalg.MAX_WORDS
+    assert FreeContext(2, 10, unital=False).ambient.dim == 2046
+
+
+@pytest.mark.parametrize("gens, names", [(["x", "x"], None), (2, ("a", "a")), (2, ("a",))])
+def test_free_context_needs_distinct_names(no_words, gens, names):
+    with pytest.raises(ValueError, match="distinct name"):
+        FreeContext(gens, 3, names=names)
+
+
 def test_context_mismatch():
     a = FreeContext(2, 2).generator(0)
     b = FreeContext(2, 3).generator(0)

@@ -13,6 +13,7 @@ from nclie.current import (
     f_dot_g,
     f_langle_g_filtered,
     filtration,
+    kron_sum,
     lie_closure,
     lower_bound_terms,
     overline_bound,
@@ -40,6 +41,7 @@ from nclie.subspace import (
     SpanBuilder,
     bracket_closed,
     bracket_saturate,
+    subspace_sum,
 )
 from test_pairs import unit
 
@@ -440,17 +442,21 @@ def test_tensor_span_matches_reference_other_backends(m2ctx):
                     assert_bit_identical(new, reference_tensor_product_span(tctx, fsub, asub))
 
 
-def test_tensor_span_big_entries_match_reference():
-    # max|F| * max|A| >= 2^62 forces object rows, whether or not a factor
-    # is an object matrix itself
+def big_entry_inputs():
     fctx = FreeContext(2, 2)
-    tctx = TensorContext(fctx, 2)
     fsub = GradedSubspace.span(
         fctx.ambient, [{1: 1, 2: 3**40}, {3: 1, 4: 2**31, 5: -7}, {0: 1}]
     )
     asub = GradedSubspace.span(
         Ambient([(0, 4)]), [{0: 1, 3: 2**31 + 1}, {1: 5, 2: -3}]
     )
+    return TensorContext(fctx, 2), fsub, asub
+
+
+def test_tensor_span_big_entries_match_reference():
+    # max|F| * max|A| >= 2^62 forces object rows, whether or not a factor
+    # is an object matrix itself
+    tctx, fsub, asub = big_entry_inputs()
     assert fsub._rows[1].dtype == object and fsub._rows[2].dtype == np.int64
     new = tensor_product_span(tctx, fsub, asub)
     assert [m.dtype for m in new._rows] == [np.int64, object, object]
@@ -467,6 +473,80 @@ def test_tensor_span_rejects_foreign_matrix_ambient(free24):
     tctx = TensorContext(free24, 2)
     with pytest.raises(ValueError):
         tensor_product_span(tctx, free24.full_subspace(), make_sl(3).g)
+
+
+# -- kron_sum against the sum of element-wise tensor spans ----------------------------
+
+
+def drop_last_u(tctx, terms):
+    """A broken kron_sum: the last U of each group of equal V is lost."""
+    groups = {}
+    for u, v in terms:
+        groups.setdefault(v, []).append(u)
+    return kron_sum(tctx, [(u, v) for v, us in groups.items() for u in us[:-1]])
+
+
+def kron_sum_agreements(build, tctx, us, vs, seed):
+    """For lists of terms drawn from us x vs, whether build(tctx, terms)
+    is bit-identical to the sum of the element-wise spans of the terms."""
+    ref = {(i, j): reference_tensor_product_span(tctx, u, v)
+           for i, u in enumerate(us) for j, v in enumerate(vs)}
+    every = list(ref)
+    rng = random.Random(seed)
+    lists = [
+        [],
+        every,
+        [(i, 0) for i in range(len(us))],            # one V repeated
+        [(len(us) - 1, j) for j in range(len(vs))],  # zero U
+        [(i, len(vs) - 1) for i in range(len(us))],  # zero V
+    ] + [rng.choices(every, k=6) for _ in range(6)]
+    out = []
+    for idx in lists:
+        new = build(tctx, [(us[i], vs[j]) for i, j in idx])
+        try:
+            assert_bit_identical(new, subspace_sum(tctx.ambient, [ref[k] for k in idx]))
+            out.append(True)
+        except AssertionError:
+            out.append(False)
+    return out
+
+
+@pytest.mark.parametrize("name", ["sl:3", "sp:4", "jordan:3"])
+def test_kron_sum_matches_reference(name, free24):
+    pair = pair_by_name(name)
+    tctx = TensorContext(free24, pair.n)
+    us = coefficient_inputs(free24)
+    assert us[-1].is_zero() and matrix_inputs(pair)[-1].is_zero()
+    assert all(kron_sum_agreements(kron_sum, tctx, us, matrix_inputs(pair), seed=8))
+
+
+def test_kron_sum_big_entries_match_reference():
+    tctx, fsub, asub = big_entry_inputs()
+    fctx = tctx.fctx
+    # a second U whose sum with fsub cancels the big entry of one row
+    other = GradedSubspace.span(fctx.ambient, [{1: 1, 2: 3**40 + 1}, {5: 2**40}])
+    us = [fsub, other, fctx.full_subspace()]
+    vs = [asub, make_sl(2).g, GradedSubspace.zero(asub.ambient)]
+    assert all(kron_sum_agreements(kron_sum, tctx, us, vs, seed=9))
+    new = kron_sum(tctx, [(fsub, asub), (other, asub)])
+    assert object in [m.dtype for m in new._rows if m is not None]
+
+
+def test_kron_sum_mutation_detected(free24):
+    pair = pair_by_name("sp:4")
+    tctx = TensorContext(free24, pair.n)
+    agreements = kron_sum_agreements(drop_last_u, tctx, coefficient_inputs(free24),
+                                     matrix_inputs(pair), seed=8)
+    assert not all(agreements)
+
+
+def test_kron_sum_rejects_foreign_ambients(free23, free24):
+    tctx = TensorContext(free24, 2)
+    sl2 = make_sl(2)
+    with pytest.raises(ValueError):
+        kron_sum(tctx, [(free24.full_subspace(), sl2.g), (free23.full_subspace(), sl2.g)])
+    with pytest.raises(ValueError):
+        kron_sum(tctx, [(free24.full_subspace(), sl2.g), (free24.full_subspace(), make_sl(3).g)])
 
 
 # -- capped series raise instead of returning a partial sum -----------------------
