@@ -48,6 +48,11 @@ _DEFAULT_NAMES = ("x", "y", "z", "w")
 # words for m = 2, D = 10) no closure or bound is affordable.
 MAX_WORDS = 2048
 
+# The largest n for which M_n (--backend matrix:n, and every pair kind:n) is
+# built; a larger one is refused before its table of n^3 products.  M_32 has
+# 1,024 matrix units, and F (x) M_n multiplies every width of F by n^2.
+MAX_MATRIX_SIZE = 32
+
 
 class FreeContext:
     """Free associative algebra on m generators truncated at word length D.
@@ -223,8 +228,11 @@ class StructureContext:
         """The full matrix algebra M_n(Q) in the matrix-unit basis E11, E12, ...
 
         The table is filled from the n^3 nonzero products E_ab E_be = E_ae.
-        Contexts are immutable, so one is built per n and shared.
+        Contexts are immutable, so one is built per n and shared.  An n above
+        MAX_MATRIX_SIZE is refused before anything is built.
         """
+        if n > MAX_MATRIX_SIZE:
+            raise ValueError(f"matrix size {n} is more than the limit of {MAX_MATRIX_SIZE}")
         products = {
             (a * n + b, b * n + e): ((a * n + e, 1),)
             for a in range(n) for b in range(n) for e in range(n)

@@ -39,7 +39,7 @@ from .coeffalg import (
 from .commfilt import FiltrationCache
 from .current import TensorContext, lie_closure, tensor_mul
 from .pairs import CompatiblePair, sl2_irrep_matrices
-from .subspace import GradedSubspace, exact_product, int_matrix
+from .subspace import GradedSubspace, abs_max, exact_product, int_matrix
 
 
 class BudgetExhaustedError(ValueError):
@@ -228,6 +228,7 @@ def in_group_direct(g, pair: CompatiblePair, fctx, L: GradedSubspace | None = No
     hint = _common_denominator([e for row in hmat for e in row])   # index l*n + j
     left = {ik: multiplication_matrix(fctx, c)[words] for ik, c in enumerate(gint) if c}
     right = {lj: multiplication_matrix(fctx, c, right=True) for lj, c in enumerate(hint) if c}
+    lmax, rmax = max(map(abs_max, left.values())), max(map(abs_max, right.values()))
     smat = int_matrix([_common_denominator([s])[0] for s in pair.g_basis], nn)
     used = [kl for kl in range(nn) if smat[:, kl].any()]
     fail = np.zeros((len(pair.g_basis), len(words)), dtype=bool)
@@ -236,7 +237,7 @@ def in_group_direct(g, pair: CompatiblePair, fctx, L: GradedSubspace | None = No
         if null.shape[1] == 0:
             continue
         cols = slice(start, start + size)
-        q = {}  # Q_il, built when first needed
+        q = {}  # Q_il and its largest entry, built when first needed
         units = []
         for kl in used:
             k, l = divmod(kl, n)
@@ -244,10 +245,13 @@ def in_group_direct(g, pair: CompatiblePair, fctx, L: GradedSubspace | None = No
             for i in ids:
                 if (i, l) not in q:
                     js = [j for j in range(n) if l * n + j in right]
-                    q[i, l] = exact_product(np.hstack([right[l * n + j][:, cols] for j in js]),
-                                            np.vstack([null[i * n + j::nn] for j in js]))
+                    qil = exact_product(np.hstack([right[l * n + j][:, cols] for j in js]),
+                                        np.vstack([null[i * n + j::nn] for j in js]),
+                                        rmax, L.null_max(b))
+                    q[i, l] = qil, abs_max(qil)
             units.append(exact_product(np.hstack([left[i * n + k] for i in ids]),
-                                       np.vstack([q[i, l] for i in ids])).reshape(-1))
+                                       np.vstack([q[i, l][0] for i in ids]),
+                                       lmax, max(q[i, l][1] for i in ids)).reshape(-1))
         residues = exact_product(smat[:, used], np.vstack(units))
         fail |= residues.reshape(len(pair.g_basis), len(words), -1).any(axis=2)
     checked = len(words) * len(pair.g_basis)

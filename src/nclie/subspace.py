@@ -22,6 +22,15 @@ Intersections (Zassenhaus) and the small dense rational solvers
 (`fraction_rref` and the kernels and solutions read off it) build canonical
 subspaces with the same insertion.
 
+Saturation (`bracket_saturate`) eliminates only what can grow the span.  Its
+first sweep brackets the parts of the generators in pairs, each pair once.
+Every sweep then filters its candidates per block at least half full
+(`_SweepFilter`): one exact product with the nullspace of the span at the
+start of the sweep maps them to quotient coordinates, a zero row is proof
+of membership and is dropped, and the other rows are eliminated in a
+quotient block as wide as the codimension; a candidate reaches the real
+block only when it grows it.
+
 Every product and commutator of two sparse vectors, of algebra elements as
 well as of subspace basis rows, is computed by one loop, `sparse_product`,
 and every split of a sparse vector into degree blocks by `Ambient.split`.
@@ -203,19 +212,25 @@ class _Block:
         self.maxes = list(maxes)
 
     def canonicalize(self):
-        """Eliminate above pivots, then renormalize; yields the unique basis."""
-        rows, pivots = self.rows, self.pidx.tolist()
-        for j in range(len(rows) - 1, -1, -1):
-            pj = pivots[j]
-            pivval = int(rows[j][pj])
-            for i in range(j):
-                c = rows[i][pj]
-                if c == 0:
-                    continue
-                out, _ = _combine(pivval, rows[j], self.maxes[j], int(c), rows[i], self.maxes[i])
-                out, _, amax = _primitive(out)
-                rows[i] = out
-                self.maxes[i] = amax
+        """Eliminate above pivots, then renormalize; yields the unique basis.
+
+        Row i is reduced by the later rows j whose pivot column is nonzero in
+        it, latest first, each already reduced.  Row j is zero at every other
+        pivot column, so combining it in clears only column p_j there and
+        leaves the others zero or nonzero: the rows that row i meets are the
+        nonzeros of one gather of row i at the later pivots.  Rows are
+        replaced, never changed in place.
+        """
+        rows, maxes = self.rows, self.maxes
+        pivots = self.pidx.tolist()
+        for i in range(len(rows) - 2, -1, -1):
+            row, amax = rows[i], maxes[i]
+            hits = np.flatnonzero(row[self.pidx[i + 1:]])
+            for j in (hits[::-1] + (i + 1)).tolist():
+                pj = pivots[j]
+                row, _ = _combine(int(rows[j][pj]), rows[j], maxes[j], int(row[pj]), row, amax)
+                row, _, amax = _primitive(row)
+            rows[i], maxes[i] = row, amax
 
 
 class GradedSubspace:
@@ -297,35 +312,23 @@ class GradedSubspace:
 
     def _echelon(self, bi: int):
         """Pivot index array and row maxima of block bi, as _Block stores them."""
-        mat = self._rows[bi]
-        # row reductions only: np.abs(mat) would copy the whole block
-        return (
-            np.array(self._pivots[bi], dtype=np.intp),
-            [int(max(hi, -lo)) for hi, lo in zip(mat.max(axis=1).tolist(),
-                                                 mat.min(axis=1).tolist())],
-        )
+        return np.array(self._pivots[bi], dtype=np.intp), _row_maxima(self._rows[bi])
 
     def nullspace_matrix(self, bi: int):
-        """Integer matrix N with rowspace(block) = {v : v @ N = 0}."""
+        """Integer matrix N with rowspace(block) = {v : v @ N = 0}; its largest
+        absolute entry is null_max(bi)."""
         if self._null[bi] is None:
             size = self.ambient.blocks[bi][1]
-            mat, piv = self._rows[bi], self._pivots[bi]
+            mat = self._rows[bi]
             if mat is None:
-                self._null[bi] = np.eye(size, dtype=np.int64)
+                self._null[bi] = _nullspace((), (), size, ())
             else:
-                free = sorted(set(range(size)) - set(piv))
-                lcm = 1
-                for r in range(mat.shape[0]):
-                    lcm = lcm // math.gcd(lcm, int(mat[r][piv[r]])) * int(mat[r][piv[r]])
-                cols = np.zeros((size, len(free)), dtype=object)
-                for k, f in enumerate(free):
-                    cols[f][k] = lcm
-                    for r in range(mat.shape[0]):
-                        if mat[r][f]:
-                            cols[piv[r]][k] = -int(mat[r][f]) * (lcm // int(mat[r][piv[r]]))
-                mx = int(abs(cols).max()) if cols.size else 0
-                self._null[bi] = cols.astype(np.int64) if mx < _GUARD else cols
-        return self._null[bi]
+                self._null[bi] = _nullspace(mat, self._pivots[bi], size, self._echelon(bi)[1])
+        return self._null[bi][0]
+
+    def null_max(self, bi: int) -> int:
+        self.nullspace_matrix(bi)
+        return self._null[bi][1]
 
     def contains_all_block_rows(self, bi: int, mat) -> bool:
         """Batched membership for an integer candidate matrix (rows in block bi)."""
@@ -334,7 +337,7 @@ class GradedSubspace:
         null = self.nullspace_matrix(bi)
         if null.shape[1] == 0:
             return True
-        return not exact_product(mat, null).any()
+        return not exact_product(mat, null, bmax=self.null_max(bi)).any()
 
     def contains_vectors(self, vectors) -> bool:
         """Batched membership test for an iterable of sparse rational vectors:
@@ -422,14 +425,28 @@ class GradedSubspace:
 
 
 def int_matrix(rows, width: int):
-    """Dense integer matrix from sparse rows {column: int}: int64 when every
-    entry is below _GUARD in absolute value, object (big integers) otherwise."""
-    big = max((abs(v) for row in rows for v in row.values()), default=0)
-    mat = np.zeros((len(rows), width), dtype=np.int64 if big < _GUARD else object)
+    """Dense integer matrix from sparse rows {column: value}, a row with
+    Fraction values scaled by the lcm of their denominators: int64 when
+    every entry is below _GUARD in absolute value, object (big integers)
+    otherwise."""
+    ridx, cidx, vals = [], [], []
     for r, row in enumerate(rows):
-        for col, v in row.items():
-            mat[r, col] = v
+        vs = list(row.values())
+        if any(isinstance(v, Fraction) for v in vs):
+            denom = math.lcm(*(v.denominator for v in vs if isinstance(v, Fraction)))
+            vs = [int(v * denom) for v in vs]
+        ridx.extend([r] * len(vs))
+        cidx.extend(row)
+        vals.extend(vs)
+    big = max(map(abs, vals), default=0)
+    mat = np.zeros((len(rows), width), dtype=np.int64 if big < _GUARD else object)
+    mat[ridx, cidx] = vals
     return mat
+
+
+def _row_maxima(mat) -> list[int]:
+    # row reductions only: np.abs(mat) would copy the whole matrix
+    return [int(max(hi, -lo)) for hi, lo in zip(mat.max(axis=1).tolist(), mat.min(axis=1).tolist())]
 
 
 def product_dtype(amax: int, bmax: int, inner: int):
@@ -447,15 +464,63 @@ def product_dtype(amax: int, bmax: int, inner: int):
     return np.int64 if bound < _GUARD else object
 
 
-def exact_product(a, b):
-    """a @ b for integer matrices (int64 or object), in the cheapest exact
-    dtype (product_dtype); the result is int64, or object when it may not
-    fit in int64."""
-    amax = int(abs(a).max()) if a.size else 0
-    bmax = int(abs(b).max()) if b.size else 0
+def abs_max(arr) -> int:
+    """The largest absolute entry of an integer array, 0 when it is empty;
+    from max and min, since abs(arr).max() would copy the whole array."""
+    return int(max(arr.max(), -arr.min())) if arr.size else 0
+
+
+def exact_product(a, b, amax=None, bmax=None):
+    """a @ b for integer matrices (int64, object, or float64 holding integers
+    below 2^53), in the cheapest exact dtype (product_dtype); the result is
+    int64, or object when it may not fit in int64.  amax and bmax, when
+    given, are bounds on the absolute entries of a and b that spare a scan."""
+    amax = abs_max(a) if amax is None else amax
+    bmax = abs_max(b) if bmax is None else bmax
     dtype = product_dtype(amax, bmax, a.shape[1])
-    out = a.astype(dtype) @ b.astype(dtype)
+    out = _as_dtype(a, dtype) @ _as_dtype(b, dtype)
     return out.astype(np.int64) if dtype is np.float64 else out
+
+
+def _as_dtype(arr, dtype):
+    if arr.dtype == np.float64 and dtype is not np.float64:
+        arr = arr.astype(np.int64)   # integers below 2^53, so exactly
+    return arr.astype(dtype, copy=False)
+
+
+def _nullspace(rows, pivots, width: int, maxes, float_ok=False):
+    """(N, max|N|) for reduced echelon rows of a block of the given width,
+    with pivot columns `pivots` and row maxima `maxes`: rowspace = {v : v @ N = 0}.
+
+    Column k of N is the kernel vector of the k-th free column f: L at f and
+    -row[f] * L / row[p] at the pivot p of each row, where L is the lcm of
+    the pivot entries.  N is filled one pivot row at a time, straight into
+    one array (no whole-block temporaries): float64 when float_ok and every
+    entry is below 2^53, so that exact_product need not convert it, else
+    int64 when every entry is below _GUARD, else Python integers.
+    """
+    free_mask = np.ones(width, dtype=bool)
+    free_mask[list(pivots)] = False
+    free = np.flatnonzero(free_mask)
+    heads = [int(row[p]) for row, p in zip(rows, pivots)]
+    lcm = math.lcm(*heads)
+    scales = [lcm // h for h in heads]
+    bound = max([lcm, *(s * m for s, m in zip(scales, maxes))]) if len(free) else 0
+    if float_ok and bound < _FLOAT_EXACT:
+        dtype = np.float64
+    else:
+        dtype = np.int64 if bound < _GUARD else object
+    null = np.zeros((width, len(free)), dtype=dtype)
+    if not len(free):
+        return null, 0
+    null[free, np.arange(len(free))] = lcm
+    for row, p, s in zip(rows, pivots, scales):
+        part = row[free]
+        null[p] = (part.astype(object) if dtype is object else part) * -s
+    nmax = abs_max(null)
+    if dtype is object and nmax < _GUARD:
+        null = null.astype(np.int64)
+    return null, nmax
 
 
 def _int_row(width: int, comp: dict[int, Fraction]):
@@ -518,7 +583,10 @@ class SpanBuilder:
                 continue
             blk.canonicalize()
             dt = object if any(r.dtype == object for r in blk.rows) else np.int64
-            rows.append(np.array([r.astype(dt) for r in blk.rows]))
+            mat = np.empty((len(blk.rows), blk.width), dtype=dt)
+            for k, row in enumerate(blk.rows):   # no list of converted copies
+                mat[k] = row
+            rows.append(mat)
             pivots.append(tuple(blk.pidx.tolist()))
         return GradedSubspace(self.ambient, tuple(rows), tuple(pivots))
 
@@ -669,13 +737,18 @@ def bracket_saturate(ctx, generators, sweeps=None) -> GradedSubspace:
     sweep, until the dimensions stabilize (or for `sweeps` rounds when the
     bracket-depth filtration is wanted).  Monotonicity makes one stale sweep
     definitive, and in a graded context brackets only raise the degree.
+
+    Before the first sweep the span is spanned by the homogeneous parts of the
+    generators that grew it (the split of [g, v] into degrees is the brackets
+    of the parts of g with v), so the first sweep brackets those parts in
+    pairs, each pair once.  Every sweep inserts through _SweepFilter.
     """
     amb = ctx.ambient
     maxdeg = amb.max_degree
     mul = ctx.mul_basis
     builder = SpanBuilder(amb)
     gens = []
-    frontier = []
+    parts = []   # (degree, support) of each homogeneous part that grew the span
     for g in generators:
         items = [(i, v) for i, v in (g.items() if isinstance(g, dict) else g) if v]
         if not items:
@@ -683,24 +756,106 @@ def bracket_saturate(ctx, generators, sweeps=None) -> GradedSubspace:
         deg = min(amb.degree_of(i) for i, _ in items)  # brackets with g start there
         norm = _normalize_int_items(items)
         gens.append((deg, norm))
-        frontier.extend(builder.add_tracked(dict(norm)))
+        for bi, comp in amb.split(norm).items():
+            arr, amax = _int_row(amb.blocks[bi][1], comp)
+            if builder._blocks[bi].insert(arr, amax) is not None:
+                start = amb.starts[bi]
+                parts.append((amb.blocks[bi][0], [(start + j, v) for j, v in comp.items()]))
+    frontier = parts
     rounds = 0
     while frontier:
         if sweeps is not None and rounds >= sweeps:
             break
+        if rounds == 0:
+            products = (sparse_product(mul, r1, r2, True)
+                        for k, (d1, r1) in enumerate(parts)
+                        for d2, r2 in parts[k + 1:] if d1 + d2 <= maxdeg)
+        else:
+            products = _generator_brackets(amb, mul, gens, frontier)
         rounds += 1
-        fresh = []
-        for bi_r, arr_r in frontier:
-            deg_r = amb.blocks[bi_r][0]
-            items_r = _row_support(amb, bi_r, arr_r)
-            for deg_g, items_g in gens:
-                if deg_g + deg_r > maxdeg:
-                    continue
-                acc = sparse_product(mul, items_g, items_r, True)
-                if acc:
-                    fresh.extend(builder.add_tracked(acc))
-        frontier = fresh
+        filters: dict[int, _SweepFilter] = {}
+        frontier = []   # the rows this sweep stores, as (block index, row)
+        for acc in products:
+            for bi, comp in amb.split(acc).items():
+                if bi not in filters:
+                    filters[bi] = _SweepFilter(builder._blocks[bi])
+                frontier.extend((bi, row) for row in filters[bi].offer(comp))
+        for bi, filt in filters.items():
+            frontier.extend((bi, row) for row in filt.flush())
     return builder.finalize()
+
+
+def _generator_brackets(amb, mul, gens, rows):
+    """[g, v] for every row v, given as (block index, row), and every
+    generator g, given as (lowest degree, support), that can reach degree D."""
+    for bi, row in rows:
+        deg, items = amb.blocks[bi][0], _row_support(amb, bi, row)
+        for deg_g, items_g in gens:
+            if deg_g + deg <= amb.max_degree:
+                yield sparse_product(mul, items_g, items, True)
+
+
+# Candidates per product with the nullspace.  Larger chunks measured no
+# faster, and their short-lived arrays of a megabyte and more raised the
+# peak RSS of a closure by several megabytes.
+_CHUNK = 64
+
+
+class _SweepFilter:
+    """Inserts one sweep's candidates into one block, skipping by one exact
+    product every candidate that the block spanned when the sweep started.
+
+    N is the nullspace of the block at the start of the sweep (canonicalized
+    in place first), so v @ N = 0 exactly when v lies in that span, S.  The
+    candidates come in chunks C and are mapped to Q = C @ N.  A row with
+    Q = 0 lies in S and is dropped.  Since the kernel of v -> v @ N is S, a
+    row lies in S + span(rows inserted since) exactly when its Q row lies in
+    the span of their Q rows; so the Q rows go into a quotient block as
+    wide as the codimension of S, and a candidate is inserted into the real
+    block, where it is sure to be stored, only when its Q row is stored
+    there.  A block less than half full at the start of the sweep takes its
+    candidates directly: its quotient block would be more than half as wide
+    as the block, and filtering there measured slower than inserting once.
+    """
+
+    __slots__ = ("blk", "null", "nmax", "quot", "pending")
+
+    def __init__(self, blk: _Block):
+        self.blk = blk
+        self.pending: list[dict] = []
+        self.null = self.quot = None
+        if 2 * len(blk.rows) >= blk.width:
+            blk.canonicalize()
+            self.null, self.nmax = _nullspace(blk.rows, blk.pidx.tolist(), blk.width, blk.maxes,
+                                              float_ok=True)
+            self.quot = _Block(self.null.shape[1])
+
+    def offer(self, comp) -> list:
+        """Queue one candidate {column: value}; returns the rows stored."""
+        if self.null is not None and self.null.shape[1] == 0:
+            return []   # the block is full
+        self.pending.append(comp)
+        return self.flush() if len(self.pending) >= _CHUNK else []
+
+    def flush(self) -> list:
+        """Insert the queued candidates; returns the rows stored."""
+        if not self.pending:
+            return []
+        mat = int_matrix(self.pending, self.blk.width)
+        maxes = _row_maxima(mat)
+        self.pending = []
+        if self.null is None:
+            hits = range(len(maxes))
+        else:
+            quot = exact_product(mat, self.null, max(maxes), self.nmax)
+            hits = [r for r in np.flatnonzero(quot.any(axis=1)).tolist()
+                    if self.quot.insert(quot[r].copy(), abs_max(quot[r])) is not None]
+        stored = []
+        for r in hits:
+            row = self.blk.insert(mat[r].copy(), maxes[r])
+            if row is not None:
+                stored.append(row)
+        return stored
 
 
 def _normalize_int_items(items):

@@ -329,6 +329,20 @@ def test_verify_rejects_count_below_one(monkeypatch, capsys, count):
 
 
 @pytest.mark.parametrize("args", [
+    ["compute", "--object", "closure", "--backend", "matrix:33"],
+    ["compute", "--object", "closure", "--pair", "sl:40", "--deg", "2"],
+    ["verify", "--suite", "closed-forms", "--pair", "sp:1000", "--deg", "2"],
+])
+def test_oversized_matrix_size_config_error(monkeypatch, capsys, args):
+    # the refusal comes before any multiplication table is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(coeffalg.StructureContext, "_setup", forbidden)
+    assert main(args) == 2
+    assert "limit of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
     ["compute", "--object", "ideal", "--gens", "2", "--deg", "60"],
     ["verify", "--suite", "perfect-equality", "--gens", "x,x", "--deg", "3"],
 ])

@@ -20,7 +20,7 @@ from nclie.coeffalg import (
     parse,
 )
 from nclie.current import TensorContext
-from nclie.pairs import UnsupportedError, matrix
+from nclie.pairs import UnsupportedError, matrix, pair_by_name
 from nclie.subspace import fraction_solve
 from test_pairs import mat, mat_inverse
 
@@ -80,6 +80,33 @@ def test_largest_two_generator_context_allowed():
 def test_free_context_needs_distinct_names(no_words, gens, names):
     with pytest.raises(ValueError, match="distinct name"):
         FreeContext(gens, 3, names=names)
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Make building the multiplication table of a matrix algebra an error."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(coeffalg, "range", forbidden, raising=False)
+    monkeypatch.setattr(StructureContext, "_setup", forbidden)
+
+
+@pytest.mark.parametrize("n", [coeffalg.MAX_MATRIX_SIZE + 1, 60, 10**9])
+def test_oversized_matrix_algebra_refused_before_building(no_tables, n):
+    with pytest.raises(ValueError, match=f"limit of {coeffalg.MAX_MATRIX_SIZE}"):
+        StructureContext.matrix_algebra(n)
+
+
+@pytest.mark.parametrize("spec", ["gl:33", "sl:40", "so:10000", "sp:1000000",
+                                  "sl2irrep:33", "jordan:1000000000"])
+def test_oversized_pairs_refused_before_building(no_tables, spec):
+    with pytest.raises(ValueError, match=f"limit of {coeffalg.MAX_MATRIX_SIZE}"):
+        pair_by_name(spec)
+
+
+def test_largest_matrix_algebra_passes_the_size_check(no_tables):
+    with pytest.raises(AssertionError, match="a table was built"):
+        StructureContext.matrix_algebra(coeffalg.MAX_MATRIX_SIZE)
 
 
 def test_context_mismatch():

@@ -12,6 +12,7 @@ from nclie.current import (
     abelian_closure_form,
     f_dot_g,
     f_langle_g_filtered,
+    fg_generator_vectors,
     filtration,
     kron_sum,
     lie_closure,
@@ -44,6 +45,7 @@ from nclie.subspace import (
     subspace_sum,
 )
 from test_pairs import unit
+from test_subspace import assert_same_rows, reference_bracket_saturate
 
 
 def random_tensor(tctx, rng, terms=3):
@@ -171,6 +173,18 @@ def test_closure_generator_order_free(free23):
     shuffled = gens[:]
     rng.shuffle(shuffled)
     assert bracket_saturate(tctx, gens) == bracket_saturate(tctx, shuffled)
+
+
+@pytest.mark.parametrize("name", ["sl:3", "sp:4", "so:4", "sl2irrep:4", "jordan:3"])
+def test_closure_matches_reference_loop(name, free24):
+    # every filtered piece, and the whole closure, bit for bit
+    pair = pair_by_name(name)
+    tctx = TensorContext(free24, pair.n)
+    gens = fg_generator_vectors(pair, tctx)
+    for m_cap in (None, 1, 2, 3):
+        sweeps = None if m_cap is None else m_cap - 1
+        assert_same_rows(lie_closure(pair, free24, m_cap),
+                         reference_bracket_saturate(tctx, gens, sweeps))
 
 
 def test_closure_is_lie_subalgebra(free23):

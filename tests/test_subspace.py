@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nclie.coeffalg import FreeContext, StructureContext
 from nclie.subspace import (
     _GUARD,
     Ambient,
@@ -248,6 +249,114 @@ def test_bracket_saturate_inhomogeneous_generators(free23, gens):
     assert sat == ref and sat.to_jsonable() == ref.to_jsonable()
 
 
+def reference_bracket_saturate(ctx, generators, sweeps=None):
+    """The saturation loop with neither the pairwise first sweep nor the
+    filter: every sweep, the first included, offers [g, v] for every
+    generator g and every row v the last sweep stored to the echelon
+    engine, one vector at a time."""
+    amb = ctx.ambient
+    builder = SpanBuilder(amb)
+    gens, frontier = [], []
+    for g in generators:
+        items = [(i, v) for i, v in (g.items() if isinstance(g, dict) else g) if v]
+        if not items:
+            continue
+        norm = _normalize_int_items(items)
+        gens.append((min(amb.degree_of(i) for i, _ in items), norm))
+        frontier.extend(builder.add_tracked(dict(norm)))
+    rounds = 0
+    while frontier and (sweeps is None or rounds < sweeps):
+        rounds += 1
+        fresh = []
+        for bi, row in frontier:
+            deg, items = amb.blocks[bi][0], _row_support(amb, bi, row)
+            for deg_g, items_g in gens:
+                if deg_g + deg <= amb.max_degree:
+                    fresh.extend(builder.add_tracked(sparse_product(ctx.mul_basis, items_g, items, True)))
+        frontier = fresh
+    return builder.finalize()
+
+
+def assert_same_rows(new, ref):
+    """Bit-identical canonical forms: equal pivots, rows and row dtypes."""
+    assert new._pivots == ref._pivots
+    for a, b in zip(new._rows, ref._rows):
+        assert same_array(a, b)
+
+
+SATURATION_CONTEXTS = (FreeContext(2, 3), FreeContext(3, 2))
+COEFFICIENT = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.integers(2**53, 2**56),      # past float64: the filter's products run in int64
+    st.integers(2**62, 2**66),      # past int64: they run on Python integers
+    st.sampled_from((-(2**53) - 1, -(2**62), 2**31 - 1)),
+)
+
+
+@st.composite
+def saturation_inputs(draw):
+    """Generators on a small free context, some homogeneous and some spread
+    over several degrees, with coefficients up to past 2^62."""
+    ctx = draw(st.sampled_from(SATURATION_CONTEXTS))
+    amb = ctx.ambient
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            bi = draw(st.integers(0, len(amb.blocks) - 1))
+            index = st.integers(amb.starts[bi], amb.starts[bi] + amb.blocks[bi][1] - 1)
+        else:
+            index = st.integers(0, amb.dim - 1)
+        gens.append(draw(st.dictionaries(index, COEFFICIENT, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        # a degree-1 generator, and at least half of a higher block, so that
+        # the sweeps filter the brackets landing there
+        gens.append({draw(st.integers(amb.starts[1], amb.starts[2] - 1)): 1})
+        bi = draw(st.integers(2, len(amb.blocks) - 1))
+        cols = st.integers(amb.starts[bi], amb.starts[bi] + amb.blocks[bi][1] - 1)
+        for _ in range((amb.blocks[bi][1] + 1) // 2):
+            gens.append(draw(st.dictionaries(cols, COEFFICIENT, min_size=1, max_size=2)))
+    return ctx, gens, draw(st.sampled_from((None, 0, 1, 2, 3)))
+
+
+@given(saturation_inputs())
+@example((SATURATION_CONTEXTS[0], [{1: 1}, {2: 1}, {3: 2**62, 5: 1}], None))
+@example((SATURATION_CONTEXTS[0], [{1: 1, 3: 2**53 + 1}, {2: 1, 14: 2**62}], 2))
+@example((SATURATION_CONTEXTS[1], [{1: 1}, {2: 1}, {3: 1}], 1))
+@settings(max_examples=120, deadline=None)
+def test_bracket_saturate_matches_reference_loop(inputs):
+    ctx, gens, sweeps = inputs
+    assert_same_rows(bracket_saturate(ctx, gens, sweeps), reference_bracket_saturate(ctx, gens, sweeps))
+
+
+@pytest.mark.parametrize("p", [2, 3, 32749, 65521, 2097143, 2**31 - 1, 2**53 + 5, 2**61 - 1])
+def test_saturation_keeps_a_bracket_congruent_to_the_span(free23, p):
+    # The generator s = [x, [x, y]] + p xxx puts c = [x, [x, y]], which the
+    # second sweep offers, at p xxx from the span: c is not in the span at
+    # the start of that sweep, yet its image under that span's nullspace is
+    # p times an integer row, so a filter testing membership modulo p would
+    # drop it.  With yyy, xyx and [x, yy] the degree-3 block is half full
+    # when the second sweep starts, so that sweep filters it.
+    w = free23.word_index
+    c = {w[(0, 0, 1)]: 1, w[(0, 1, 0)]: -2, w[(1, 0, 0)]: 1}
+    gens = [{w[(0,)]: 1}, {w[(1,)]: 1}, {w[(1, 1)]: 1}, {**c, w[(0, 0, 0)]: p},
+            {w[(1, 1, 1)]: 1}, {w[(0, 1, 0)]: 1}]
+    sat = bracket_saturate(free23, gens)
+    assert sat.contains_vector(c)
+    assert_same_rows(sat, reference_bracket_saturate(free23, gens))
+
+
+def test_bracket_saturate_fractional_structure_constants():
+    # M_2 in the basis E_ij / 2, where every nonzero product has the
+    # coefficient 1/2: the brackets reach the filter with Fraction entries
+    table = [[[Fraction(1, 2) if a % 2 == b // 2 and k == a // 2 * 2 + b % 2 else 0
+               for k in range(4)] for b in range(4)] for a in range(4)]
+    ctx = StructureContext(table)
+    gens = [{1: 1}, {2: 1}]
+    sat = bracket_saturate(ctx, gens)
+    assert sat.dim == 3  # sl_2
+    assert_same_rows(sat, reference_bracket_saturate(ctx, gens))
+
+
 def test_subspace_sum_helper():
     a = GradedSubspace.span(AMB, [{1: 1}])
     b = GradedSubspace.span(AMB, [{2: 1}])
@@ -332,6 +441,18 @@ class ReferenceBlock:
                 amax = bound
         return _primitive(arr)
 
+    def canonicalize(self):
+        """Eliminate above pivots by a scan over every pair of rows."""
+        rows, pivots, maxes = self.rows, self.pivots, self.maxes
+        for j in range(len(rows) - 1, -1, -1):
+            pj = pivots[j]
+            for i in range(j):
+                c = rows[i][pj]
+                if c == 0:
+                    continue
+                out, _ = _combine(int(rows[j][pj]), rows[j], maxes[j], int(c), rows[i], maxes[i])
+                rows[i], _, maxes[i] = _primitive(out)
+
     def insert(self, arr, amax):
         arr, pivot, amax = self.reduce(arr, amax)
         if arr is None:
@@ -343,6 +464,26 @@ class ReferenceBlock:
         self.pivots.insert(pos, pivot)
         self.maxes.insert(pos, amax)
         return arr
+
+
+def reference_nullspace(span, bi):
+    """The nullspace of block bi filled entry by entry as Python integers."""
+    size = span.ambient.blocks[bi][1]
+    mat, piv = span._rows[bi], span._pivots[bi]
+    if mat is None:
+        return np.eye(size, dtype=np.int64)
+    free = sorted(set(range(size)) - set(piv))
+    lcm = 1
+    for r in range(mat.shape[0]):
+        lcm = lcm // math.gcd(lcm, int(mat[r][piv[r]])) * int(mat[r][piv[r]])
+    cols = np.zeros((size, len(free)), dtype=object)
+    for k, f in enumerate(free):
+        cols[f][k] = lcm
+        for r in range(mat.shape[0]):
+            if mat[r][f]:
+                cols[piv[r]][k] = -int(mat[r][f]) * (lcm // int(mat[r][piv[r]]))
+    mx = int(abs(cols).max()) if cols.size else 0
+    return cols.astype(np.int64) if mx < _GUARD else cols
 
 
 def reference_reduce_to_zero(mat, pivots, arr, amax):
@@ -429,8 +570,14 @@ def test_elimination_kernel_matches_full_scan(rows, probes):
     assert blk.maxes == ref.maxes
     assert all(same_array(a, b) for a, b in zip(blk.rows, ref.rows))
     assert len(blk.rows) == len(ref.rows)
+    blk.canonicalize()
+    ref.canonicalize()
+    assert blk.maxes == ref.maxes
+    assert all(same_array(a, b) for a, b in zip(blk.rows, ref.rows))
 
     span = builder.finalize()
+    assert same_array(span.nullspace_matrix(0), reference_nullspace(span, 0))
+    assert span.null_max(0) == int(abs(span.nullspace_matrix(0)).max(initial=0))
     if span.is_zero():
         return
     mat, piv = span._rows[0], span._pivots[0]
@@ -733,3 +880,5 @@ def test_exact_product_matches_object_reference(operands):
     out = exact_product(a, b)
     assert out.dtype == (object if want is object else np.int64)
     assert out.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+    if bmax < 2**53:  # an operand held in float64, as the saturation filter holds its nullspace
+        assert exact_product(a, b.astype(np.float64), amax, bmax).tolist() == out.tolist()
