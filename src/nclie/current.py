@@ -55,6 +55,11 @@ class TensorContext:
         self.integral = fctx.integral
         self.is_free = fctx.is_free
         self.unital = getattr(fctx, "unital", False)
+        self._fdim = fctx.ambient.dim
+        # for mul_basis: (word, row, column) per basis index, and the
+        # products of F per word pair, their word indices times n^2
+        self._units = None
+        self._fprods: dict[int, list] = {}
 
     def key(self):
         return ("tensor", self.fctx.key(), self.n)
@@ -75,15 +80,29 @@ class TensorContext:
         return divmod(idx, self.nn)
 
     def mul_basis(self, i: int, j: int):
-        nn, n = self.nn, self.n
-        fi, ai = divmod(i, nn)
-        fj, aj = divmod(j, nn)
-        b = ai % n
-        c, d = divmod(aj, n)
-        if b != c:
+        """(f (x) E_ab)(f' (x) E_cd) = ff' (x) E_ad when b = c, and 0 otherwise.
+
+        Each basis index is read from a table as (word, row, column), so a
+        pair of units that does not compose costs two lookups.  The table is
+        built on the first product (the closed forms build a TensorContext
+        per sum and never multiply), and the products ff' of F are memoized
+        per word pair as they are met.
+        """
+        units = self._units
+        if units is None:
+            n = self.n
+            units = self._units = [(f, a // n, a % n) for f in range(self._fdim) for a in range(self.nn)]
+        fi, ri, ci = units[i]
+        fj, rj, cj = units[j]
+        if ci != rj:
             return ()
-        a_out = (ai // n) * n + d
-        return tuple((fk * nn + a_out, ck) for fk, ck in self.fctx.mul_basis(fi, fj))
+        key = fi * self._fdim + fj
+        prods = self._fprods.get(key)
+        if prods is None:
+            nn = self.nn
+            prods = self._fprods[key] = [(fk * nn, ck) for fk, ck in self.fctx.mul_basis(fi, fj)]
+        out = ri * self.n + cj
+        return [(k + out, c) for k, c in prods]
 
     def degree_of_basis(self, i: int) -> int:
         return self.fctx.degree_of_basis(i // self.nn)

@@ -24,12 +24,14 @@ subspaces with the same insertion.
 
 Saturation (`bracket_saturate`) eliminates only what can grow the span.  Its
 first sweep brackets the parts of the generators in pairs, each pair once.
-Every sweep then filters its candidates per block at least half full
-(`_SweepFilter`): one exact product with the nullspace of the span at the
-start of the sweep maps them to quotient coordinates, a zero row is proof
-of membership and is dropped, and the other rows are eliminated in a
-quotient block as wide as the codimension; a candidate reaches the real
-block only when it grows it.
+Every sweep then passes its candidates per block through `_SweepFilter`,
+which drops a multiple of a candidate the sweep already offered there and,
+in a block at least half full, filters the rest: one exact product with the
+nullspace of the span at the start of the sweep, over the columns the
+candidates use, maps them to quotient coordinates, a zero row is proof of
+membership and is dropped, and the other rows are eliminated in a quotient
+block as wide as the codimension; a candidate reaches the real block only
+when it grows it.
 
 Every product and commutator of two sparse vectors, of algebra elements as
 well as of subspace basis rows, is computed by one loop, `sparse_product`,
@@ -802,27 +804,34 @@ _CHUNK = 64
 
 
 class _SweepFilter:
-    """Inserts one sweep's candidates into one block, skipping by one exact
-    product every candidate that the block spanned when the sweep started.
+    """Inserts one sweep's candidates into one block, skipping what is known
+    to lie in the span: a repeated direction, and by one exact product every
+    candidate that the block spanned when the sweep started.
 
-    N is the nullspace of the block at the start of the sweep (canonicalized
-    in place first), so v @ N = 0 exactly when v lies in that span, S.  The
-    candidates come in chunks C and are mapped to Q = C @ N.  A row with
-    Q = 0 lies in S and is dropped.  Since the kernel of v -> v @ N is S, a
-    row lies in S + span(rows inserted since) exactly when its Q row lies in
-    the span of their Q rows; so the Q rows go into a quotient block as
-    wide as the codimension of S, and a candidate is inserted into the real
-    block, where it is sure to be stored, only when its Q row is stored
-    there.  A block less than half full at the start of the sweep takes its
+    A candidate whose direction (`_direction`) was offered before in this
+    sweep is dropped: the earlier copy was stored, or found to lie in the
+    span, or is still queued and will be.  N is the nullspace of the block
+    at the start of the sweep (canonicalized in place first), so v @ N = 0
+    exactly when v lies in that span, S.  The candidates come in chunks C
+    and are mapped to Q = C @ N.  A row with Q = 0 lies in S and is dropped.
+    Since the kernel of v -> v @ N is S, a row lies in S + span(rows inserted
+    since) exactly when its Q row lies in the span of their Q rows; so the Q
+    rows go into a quotient block as wide as the codimension of S, and a
+    candidate is inserted into the real block, where it is sure to be
+    stored, only when its Q row is stored there.  The candidates are sparse,
+    so Q is C[:, U] @ N[U] over the union U of the columns the chunk uses,
+    and a candidate becomes a full-width row only when it is inserted.  A
+    block less than half full at the start of the sweep takes its
     candidates directly: its quotient block would be more than half as wide
     as the block, and filtering there measured slower than inserting once.
     """
 
-    __slots__ = ("blk", "null", "nmax", "quot", "pending")
+    __slots__ = ("blk", "null", "nmax", "quot", "pending", "seen")
 
     def __init__(self, blk: _Block):
         self.blk = blk
         self.pending: list[dict] = []
+        self.seen: set[tuple] = set()
         self.null = self.quot = None
         if 2 * len(blk.rows) >= blk.width:
             blk.canonicalize()
@@ -834,28 +843,51 @@ class _SweepFilter:
         """Queue one candidate {column: value}; returns the rows stored."""
         if self.null is not None and self.null.shape[1] == 0:
             return []   # the block is full
+        key = _direction(comp)
+        if key in self.seen:
+            return []
+        self.seen.add(key)
         self.pending.append(comp)
         return self.flush() if len(self.pending) >= _CHUNK else []
 
     def flush(self) -> list:
         """Insert the queued candidates; returns the rows stored."""
-        if not self.pending:
-            return []
-        mat = int_matrix(self.pending, self.blk.width)
-        maxes = _row_maxima(mat)
-        self.pending = []
-        if self.null is None:
-            hits = range(len(maxes))
-        else:
-            quot = exact_product(mat, self.null, max(maxes), self.nmax)
-            hits = [r for r in np.flatnonzero(quot.any(axis=1)).tolist()
-                    if self.quot.insert(quot[r].copy(), abs_max(quot[r])) is not None]
+        pending, self.pending = self.pending, []
+        if self.null is not None and pending:
+            pending = self._quotient_growers(pending)
         stored = []
-        for r in hits:
-            row = self.blk.insert(mat[r].copy(), maxes[r])
+        for comp in pending:
+            row = self.blk.insert(*_int_row(self.blk.width, comp))
             if row is not None:
                 stored.append(row)
         return stored
+
+    def _quotient_growers(self, pending) -> list:
+        """The candidates whose Q rows grow the quotient block, in order."""
+        cols = sorted(set().union(*pending))
+        pos = dict(zip(cols, range(len(cols))))
+        mat = int_matrix([{pos[c]: v for c, v in comp.items()} for comp in pending], len(cols))
+        null = self.null if len(cols) == len(self.null) else self.null[cols]
+        quot = exact_product(mat, null, abs_max(mat), self.nmax)
+        return [pending[r] for r in np.flatnonzero(quot.any(axis=1)).tolist()
+                if self.quot.insert(quot[r].copy(), abs_max(quot[r])) is not None]
+
+
+def _direction(comp) -> tuple:
+    """An exact key of the line through a nonzero sparse vector {column:
+    value}: the sorted columns, then the values scaled to integers, divided
+    by their content and signed so that the first is positive."""
+    cols = sorted(comp)
+    vals = [comp[c] for c in cols]
+    try:
+        g = math.gcd(*vals)
+    except TypeError:   # Fraction values: scale them to integers first
+        denom = math.lcm(*(Fraction(v).denominator for v in vals))
+        vals = [int(v * denom) for v in vals]
+        g = math.gcd(*vals)
+    if vals[0] < 0:
+        g = -g
+    return (*cols, *[v // g for v in vals])
 
 
 def _normalize_int_items(items):

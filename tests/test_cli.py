@@ -235,6 +235,28 @@ def test_matrix_backend_all_suites_exit_three(capsys):
     ]
 
 
+@pytest.mark.parametrize("deg, verdict", [(2, "vacuous"), (3, "pass")])
+def test_reading_pin_vacuous_below_degree_three(deg, verdict, capsys):
+    rc = main(["verify", "--suite", "difference-calculus", "--pair", "sp:4",
+               "--deg", str(deg), "--json"])
+    assert rc == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    pin = [c for c in checks if c["anchor"] == "diffcalc.reading-pin"]
+    assert [c["verdict"] for c in pin] == [verdict]
+    assert ("degree-3 terms" in pin[0]["detail"]) == (verdict == "vacuous")
+
+
+def test_one_generator_keeps_the_report_and_exits_three(capsys):
+    rc = main(["verify", "--suite", "filtration-identities,difference-calculus", "--pair", "sl:2",
+               "--gens", "1", "--deg", "3", "--json"])
+    assert rc == 3
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["anchor"] for c in checks if c["verdict"] == "unsupported"] == ["diffcalc.reading-pin"]
+    assert {c["verdict"] for c in checks} == {"pass", "unsupported"}
+    assert any(c["anchor"].startswith("filtration.") for c in checks)
+    assert sum(c["anchor"].startswith("diffcalc.") for c in checks) == 6
+
+
 def test_matrix_backend_cartan_command_unsupported(capsys):
     rc = main(["cartan", "--pair", "so:3", "--backend", "matrix:2", "--diag", "1 ; 1 ; 1"])
     assert rc == 3

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nclie import current
-from nclie.coeffalg import AlgElement, FreeContext, commutator, mul
+from nclie.coeffalg import AlgElement, FreeContext, StructureContext, commutator, mul
 from nclie.current import (
     TensorContext,
     TypeMismatchError,
@@ -45,7 +45,7 @@ from nclie.subspace import (
     subspace_sum,
 )
 from test_pairs import unit
-from test_subspace import assert_same_rows, reference_bracket_saturate
+from test_subspace import assert_same_rows, half_unit_matrix_context, reference_bracket_saturate
 
 
 def random_tensor(tctx, rng, terms=3):
@@ -56,6 +56,31 @@ def random_tensor(tctx, rng, terms=3):
 
 
 # -- tensor arithmetic -----------------------------------------------------------
+
+
+def reference_tensor_mul_basis(tctx, i, j):
+    """(f (x) E_ab)(f' (x) E_cd) read off the flat indices by divmod."""
+    nn, n = tctx.nn, tctx.n
+    fi, ai = divmod(i, nn)
+    fj, aj = divmod(j, nn)
+    c, d = divmod(aj, n)
+    if ai % n != c:
+        return ()
+    return tuple((fk * nn + (ai // n) * n + d, ck) for fk, ck in tctx.fctx.mul_basis(fi, fj))
+
+
+@pytest.mark.parametrize("fctx, n", [
+    (FreeContext(2, 2), 2),
+    (FreeContext(2, 2), 3),
+    (StructureContext.matrix_algebra(2), 2),
+    (half_unit_matrix_context(), 2),
+], ids=["free:2,2 n=2", "free:2,2 n=3", "matrix:2 n=2", "half-units n=2"])
+def test_tensor_mul_basis_matches_divmod(fctx, n):
+    tctx = TensorContext(fctx, n)
+    dim = tctx.ambient.dim
+    for i in range(dim):
+        for j in range(dim):
+            assert tuple(tctx.mul_basis(i, j)) == reference_tensor_mul_basis(tctx, i, j)
 
 
 def test_pure_tensor_product(free23):

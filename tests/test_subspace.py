@@ -15,10 +15,12 @@ from nclie.subspace import (
     SpanBuilder,
     _Block,
     _combine,
+    _direction,
     _int_row,
     _normalize_int_items,
     _primitive,
     _row_support,
+    _SweepFilter,
     bracket_closed,
     bracket_saturate,
     exact_product,
@@ -318,7 +320,16 @@ def saturation_inputs(draw):
     return ctx, gens, draw(st.sampled_from((None, 0, 1, 2, 3)))
 
 
+# Two inputs whose filtered chunks use all the columns of their block, and
+# only some of them (6 of 8), with entries past 2^62 and 2^53.
+FULL_COLUMN_CHUNKS = (StructureContext.matrix_algebra(2), [{0: 1, 1: 2**62 + 1}, {2: 2**53 + 1, 3: 1}], None)
+FEW_COLUMN_CHUNKS = (SATURATION_CONTEXTS[0], [{1: 1}, {2: 1}, {4: 2**53 + 1, 5: 1}, {7: 1},
+                                              {8: 2**62 + 1, 9: 1}, {13: 1}, {14: 1}], None)
+
+
 @given(saturation_inputs())
+@example(FULL_COLUMN_CHUNKS)
+@example(FEW_COLUMN_CHUNKS)
 @example((SATURATION_CONTEXTS[0], [{1: 1}, {2: 1}, {3: 2**62, 5: 1}], None))
 @example((SATURATION_CONTEXTS[0], [{1: 1, 3: 2**53 + 1}, {2: 1, 14: 2**62}], 2))
 @example((SATURATION_CONTEXTS[1], [{1: 1}, {2: 1}, {3: 1}], 1))
@@ -345,12 +356,79 @@ def test_saturation_keeps_a_bracket_congruent_to_the_span(free23, p):
     assert_same_rows(sat, reference_bracket_saturate(free23, gens))
 
 
-def test_bracket_saturate_fractional_structure_constants():
-    # M_2 in the basis E_ij / 2, where every nonzero product has the
-    # coefficient 1/2: the brackets reach the filter with Fraction entries
+def test_sweep_filter_chunks_use_their_columns(monkeypatch):
+    seen = []
+    growers = _SweepFilter._quotient_growers
+
+    def spy(self, pending):
+        seen.append((len(set().union(*pending)), self.blk.width))
+        return growers(self, pending)
+
+    monkeypatch.setattr(_SweepFilter, "_quotient_growers", spy)
+    for ctx, gens, sweeps in (FULL_COLUMN_CHUNKS, FEW_COLUMN_CHUNKS):
+        bracket_saturate(ctx, gens, sweeps)
+    assert (4, 4) in seen and (6, 8) in seen
+
+
+def test_direction_key_is_the_line():
+    key = _direction({4: 2, 1: -6})
+    assert key == (1, 4, 3, -1)
+    for same in ({1: 3, 4: -1}, {4: Fraction(1, 2), 1: Fraction(-3, 2)},
+                 {1: -3 * 2**70, 4: 2**70}, {4: Fraction(-5, 7), 1: Fraction(15, 7)}):
+        assert _direction(same) == key
+    for other in ({1: 3, 4: 1}, {1: 3, 4: -2}, {1: 3, 5: -1}, {1: 3}, {4: -1, 1: 3, 6: 1}):
+        assert _direction(other) != key
+
+
+def _counting_inserts(monkeypatch):
+    calls = []
+    insert = _Block.insert
+
+    def counted(self, arr, amax):
+        calls.append(self)
+        return insert(self, arr, amax)
+
+    monkeypatch.setattr(_Block, "insert", counted)
+    return calls
+
+
+def test_sweep_filter_repeats_never_reach_the_quotient_block(monkeypatch):
+    blk = _Block(8)
+    for j in range(4):   # half full, so the sweep filters
+        blk.insert(np.eye(8, dtype=np.int64)[j], 1)
+    calls = _counting_inserts(monkeypatch)
+    filt = _SweepFilter(blk)
+    offered = [{4: 1}, {4: 2}, {5: 1, 6: 1}, {4: -3}, {6: Fraction(3, 2), 5: Fraction(3, 2)},
+               {0: 5}, {0: 1, 4: 1}, {5: -1, 6: -1}, {0: 1}]
+    stored = [row for comp in offered for row in filt.offer(comp)] + filt.flush()
+    # the quotient block meets e4, e5 + e6 and e0 + e4 once each; e0 maps to 0
+    assert [b is filt.quot for b in calls].count(True) == 3
+    assert [b is blk for b in calls].count(True) == 2
+    assert [row.tolist() for row in stored] == [[0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 1, 0]]
+
+
+def test_sweep_filter_repeats_skip_direct_insertion(monkeypatch):
+    blk = _Block(8)
+    blk.insert(np.eye(8, dtype=np.int64)[0], 1)   # less than half full: no filter
+    calls = _counting_inserts(monkeypatch)
+    filt = _SweepFilter(blk)
+    assert filt.null is None
+    offered = [{3: 2, 5: 1}, {5: -1, 3: -2}, {0: 4}, {3: 2, 5: 1}, {0: 1}, {3: 1, 5: 2}]
+    stored = [row for comp in offered for row in filt.offer(comp)] + filt.flush()
+    assert len(calls) == 3 and len(stored) == 2
+
+
+def half_unit_matrix_context():
+    """M_2 in the basis E_ij / 2, where every nonzero product has the
+    coefficient 1/2, so that brackets carry Fraction entries."""
     table = [[[Fraction(1, 2) if a % 2 == b // 2 and k == a // 2 * 2 + b % 2 else 0
                for k in range(4)] for b in range(4)] for a in range(4)]
-    ctx = StructureContext(table)
+    return StructureContext(table)
+
+
+def test_bracket_saturate_fractional_structure_constants():
+    # the brackets reach the filter with Fraction entries
+    ctx = half_unit_matrix_context()
     gens = [{1: 1}, {2: 1}]
     sat = bracket_saturate(ctx, gens)
     assert sat.dim == 3  # sl_2
