@@ -5,9 +5,9 @@ Two coefficient backends live here: a truncated free associative algebra on
 m generators (words of length > D are quotiented to zero, so all identities
 are exact in the quotient) and a structure-constant algebra such as M_n(Q);
 current.TensorContext is a third context, F (x) M_n.  Every context shares
-one element type, AlgElement, one product (the sparse loop
-subspace.sparse_product) and one inverse.  Scalars are exact rationals
-throughout; there is no floating point.
+one base class, Context, one element type, AlgElement, one product (the
+sparse loop subspace.sparse_product) and one inverse.  Scalars are exact
+rationals throughout; there is no floating point.
 """
 
 from __future__ import annotations
@@ -54,7 +54,43 @@ MAX_WORDS = 2048
 MAX_MATRIX_SIZE = 32
 
 
-class FreeContext:
+class Context:
+    """What every context shares.  A subclass sets `ambient` (the graded
+    coordinates, which give each basis index its degree), defines `key`,
+    `mul_basis`, `basis_label` and, when it has a unit, `one`, and sets the
+    flags `unital` and `is_free` where they hold.  Two contexts are equal
+    when they are of one class and have one key."""
+
+    unital = False
+    is_free = False
+
+    def key(self):
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self.key() == other.key())
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def degree_of_basis(self, i: int) -> int:
+        return self.ambient.degree_of(i)
+
+    def full_subspace(self) -> GradedSubspace:
+        return GradedSubspace.full(self.ambient)
+
+    def filtration_subspace(self) -> GradedSubspace:
+        """The subalgebra on which the commutator filtration is computed."""
+        return self.full_subspace()
+
+    def zero(self) -> "AlgElement":
+        return AlgElement(self, {})
+
+    def element_from_vector(self, vec) -> "AlgElement":
+        return AlgElement(self, {i: Fraction(v) for i, v in (vec.items() if isinstance(vec, dict) else vec) if v})
+
+
+class FreeContext(Context):
     """Free associative algebra on m generators truncated at word length D.
 
     The basis is all words of length 0..D (unital) or 1..D (nonunital),
@@ -101,12 +137,6 @@ class FreeContext:
     def key(self):
         return ("free", self.m, self.D, self.unital, self.names)
 
-    def __eq__(self, other):
-        return isinstance(other, FreeContext) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         kind = "unital" if self.unital else "nonunital"
         return f"FreeContext(m={self.m}, D={self.D}, {kind})"
@@ -117,20 +147,12 @@ class FreeContext:
             return ()
         return ((self.word_index[w], 1),)
 
-    def degree_of_basis(self, i: int) -> int:
-        return len(self.words[i])
-
     def basis_label(self, i: int) -> str:
         w = self.words[i]
         return "1" if not w else "*".join(self.names[g] for g in w)
 
-    def full_subspace(self) -> GradedSubspace:
-        return GradedSubspace.full(self.ambient)
-
     def filtration_subspace(self) -> GradedSubspace:
-        """The subalgebra on which the commutator filtration is computed.
-
-        For a unital context this is the augmentation ideal (words of length
+        """For a unital context this is the augmentation ideal (words of length
         >= 1): the unit is central, so all commutator spaces and the ideals
         I_k for k >= 1 agree with those of the full algebra.
         """
@@ -144,9 +166,6 @@ class FreeContext:
 
     # -- elements ------------------------------------------------------------
 
-    def zero(self) -> "AlgElement":
-        return AlgElement(self, {})
-
     def one(self) -> "AlgElement":
         if not self.unital:
             raise NonUnitError("nonunital context has no unit")
@@ -157,9 +176,6 @@ class FreeContext:
 
     def generators(self):
         return [self.generator(i) for i in range(self.m)]
-
-    def element_from_vector(self, vec) -> "AlgElement":
-        return AlgElement(self, {i: Fraction(v) for i, v in (vec.items() if isinstance(vec, dict) else vec) if v})
 
     def parse_atom(self, name: str):
         if name in self.names:
@@ -172,7 +188,7 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-class StructureContext:
+class StructureContext(Context):
     """Associative algebra given by a rational multiplication table.
 
     All basis elements sit in degree 0.  Only the nonzero products are
@@ -180,8 +196,6 @@ class StructureContext:
     ints where they are integral.  Associativity (and the two-sided unit
     law, when a unit is declared) is checked on construction.
     """
-
-    is_free = False
 
     def __init__(self, table, unit=None, labels=None, check=True, key=None):
         d = len(table)
@@ -202,6 +216,7 @@ class StructureContext:
             for i in range(d)
         )
         self.unit = None if unit is None else tuple(Fraction(c) for c in unit)
+        self.unital = unit is not None
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(d))
         self.ambient = Ambient([(0, d)])
         self.integral = all(
@@ -242,18 +257,8 @@ class StructureContext:
                    [f"E{i+1}{j+1}" for i in range(n) for j in range(n)], ("matrix-structure", n))
         return ctx
 
-    @property
-    def unital(self):
-        return self.unit is not None
-
     def key(self):
         return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, StructureContext) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"StructureContext(dim={self.dim_algebra})"
@@ -261,20 +266,8 @@ class StructureContext:
     def mul_basis(self, i: int, j: int):
         return self.products[i][j]
 
-    def degree_of_basis(self, i: int) -> int:
-        return 0
-
     def basis_label(self, i: int) -> str:
         return self.labels[i]
-
-    def full_subspace(self) -> GradedSubspace:
-        return GradedSubspace.full(self.ambient)
-
-    def filtration_subspace(self) -> GradedSubspace:
-        return self.full_subspace()
-
-    def zero(self) -> "AlgElement":
-        return AlgElement(self, {})
 
     def one(self) -> "AlgElement":
         if self.unit is None:
@@ -283,9 +276,6 @@ class StructureContext:
 
     def basis_element(self, i: int) -> "AlgElement":
         return AlgElement(self, {i: Fraction(1)})
-
-    def element_from_vector(self, vec) -> "AlgElement":
-        return AlgElement(self, {i: Fraction(v) for i, v in (vec.items() if isinstance(vec, dict) else vec) if v})
 
     def parse_atom(self, name: str):
         if name in self.labels:
@@ -472,7 +462,7 @@ def inverse(a: AlgElement) -> AlgElement:
     after at most max_degree terms.
     """
     ctx = a.ctx
-    if not getattr(ctx, "unital", False):
+    if not ctx.unital:
         raise NonUnitError("inverse requires a unital context")
     one = ctx.one()
     width = ctx.ambient.blocks[0][1]

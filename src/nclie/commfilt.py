@@ -131,9 +131,7 @@ def two_sided_ideal(ctx, S: GradedSubspace) -> GradedSubspace:
     Independent of the closed form in FiltrationCache.ideal_Ik; used as an
     oracle when cross-checking that closed form.
     """
-    full = ctx.filtration_subspace()
-    if getattr(ctx, "unital", False):
-        full = ctx.full_subspace()
+    full = ctx.full_subspace()
     current = S
     while True:
         grown = subspace_sum(

@@ -17,7 +17,7 @@ jobs parallelize across processes without synchronization.
 
 from __future__ import annotations
 
-from .coeffalg import AlgElement, ContextMismatchError, StructureContext, commutator, mul
+from .coeffalg import AlgElement, Context, ContextMismatchError, StructureContext, commutator, mul
 from .commfilt import FiltrationCache
 from .pairs import (
     CompatiblePair,
@@ -42,7 +42,7 @@ class TypeMismatchError(ValueError):
     pass
 
 
-class TensorContext:
+class TensorContext(Context):
     """Coordinates for F (x) M_n: pairs (word index, matrix unit), graded by F."""
 
     def __init__(self, fctx, n: int):
@@ -53,8 +53,7 @@ class TensorContext:
         fblocks = fctx.ambient.blocks
         self.ambient = Ambient([(d, s * self.nn) for d, s in fblocks])
         self.integral = fctx.integral
-        self.is_free = fctx.is_free
-        self.unital = getattr(fctx, "unital", False)
+        self.unital = fctx.unital
         self._fdim = fctx.ambient.dim
         # for mul_basis: (word, row, column) per basis index, and the
         # products of F per word pair, their word indices times n^2
@@ -63,12 +62,6 @@ class TensorContext:
 
     def key(self):
         return ("tensor", self.fctx.key(), self.n)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorContext) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"TensorContext({self.fctx!r}, n={self.n})"
@@ -104,19 +97,10 @@ class TensorContext:
         out = ri * self.n + cj
         return [(k + out, c) for k, c in prods]
 
-    def degree_of_basis(self, i: int) -> int:
-        return self.fctx.degree_of_basis(i // self.nn)
-
     def basis_label(self, i: int) -> str:
         f, a = self.unflat(i)
         n = self.n
         return f"{self.fctx.basis_label(f)}(x)E{a // n + 1}{a % n + 1}"
-
-    def full_subspace(self) -> GradedSubspace:
-        return GradedSubspace.full(self.ambient)
-
-    def zero(self) -> AlgElement:
-        return AlgElement(self, {})
 
     def one(self) -> AlgElement:
         return self.pure(self.fctx.one(), self.mctx.one())
@@ -204,10 +188,22 @@ def _hard_cap(fctx, pair) -> int:
     return 2 * (fctx.ambient.dim + pair.mctx.ambient.dim) + 4
 
 
-def _cap_reached(name: str, pair: CompatiblePair, cap: int) -> UnsupportedError:
-    """The error for a series whose terms neither vanished nor repeated
-    within cap steps: its partial sum is not proven to be the whole sum."""
-    return UnsupportedError(f"{name} for {pair.name}: no zero or repeated term within {cap} steps")
+def _series(name: str, pair: CompatiblePair, fctx, first: int, step) -> list:
+    """The terms of step(k) for k = first, first + 1, ... of a series whose
+    steps are tuples of terms (U, V), each step determined by the one
+    before.  It stops at a step that returns None (every later term is
+    zero) or equals the step before it (so every later step repeats it).  A
+    series that does neither within _hard_cap steps raises: its partial sum
+    is not proven to be the whole sum."""
+    cap = _hard_cap(fctx, pair)
+    terms, prev = [], None
+    for k in range(first, cap + 1):
+        cur = step(k)
+        if cur is None or cur == prev:
+            return terms
+        terms += cur
+        prev = cur
+    raise UnsupportedError(f"{name} for {pair.name}: no zero or repeated term within {cap} steps")
 
 
 def kron_sum(tctx: TensorContext, terms) -> GradedSubspace:
@@ -251,22 +247,15 @@ def tilde_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> GradedS
             terms.append((cache.ideal_Ik_le(k, ell), pair.bracket_power(k + 1)))
             terms.append((op_bracket(fctx, base, low), pair.g_power(k + 1)))
         return kron_sum(TensorContext(fctx, pair.n), terms)
-    prev = None
-    cap = _hard_cap(fctx, pair)
-    for k in range(1, cap + 1):
+
+    def step(k):
         ik = cache.ideal_Ik(k)
         fik = op_bracket(fctx, base, cache.ideal_Ik(k - 1))
-        gb = pair.bracket_power(k + 1)
-        gp = pair.g_power(k + 1)
         if ik.is_zero() and fik.is_zero():
-            break
-        state = (ik, fik, gb, gp)
-        if state == prev:
-            break
-        prev = state
-        terms += [(ik, gb), (fik, gp)]
-    else:
-        raise _cap_reached("tilde_bound", pair, cap)
+            return None
+        return (ik, pair.bracket_power(k + 1)), (fik, pair.g_power(k + 1))
+
+    terms += _series("tilde_bound", pair, fctx, 1, step)
     return kron_sum(TensorContext(fctx, pair.n), terms)
 
 
@@ -282,7 +271,7 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
     jcache = FiltrationCache(pair.mctx, generating=pair.g)
     terms = [(fctx.full_subspace(), pair.g)]
     graded = fctx.is_free
-    max_layer = (fctx.D - 2 if graded else _hard_cap(fctx, pair))
+    max_layer = (fctx.ambient.max_degree - 2 if graded else _hard_cap(fctx, pair))
     if m_cap is not None:
         max_layer = min(max_layer, m_cap - 2)
     dim = None
@@ -355,23 +344,16 @@ def semisimple_closed_form(pair: CompatiblePair, fctx) -> GradedSubspace:
         raise ValueError("closed form requires a declared-semisimple perfect pair")
     cache = filtration(fctx)
     base = cache.base
-    terms = [(fctx.full_subspace(), pair.g)]
-    prev = None
-    cap = _hard_cap(fctx, pair)
-    for k in range(2, cap + 1):
+
+    def step(k):
         ik1 = cache.ideal_Ik(k - 1)
         fik2 = op_bracket(fctx, base, cache.ideal_Ik(k - 2))
-        gplus = pair.bracket_power(k)
-        zk = pair.center_part(k)
         if ik1.is_zero() and fik2.is_zero():
-            break
-        state = (ik1, fik2, gplus, zk)
-        if state == prev:
-            break
-        prev = state
-        terms += [(ik1, gplus), (fik2, zk)]
-    else:
-        raise _cap_reached("semisimple_closed_form", pair, cap)
+            return None
+        return (ik1, pair.bracket_power(k)), (fik2, pair.center_part(k))
+
+    terms = [(fctx.full_subspace(), pair.g)]
+    terms += _series("semisimple_closed_form", pair, fctx, 2, step)
     return kron_sum(TensorContext(fctx, pair.n), terms)
 
 
@@ -415,20 +397,18 @@ def lower_bound_terms(pair: CompatiblePair, fctx, k: int):
 
 
 def abelian_closure_form(pair: CompatiblePair, fctx) -> GradedSubspace:
-    """Sum of F^(k) (x) g^(k+1): the exact closure for abelian g."""
+    """Sum of F^(k) (x) g^(k+1): the exact closure for abelian g.
+
+    F^(k) = [F, F^(k-1)] and g^(k+2) = g^(k+1) g, so a repeated term
+    (F^(k), g^(k+1)) repeats forever."""
     cache = filtration(fctx)
+
+    def step(k):
+        fk, gp = cache.commutator_space(k), pair.g_power(k + 1)
+        return None if fk.is_zero() or gp.is_zero() else ((fk, gp),)
+
     terms = [(fctx.full_subspace(), pair.g)]
-    cap = _hard_cap(fctx, pair)
-    for k in range(1, cap + 1):
-        fk = cache.commutator_space(k)
-        if fk.is_zero():
-            break
-        gp = pair.g_power(k + 1)
-        if gp.is_zero():
-            break
-        terms.append((fk, gp))
-    else:
-        raise _cap_reached("abelian_closure_form", pair, cap)
+    terms += _series("abelian_closure_form", pair, fctx, 1, step)
     return kron_sum(TensorContext(fctx, pair.n), terms)
 
 

@@ -207,7 +207,7 @@ def in_group_direct(g, pair: CompatiblePair, fctx, L: GradedSubspace | None = No
         L = lie_closure(pair, fctx)
     if L.ambient != tctx.ambient:
         raise ValueError("the closure lives in another ambient")
-    budget = fctx.D if max_word_degree is None else max_word_degree
+    budget = fctx.ambient.max_degree if max_word_degree is None else max_word_degree
     if budget < 0:
         raise BudgetExhaustedError("degree budget exhausted, nothing to test")
     n, nn = pair.n, pair.n * pair.n
@@ -411,6 +411,23 @@ def _check_table_premise(ms, cache: FiltrationCache):
     return table
 
 
+def _staircase_steps(ms, i: int, j: int):
+    """(m_t, c_t, c_t^(-1)) for t = i..j, with c_t = m_(t+1) ... m_j the
+    suffix products of the 1-based sequence ms (c_j = 1)."""
+    c = ms[0].ctx.one()
+    out = []
+    for t in range(j, i - 1, -1):
+        out.append((ms[t - 1], c, inverse(c)))
+        c = mul(ms[t - 1], c)
+    return out[::-1]
+
+
+def _staircase(steps, u: AlgElement) -> AlgElement:
+    """The staircase operator on u: the difference derivative of the
+    m_t c_t u c_t^(-1) over the steps from _staircase_steps."""
+    return difference_derivative([mul(m, mul(mul(c, u), cinv)) for m, c, cinv in steps])
+
+
 def homogeneity_check_dij(ms, i: int, j: int, k: int, cache: FiltrationCache):
     """Given the table memberships, test the two operator homogeneity claims:
 
@@ -427,28 +444,10 @@ def homogeneity_check_dij(ms, i: int, j: int, k: int, cache: FiltrationCache):
         return mul(mul(ms[t - 1], u), minv[t - 1]) - u
 
     spanning = _ideal_spanning_elements(cache, k)
-    first = True
-    for u in spanning:
-        acc = u.ctx.zero()
-        for t in range(i, j + 1):
-            acc = acc + partial(t, u) * ((-1) ** (t - i) * binomial(j - i, t - i))
-        if not in_ideal(acc, cache, k + j - i + 1):
-            first = False
-            break
-    # staircase operator: argument t acts by m_t conj(m_(t+1) ... m_j)
-    suffix: dict[int, AlgElement] = {j + 1: ms[0].ctx.one()}
-    for t in range(j, i - 1, -1):
-        suffix[t] = mul(ms[t - 1], suffix[t + 1])
-    suffix_inv = {t: inverse(c) for t, c in suffix.items()}
-    second = True
-    for u in spanning:
-        acc = u.ctx.zero()
-        for t in range(i, j + 1):
-            cu = mul(ms[t - 1], mul(mul(suffix[t + 1], u), suffix_inv[t + 1]))
-            acc = acc + cu * ((-1) ** (t - i) * binomial(j - i, t - i))
-        if not in_ideal(acc, cache, k + j - i):
-            second = False
-            break
+    first = all(in_ideal(difference_derivative([partial(t, u) for t in range(i, j + 1)]),
+                         cache, k + j - i + 1) for u in spanning)
+    steps = _staircase_steps(ms, i, j)
+    second = all(in_ideal(_staircase(steps, u), cache, k + j - i) for u in spanning)
     return first, second
 
 
@@ -492,19 +491,9 @@ def from_delta_to_d_check(fs, u: AlgElement, i: int, j: int):
         [mul(mul(fs[t - 1], u), finv[t]) for t in range(i, j + 1)]
     )
 
-    def staircase(uprime):
-        acc = u.ctx.zero()
-        suffix: dict[int, AlgElement] = {j + 1: u.ctx.one()}
-        for t in range(j, i - 1, -1):
-            suffix[t] = mul(ms[t - 1], suffix[t + 1])
-        for t in range(i, j + 1):
-            c = suffix[t + 1]
-            val = mul(ms[t - 1], mul(mul(c, uprime), inverse(c)))
-            acc = acc + val * ((-1) ** (t - i) * binomial(j - i, t - i))
-        return acc
-
-    stmt = staircase(mul(mul(fs[j - 1], u), finv[j - 1]))
-    proof = staircase(mul(mul(fs[j], u), finv[j]))
+    steps = _staircase_steps(ms, i, j)
+    stmt = _staircase(steps, mul(mul(fs[j - 1], u), finv[j - 1]))
+    proof = _staircase(steps, mul(mul(fs[j], u), finv[j]))
     return {"statement_reading": lhs == stmt, "proof_reading": lhs == proof}
 
 

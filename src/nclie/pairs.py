@@ -97,7 +97,7 @@ class CompatiblePair:
         self._key = key or ("custom", n, self.g_basis, self.algebra_basis)
         self._powers: dict[int, GradedSubspace] = {}
         self._bracket_powers: dict[int, GradedSubspace] = {}
-        self._envelope: GradedSubspace | None = None
+        self._sums: list[GradedSubspace] = []
         self._center: GradedSubspace | None = None
 
     def key(self):
@@ -158,19 +158,20 @@ class CompatiblePair:
         combos = itertools.combinations_with_replacement(range(len(self.g_basis)), k)
         return GradedSubspace.span(self.mctx.ambient, (sym(c).coeffs for c in combos))
 
+    def _partial_sums(self) -> list[GradedSubspace]:
+        """The partial sums g, g + g^2, ... up to the first one that the next
+        power does not grow.  That one is the sum of all powers: once g^(k+1)
+        lies in S = g + ... + g^k, S g lies in S, so every later power does."""
+        sums = self._sums
+        if not sums:
+            sums.append(self.g)
+            while (grown := sums[-1].sum(self.g_power(len(sums) + 1))) != sums[-1]:
+                sums.append(grown)
+        return sums
+
     def envelope(self) -> GradedSubspace:
         """The associative subalgebra generated by g: sum of all powers."""
-        if self._envelope is None:
-            acc = self.g
-            k = 1
-            while True:
-                k += 1
-                grown = acc.sum(self.g_power(k))
-                if grown == acc:
-                    break
-                acc = grown
-            self._envelope = acc
-        return self._envelope
+        return self._partial_sums()[-1]
 
     def power_stabilization(self) -> int:
         """First K with g^K = g^(K+1) (then all later powers coincide)."""
@@ -184,19 +185,8 @@ class CompatiblePair:
 
     def pair_type(self):
         """Minimal m with g + g^2 + ... + g^m = A, or INFINITE."""
-        target = self.algebra
-        acc = self.g
-        m = 1
-        stale = 0
-        while True:
-            if acc == target:
-                return m
-            grown = acc.sum(self.g_power(m + 1))
-            stale = stale + 1 if grown == acc else 0
-            if stale >= 2:
-                return INFINITE
-            acc = grown
-            m += 1
+        return next((m for m, acc in enumerate(self._partial_sums(), 1) if acc == self.algebra),
+                    INFINITE)
 
     def is_perfect(self, k_max: int | None = None):
         """Check [g, g^k]g + (g^k intersect g^(k+1)) = g^(k+1) for k = 2..k_max.

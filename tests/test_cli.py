@@ -225,6 +225,42 @@ def test_matrix_backend_free_only_suites_unsupported(suite, anchor, capsys):
     assert [(c["anchor"], c["verdict"]) for c in checks] == [(anchor, "unsupported")]
 
 
+def test_abelian_closed_form_over_matrices_passes(capsys):
+    rc = main(["verify", "--suite", "closed-forms", "--pair", "gl:1", "--backend", "matrix:2",
+               "--json"])
+    checks = {c["anchor"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert rc == 0
+    assert checks["closed.abelian"]["verdict"] == "pass"
+    assert checks["closed.abelian"]["degrees"] == [{"d": 0, "dimLhs": 4, "dimRhs": 4, "equal": True}]
+
+
+def test_battery_short_of_a_verdict_draws_another_round(capsys):
+    # the first 20 diagonals of seed 94 hold only 4 negatives; one more round
+    # from the same generator brings both verdicts to 5
+    rc = main(["verify", "--suite", "cartan-classical", "--pair", "sp:4", "--deg", "4",
+               "--seed", "94", "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert rc == 0
+    assert [(c["verdict"], c["detail"]) for c in checks] == [
+        ("pass", "30 positive, 10 negative"), ("pass", "30/10, need 5 of each")]
+    assert checks[0]["name"] == "sp:4: criterion matches direct test on 40 diagonals"
+
+
+def test_battery_rounds_are_capped(monkeypatch, capsys):
+    # with every diagonal outside the group, no number of rounds gives a positive
+    monkeypatch.setattr(cli.gr, "cartan_criterion_classical", lambda diag, cache: (False, []))
+    monkeypatch.setattr(cli.gr, "in_group_direct",
+                        lambda *args: cli.gr.MembershipReport(False, 4, 0))
+    rc = main(["verify", "--suite", "cartan-classical", "--pair", "sp:4", "--deg", "4",
+               "--count", "8", "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert rc == 1
+    drawn = 8 * cli.BATTERY_ROUNDS
+    assert checks[0]["name"] == f"sp:4: criterion matches direct test on {drawn} diagonals"
+    assert [(c["verdict"], c["detail"]) for c in checks] == [
+        ("pass", f"0 positive, {drawn} negative"), ("fail", f"0/{drawn}, need 2 of each")]
+
+
 def test_matrix_backend_all_suites_exit_three(capsys):
     rc = main(["verify", "--suite", "all", "--backend", "matrix:2", "--json"])
     assert rc == 3

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -350,6 +351,55 @@ def test_inverse_matches_replaced_inverses(case, data):
     assert got == outcome(reference, a)
     if got is not None:
         assert mul(a, got) == ctx.one() == mul(got, a)
+
+
+# -- the context protocol ----------------------------------------------------------
+
+# x*x = y, every other product zero: a nonunital table-built context
+NILPOTENT_TABLE = [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]
+
+
+def protocol_cases():
+    """(context, the degree_of_basis each class defined before the shared base)."""
+    free = [FreeContext(2, 3), FreeContext(2, 3, unital=False), FreeContext(3, 2)]
+    tensor = TensorContext(FreeContext(2, 3), 2)
+    return [(f, lambda i, f=f: len(f.words[i])) for f in free] + [
+        (StructureContext.matrix_algebra(2), lambda i: 0),
+        (StructureContext(NILPOTENT_TABLE, labels=["x", "y"]), lambda i: 0),
+        (tensor, lambda i: tensor.fctx.degree_of_basis(i // tensor.nn)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_degree_of_basis_matches_the_former_definitions(case):
+    ctx, former = protocol_cases()[case]
+    assert [ctx.degree_of_basis(i) for i in range(ctx.ambient.dim)] == \
+        [former(i) for i in range(ctx.ambient.dim)]
+
+
+def test_contexts_equal_and_hash_by_key():
+    built = [ctx for ctx, _ in protocol_cases()]
+    again = [ctx for ctx, _ in protocol_cases()]
+    for a, b in zip(built, again):
+        assert a is not b or a is StructureContext.matrix_algebra(2)
+        assert a == b and hash(a) == hash(b) and a.key() == b.key()
+    for a, b in itertools.combinations(built, 2):
+        assert a != b
+    # two classes never compare equal, even on one key
+    twin = TensorContext(FreeContext(2, 3), 2)
+    twin.key = built[0].key
+    assert twin.key() == built[0].key() and twin != built[0] and built[0] != twin
+
+
+def test_every_context_declares_unital():
+    free, nonunital, _, m2, table, tensor = (ctx for ctx, _ in protocol_cases())
+    assert [ctx.unital for ctx in (free, nonunital, m2, table, tensor)] == \
+        [True, False, True, False, True]
+    assert not TensorContext(nonunital, 2).unital
+    assert [ctx.is_free for ctx in (free, m2, tensor)] == [True, False, False]
+    for ctx in (nonunital, table, TensorContext(nonunital, 2)):
+        with pytest.raises(NonUnitError):
+            inverse(ctx.element_from_vector({0: 1}))
 
 
 # -- parser -----------------------------------------------------------------------

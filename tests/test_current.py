@@ -604,3 +604,13 @@ def test_series_past_the_cap_unsupported(monkeypatch, build, name):
     monkeypatch.setattr(current, "_hard_cap", lambda fctx, pair: 2)
     with pytest.raises(UnsupportedError, match="within 2 steps"):
         build(pair, fctx)
+
+
+def test_abelian_series_stops_on_a_repeated_term(m2ctx):
+    # over M_2, F^(k) = sl_2 for every k >= 1 and gl_1 has g^k = g, so the
+    # terms repeat from the second step on and never vanish
+    pair = make_gl(1)
+    cache = filtration(m2ctx)
+    assert cache.commutator_space(1) == cache.commutator_space(2) and not pair.g_power(2).is_zero()
+    form = abelian_closure_form(pair, m2ctx)
+    assert form == lie_closure(pair, m2ctx) and form.dim == 4

@@ -349,6 +349,46 @@ def test_envelope_of_jordan_block():
     assert pair.envelope().dim == 2
 
 
+def reference_pair_type(pair):
+    """The former pair_type loop: its own partial sums, stopped after two
+    steps that add nothing."""
+    acc, m, stale = pair.g, 1, 0
+    while True:
+        if acc == pair.algebra:
+            return m
+        grown = acc.sum(pair.g_power(m + 1))
+        stale = stale + 1 if grown == acc else 0
+        if stale >= 2:
+            return INFINITE
+        acc = grown
+        m += 1
+
+
+def reference_envelope(pair):
+    """The former envelope loop: add powers until one adds nothing."""
+    acc, k = pair.g, 1
+    while True:
+        k += 1
+        grown = acc.sum(pair.g_power(k))
+        if grown == acc:
+            return acc
+        acc = grown
+
+
+@pytest.mark.parametrize("spec", [
+    "gl:1", "gl:2", "gl:3", "sl:2", "sl:3", "so:3", "so:4", "sp:2", "sp:4",
+    "sl2irrep:2", "sl2irrep:3", "sl2irrep:4", "jordan:2", "jordan:3", "jordan:4",
+    [[1, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+], ids=str)
+def test_pair_type_and_envelope_match_the_former_loops(spec):
+    build = pair_by_name if isinstance(spec, str) else make_orthogonal_degenerate
+    pair, fresh = build(spec), build(spec)
+    assert pair.pair_type() == reference_pair_type(fresh)
+    assert pair.envelope() == reference_envelope(fresh)
+    assert build(spec).envelope() == pair.envelope()  # built without pair_type first
+
+
 # -- pure powers by polarization ------------------------------------------------------
 
 
