@@ -9,10 +9,9 @@ import argparse
 import json
 import random
 
-from nclie.cli import battery_diagonals
 from nclie.coeffalg import FreeContext
 from nclie.current import filtration, lie_closure
-from nclie.groups import cartan_criterion_classical, cartan_criterion_sl2, in_group_direct
+from nclie.groups import battery_diagonals, battery_verdicts, diagonal_criterion
 from nclie.pairs import pair_by_name
 
 
@@ -26,24 +25,21 @@ def main():
     args = ap.parse_args()
 
     pair = pair_by_name(args.pair)
-    if pair.name.startswith("sl2irrep:"):
-        criterion = cartan_criterion_sl2
-    elif pair.name.startswith(("so:", "sp:")):
-        criterion = cartan_criterion_classical
-    else:
-        raise SystemExit(f"no diagonal criterion for {pair.name}")
+    try:
+        diagonal_criterion(pair)
+    except ValueError as exc:
+        raise SystemExit(exc)
     fctx = FreeContext(args.gens, args.deg)
     cache = filtration(fctx)
     closure = lie_closure(pair, fctx)
-    rng = random.Random(args.seed)
+    battery = battery_diagonals(pair, fctx, cache, random.Random(args.seed), args.count)
     summary: dict = {"pair": pair.name, "deg": args.deg, "seed": args.seed, "kinds": {}}
     mismatches = []
-    for kind, diag in battery_diagonals(pair, fctx, cache, rng, args.count):
-        crit, _ = criterion(diag, cache)
-        direct = in_group_direct(diag, pair, fctx, closure)
+    verdicts = battery_verdicts(pair, fctx, cache, closure, battery)
+    for (kind, diag), (_, crit, direct) in zip(battery, verdicts):
         slot = summary["kinds"].setdefault(kind, {"positive": 0, "negative": 0, "mismatch": 0})
         slot["positive" if crit else "negative"] += 1
-        if crit != direct.verdict:
+        if crit != direct:
             slot["mismatch"] += 1
             mismatches.append((kind, [str(f) for f in diag.fs]))
     summary["mismatches"] = mismatches

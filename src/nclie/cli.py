@@ -16,13 +16,14 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, asdict
-from fractions import Fraction
 
-from .coeffalg import AlgElement, FreeContext, NonUnitError, ParseError, StructureContext, parse
-from .commfilt import FiltrationCache
+from .coeffalg import FreeContext, NonUnitError, ParseError, StructureContext, parse
 from . import current as cur
 from .current import orthogonal_form, sl_trace_form
 from . import groups as gr
+# the seeded instances live in groups and are bound here for callers of cli
+from .groups import (battery_diagonals, random_bracket_element, random_element,
+                     random_ideal_element, random_unit, random_word_element)
 from .pairs import UnsupportedError, make_orthogonal, pair_by_name
 from .subspace import GradedSubspace, bracket_closed, op_bracket, op_product, subspace_sum
 
@@ -76,10 +77,6 @@ class RunConfig:
             return StructureContext.matrix_algebra(int(arg))
         raise ValueError(f"unknown backend {self.backend!r}")
 
-    def jsonable(self):
-        d = asdict(self)
-        return d
-
 
 @dataclass
 class CheckRecord:
@@ -90,17 +87,6 @@ class CheckRecord:
     budget: int | None = None
     ms: int = 0
     detail: str = ""
-
-    def jsonable(self):
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "verdict": self.verdict,
-            "degrees": self.degrees,
-            "budget": self.budget,
-            "ms": self.ms,
-            "detail": self.detail,
-        }
 
 
 @dataclass
@@ -129,8 +115,8 @@ class Report:
     def jsonable(self):
         return {
             "version": 1,
-            "config": self.config.jsonable(),
-            "checks": [c.jsonable() for c in self.checks],
+            "config": asdict(self.config),
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def to_text(self) -> str:
@@ -181,97 +167,6 @@ def degree_table(lhs: GradedSubspace, rhs: GradedSubspace):
     return out
 
 
-# -- randomized instances ------------------------------------------------------
-
-
-def random_word_element(fctx: FreeContext, rng: random.Random, max_degree=2, terms=2):
-    out = fctx.zero()
-    for _ in range(terms):
-        length = rng.randint(1, max(1, max_degree))
-        word = tuple(rng.randrange(fctx.m) for _ in range(length))
-        coeff = rng.choice((-2, -1, 1, 2))
-        out = out + AlgElement(fctx, {fctx.word_index[word]: Fraction(coeff)})
-    return out
-
-
-def random_element(fctx: FreeContext, rng: random.Random, max_degree=2, terms=3):
-    e = random_word_element(fctx, rng, max_degree, terms)
-    if rng.random() < 0.5:
-        e = e + fctx.one() * rng.choice((-2, -1, 1, 2))
-    return e
-
-
-def random_unit(fctx: FreeContext, rng: random.Random, max_degree=2, terms=2):
-    return fctx.one() + random_word_element(fctx, rng, max_degree, terms)
-
-
-def random_bracket_element(fctx: FreeContext, rng: random.Random, terms=1):
-    out = fctx.zero()
-    gens = fctx.generators()
-    for _ in range(terms):
-        a = gens[rng.randrange(fctx.m)]
-        b = random_word_element(fctx, rng, 1, 1)
-        out = out + (a * b - b * a) * rng.choice((-1, 1))
-    return out
-
-
-def random_ideal_element(cache: FiltrationCache, k: int, rng: random.Random, terms=2):
-    rows = list(cache.ideal_Ik(k).vectors())
-    out = cache.ctx.zero()
-    if not rows:
-        return out
-    for _ in range(terms):
-        row = rows[rng.randrange(len(rows))]
-        out = out + cache.ctx.element_from_vector(row) * rng.choice((-2, -1, 1, 2))
-    return out
-
-
-def battery_diagonals(pair, fctx, cache, rng: random.Random, count: int):
-    """Seeded diagonals of the five construction kinds for the Cartan battery."""
-    n = pair.n
-    one = fctx.one()
-    out = []
-    kinds = itertools.cycle(("constant", "geometric", "bracket", "word", "solved", "word"))
-    while len(out) < count:
-        kind = next(kinds)
-        if kind == "constant":
-            f = random_unit(fctx, rng)
-            fs = [f] * n
-        elif kind == "geometric":
-            q = Fraction(rng.choice((2, 3, -2, 5)), rng.choice((1, 1, 3)))
-            fs = [one * q**i for i in range(n)]
-        elif kind == "bracket":
-            fs = [one + random_bracket_element(fctx, rng, terms=rng.randint(1, 2)) for _ in range(n)]
-        elif kind == "word":
-            # lone word perturbations: these fall outside the ideals and give
-            # the battery its negative instances
-            fs = [one] * n
-            for pos in {rng.randrange(n) for _ in range(rng.randint(1, 2))}:
-                fs[pos] = one + random_word_element(fctx, rng, max_degree=2, terms=1)
-        else:  # solved: built to satisfy the respective criterion
-            if pair.name.startswith("sl2irrep"):
-                m1 = one + random_bracket_element(fctx, rng)
-                hs = [random_ideal_element(cache, k, rng, terms=1) for k in range(1, n - 1)]
-                ms = gr.solve_m_from_h(m1, hs)
-                fs = [one] * n
-                for i in range(n - 2, -1, -1):
-                    fs[i] = ms[i] * fs[i + 1]
-            else:
-                fs = [one] * n
-                for i in range(n // 2):
-                    fi = random_unit(fctx, rng)
-                    z = random_ideal_element(cache, 1, rng, terms=1)
-                    fs[i] = fi
-                    fs[n - 1 - i] = fi.inverse() * (one + z)
-                if n % 2:
-                    fs[n // 2] = one + random_ideal_element(cache, 1, rng, terms=1)
-        try:
-            out.append((kind, gr.DiagonalUnit(fs)))
-        except NonUnitError:
-            continue
-    return out
-
-
 # -- suites ---------------------------------------------------------------------
 
 
@@ -279,100 +174,35 @@ def suite_filtration_identities(cfg: RunConfig, report: Report, kmax=4, lmax=4):
     fctx = cfg.coefficient_context()
     cache = cur.filtration(fctx)
     C = cache.commutator_space
+    # the product ideals and their partial sums obey the same four identities
+    ideals = (cache.ideal_Ikl, cache.ideal_Ik_le)
+    kls = [(k, l) for k in range(1, kmax + 1) for l in range(1, lmax + 1)]
+    sums = [(k, kp, l, lp) for k in range(kmax + 1) for kp in range(kmax + 1 - k)
+            for l in range(1, lmax) for lp in range(1, lmax + 1 - l)]
     _timed(report, "ideal embedding, one more commutator", "filtration.embedding", lambda: all(
-        cache.ideal_Ikl(k, l).issubset(cache.ideal_Ikl(k - 1, l))
-        and cache.ideal_Ik_le(k, l).issubset(cache.ideal_Ik_le(k - 1, l))
-        for k in range(1, kmax + 1)
-        for l in range(1, lmax + 1)
-    ))
+        I(k, l).issubset(I(k - 1, l)) for k, l in kls for I in ideals))
     _timed(report, "bracketing raises the ideal index", "filtration.bracket-raises", lambda: all(
-        op_bracket(fctx, cache.base, cache.ideal_Ikl(k - 1, l)).issubset(cache.ideal_Ikl(k, l))
-        and op_bracket(fctx, cache.base, cache.ideal_Ik_le(k - 1, l)).issubset(
-            cache.ideal_Ik_le(k, l)
-        )
-        for k in range(1, kmax + 1)
-        for l in range(1, lmax + 1)
-    ))
-
-    def embed_c():
-        for k in range(1, kmax + 1):
-            for l in range(1, lmax):
-                lhs = cache.ideal_Ik_le(k, l + 1)
-                rhs = op_product(
-                    fctx, cache.base, op_bracket(fctx, cache.base, cache.ideal_Ik_le(k - 1, l))
-                ).sum(op_bracket(fctx, cache.base, cache.ideal_Ik_le(k - 1, l + 1)))
-                if lhs != rhs:
-                    return False
-        return True
-
-    _timed(report, "partial-sum ideal recursion", "filtration.recursion-le", embed_c)
-
-    def simple_a():
-        for k in range(kmax + 1):
-            for kp in range(kmax + 1 - k):
-                for l in range(1, lmax):
-                    for lp in range(1, lmax + 1 - l):
-                        prod = op_product(fctx, cache.ideal_Ikl(k, l), cache.ideal_Ikl(kp, lp))
-                        if not prod.issubset(cache.ideal_Ikl(k + kp, l + lp)):
-                            return False
-                        prod_le = op_product(
-                            fctx, cache.ideal_Ik_le(k, l), cache.ideal_Ik_le(kp, lp)
-                        )
-                        if not prod_le.issubset(cache.ideal_Ik_le(k + kp, l + lp)):
-                            return False
-        return True
-
-    _timed(report, "ideal products add indices", "filtration.product-additivity", simple_a)
-
-    def simple_b():
-        for k in range(kmax + 1):
-            for kp in range(kmax + 1 - k):
-                for l in range(1, lmax):
-                    for lp in range(1, lmax + 1 - l):
-                        br = op_bracket(fctx, cache.ideal_Ikl(k, l), cache.ideal_Ikl(kp, lp))
-                        if not br.issubset(
-                            op_bracket(fctx, cache.base, cache.ideal_Ikl(k + kp, l + lp - 1))
-                        ):
-                            return False
-                        br_le = op_bracket(
-                            fctx, cache.ideal_Ik_le(k, l), cache.ideal_Ik_le(kp, lp)
-                        )
-                        if not br_le.issubset(
-                            op_bracket(fctx, cache.base, cache.ideal_Ik_le(k + kp, l + lp - 1))
-                        ):
-                            return False
-        return True
-
-    _timed(report, "ideal brackets collapse one factor", "filtration.bracket-additivity", simple_b)
-
-    def recursion_exact():
-        for k in range(kmax + 1):
-            for l in range(2, lmax + 1):
-                rhs = subspace_sum(
-                    fctx.ambient,
-                    [
-                        op_product(fctx, C(i), cache.ideal_Ikl(k - i, l - 1))
-                        for i in range(k + 1)
-                    ],
-                )
-                if cache.ideal_Ikl(k, l) != rhs:
-                    return False
-        return True
-
-    _timed(report, "factor-count recursion", "filtration.recursion", recursion_exact)
-
-    def two_sided():
-        for k in range(1, kmax + 1):
-            ik = cache.ideal_Ik(k)
-            grown = subspace_sum(
-                fctx.ambient,
-                [ik, op_product(fctx, cache.base, ik), op_product(fctx, ik, cache.base)],
-            )
-            if grown != ik:
-                return False
-        return True
-
-    _timed(report, "full ideals are two-sided", "filtration.two-sided", two_sided)
+        op_bracket(fctx, cache.base, I(k - 1, l)).issubset(I(k, l)) for k, l in kls for I in ideals))
+    _timed(report, "partial-sum ideal recursion", "filtration.recursion-le", lambda: all(
+        cache.ideal_Ik_le(k, l + 1) == op_product(
+            fctx, cache.base, op_bracket(fctx, cache.base, cache.ideal_Ik_le(k - 1, l))
+        ).sum(op_bracket(fctx, cache.base, cache.ideal_Ik_le(k - 1, l + 1)))
+        for k, l in kls if l < lmax))
+    _timed(report, "ideal products add indices", "filtration.product-additivity", lambda: all(
+        op_product(fctx, I(k, l), I(kp, lp)).issubset(I(k + kp, l + lp))
+        for k, kp, l, lp in sums for I in ideals))
+    _timed(report, "ideal brackets collapse one factor", "filtration.bracket-additivity",
+           lambda: all(op_bracket(fctx, I(k, l), I(kp, lp)).issubset(
+               op_bracket(fctx, cache.base, I(k + kp, l + lp - 1)))
+               for k, kp, l, lp in sums for I in ideals))
+    _timed(report, "factor-count recursion", "filtration.recursion", lambda: all(
+        subspace_sum(fctx.ambient, [op_product(fctx, C(i), cache.ideal_Ikl(k - i, l - 1))
+                                    for i in range(k + 1)]) == cache.ideal_Ikl(k, l)
+        for k in range(kmax + 1) for l in range(2, lmax + 1)))
+    _timed(report, "full ideals are two-sided", "filtration.two-sided", lambda: all(
+        subspace_sum(fctx.ambient, [ik, op_product(fctx, cache.base, ik),
+                                    op_product(fctx, ik, cache.base)]) == ik
+        for ik in map(cache.ideal_Ik, range(1, kmax + 1))))
     return report
 
 
@@ -478,11 +308,13 @@ def suite_cartan(cfg: RunConfig, report: Report, flavor: str):
         return report
     pair = pair_by_name(cfg.pair)
     # each criterion is a statement about its own family of pairs
-    if flavor == "classical" and not pair.name.startswith(("so:", "sp:")):
-        pair = make_orthogonal(3)
-    if flavor == "sl2" and not pair.name.startswith("sl2irrep:"):
-        pair = pair_by_name(f"sl2irrep:{min(pair.n, 4)}" if pair.n >= 2 else "sl2irrep:3")
-    criterion = gr.cartan_criterion_classical if flavor == "classical" else gr.cartan_criterion_sl2
+    try:
+        family = gr.diagonal_criterion(pair)[0]
+    except ValueError:
+        family = None
+    if family != flavor:
+        pair = make_orthogonal(3) if flavor == "classical" else pair_by_name(
+            f"sl2irrep:{min(pair.n, 4)}" if pair.n >= 2 else "sl2irrep:3")
     vacuous = flavor == "sl2" and pair.n == 2
     # five of each verdict at the stock battery size, proportionally fewer
     # when the caller asks for a smaller battery
@@ -494,19 +326,18 @@ def suite_cartan(cfg: RunConfig, report: Report, flavor: str):
     drawn = positives = negatives = 0
     mismatch = None
     # a battery short of either verdict draws further rounds from the same
-    # rng, so a seed whose first round suffices keeps its draws
+    # generator, which carries on its cycle of kinds
+    diagonals = gr.diagonals(pair, fctx, cache, rng)
     for _ in range(BATTERY_ROUNDS):
-        battery = battery_diagonals(pair, fctx, cache, rng, cfg.count)
+        battery = list(itertools.islice(diagonals, cfg.count))
         drawn += len(battery)
-        for kind, diag in battery:
-            crit = criterion(diag, cache)[0]
-            direct = gr.in_group_direct(diag, pair, fctx, L)
+        for kind, crit, direct in gr.battery_verdicts(pair, fctx, cache, L, battery):
             if crit:
                 positives += 1
             else:
                 negatives += 1
-            if crit != direct.verdict:
-                mismatch = (kind, crit, direct.verdict)
+            if crit != direct:
+                mismatch = (kind, crit, direct)
                 break
         if mismatch or vacuous or (positives >= need and negatives >= need):
             break
@@ -586,12 +417,10 @@ def suite_difference_calculus(cfg: RunConfig, report: Report, ell_max=4, k_max=2
             fs = [random_unit(fctx, rng, max_degree=1, terms=1) for _ in range(n)]
             diag = gr.DiagonalUnit(fs)
             u = random_element(fctx, rng, max_degree=1, terms=1)
-            if gr.conjugation_expansion(diag, u) != gr.expected_expansion(diag, u):
-                return False
-            if gr.conjugation_expansion(diag, u, lowering=True) != gr.expected_expansion(
-                diag, u, lowering=True
-            ):
-                return False
+            for lowering in (False, True):
+                if gr.conjugation_expansion(diag, u, lowering) != gr.expected_expansion(
+                        diag, u, lowering):
+                    return False
         return True
 
     _timed(report, "diagonal conjugation matches its signed expansion",
@@ -694,16 +523,9 @@ def cmd_cartan(cfg: RunConfig) -> Report:
     fs = [parse(s, fctx, allow_brackets=True) for s in entries]
     diag = gr.DiagonalUnit(fs)
     t0 = time.monotonic()
-    if pair.name.startswith("sl2irrep:"):
-        crit, details = gr.cartan_criterion_sl2(diag, cache)
-        anchor = "cartan.sl2"
-    elif pair.name.startswith(("so:", "sp:")):
-        crit, details = gr.cartan_criterion_classical(diag, cache)
-        anchor = "cartan.classical"
-    else:
-        raise ValueError(
-            f"no diagonal criterion for {pair.name}; use so:n, sp:2m or sl2irrep:n"
-        )
+    flavor, criterion = gr.diagonal_criterion(pair)
+    crit, details = criterion(diag, cache)
+    anchor = f"cartan.{flavor}"
     direct = gr.in_group_direct(diag, pair, fctx)
     report.add(
         CheckRecord(
@@ -762,29 +584,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("pair", "gens", "deg", "backend", "seed", "as_json", "out",
-                 "suite", "count", "obj", "k", "m_cap", "dump_basis", "diag"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = config_from_args(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    cfg = RunConfig(**vars(args))  # every subparser dest is a RunConfig field
+    commands = {"verify": cmd_verify, "compute": cmd_compute, "cartan": cmd_cartan}
     try:
-        if cfg.command == "verify":
-            report = cmd_verify(cfg)
-        elif cfg.command == "compute":
-            report = cmd_compute(cfg)
-        else:
-            report = cmd_cartan(cfg)
+        report = commands[cfg.command](cfg)
     except UnsupportedError as exc:  # a ValueError, so it is caught first
         print(f"unsupported: {exc}", file=sys.stderr)
         return 3

@@ -243,11 +243,11 @@ class StructureContext(Context):
         """The full matrix algebra M_n(Q) in the matrix-unit basis E11, E12, ...
 
         The table is filled from the n^3 nonzero products E_ab E_be = E_ae.
-        Contexts are immutable, so one is built per n and shared.  An n above
-        MAX_MATRIX_SIZE is refused before anything is built.
+        Contexts are immutable, so one is built per n and shared.  An n outside
+        1..MAX_MATRIX_SIZE is refused before anything is built.
         """
-        if n > MAX_MATRIX_SIZE:
-            raise ValueError(f"matrix size {n} is more than the limit of {MAX_MATRIX_SIZE}")
+        if not 1 <= n <= MAX_MATRIX_SIZE:
+            raise ValueError(f"matrix size {n} is not between 1 and the limit of {MAX_MATRIX_SIZE}")
         products = {
             (a * n + b, b * n + e): ((a * n + e, 1),)
             for a in range(n) for b in range(n) for e in range(n)

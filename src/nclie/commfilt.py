@@ -34,50 +34,61 @@ class FiltrationCache:
     # -- commutator spaces --------------------------------------------------
 
     def commutator_space(self, k: int) -> GradedSubspace:
-        """k-fold bracket span; k = 0 is the (filtration) algebra itself."""
+        """k-fold bracket span; k = 0 is the (filtration) algebra itself.
+
+        The memo is filled upward and stops at the first repeat: C(k + 1) =
+        [base, C(k)], so C(k) = C(k - 1) fixes every later space.
+        """
         if k < 0:
             raise ValueError("k must be >= 0")
-        if k not in self._comm:
-            if k == 0:
-                self._comm[0] = self.base
-            else:
-                self._comm[k] = op_bracket(self.ctx, self.base, self.commutator_space(k - 1))
-        return self._comm[k]
+        comm = self._comm
+        comm.setdefault(0, self.base)
+        while k not in comm:
+            top = len(comm) - 1
+            if top and comm[top] == comm[top - 1]:
+                return comm[top]
+            comm[top + 1] = op_bracket(self.ctx, self.base, comm[top])
+        return comm[k]
 
     # -- product ideals -------------------------------------------------------
 
     def ideal_Ikl(self, k: int, l: int) -> GradedSubspace:
-        """Span of l-fold products of commutator spaces with orders summing to k."""
+        """Span of l-fold products of commutator spaces with orders summing to k.
+
+        I(k, l) is the sum of C(i) I(k - i, l - 1) over the i with C(i)
+        nonzero.  The entries that recursion would build are found level by
+        level down to one factor, then built upward in the factor count, so
+        no call stack grows with l.
+        """
         if k < 0 or l < 1:
             raise ValueError("need k >= 0 and l >= 1")
-        kl = (k, l)
-        if kl not in self._ikl:
-            if l == 1:
-                self._ikl[kl] = self.commutator_space(k)
-            else:
-                parts = []
-                for i in range(k + 1):
-                    left = self.commutator_space(i)
-                    if left.is_zero():
-                        continue
-                    right = self.ideal_Ikl(k - i, l - 1)
-                    if right.is_zero():
-                        continue
-                    parts.append(op_product(self.ctx, left, right))
-                self._ikl[kl] = subspace_sum(self.ctx.ambient, parts)
-        return self._ikl[kl]
+        C = self.commutator_space
+        levels = []  # (factor count, indices still to build), from l down
+        ks, j = {k}, l
+        while ks:
+            ks = {kk for kk in ks if (kk, j) not in self._ikl}
+            levels.append((j, ks))
+            if j == 1:
+                break
+            ks = {kk - i for kk in ks for i in range(kk + 1) if not C(i).is_zero()}
+            j -= 1
+        for j, ks in reversed(levels):
+            for kk in sorted(ks):
+                self._ikl[kk, j] = C(kk) if j == 1 else subspace_sum(self.ctx.ambient, [
+                    op_product(self.ctx, C(i), self._ikl[kk - i, j - 1]) for i in range(kk + 1)
+                    if not C(i).is_zero() and not self._ikl[kk - i, j - 1].is_zero()])
+        return self._ikl[k, l]
 
     def ideal_Ik_le(self, k: int, l: int) -> GradedSubspace:
-        """Sum of the product ideals over factor counts 1..l."""
+        """Sum of the product ideals over factor counts 1..l, filled upward
+        from the largest factor count already held."""
         if k < 0 or l < 1:
             raise ValueError("need k >= 0 and l >= 1")
-        kl = (k, l)
-        if kl not in self._ikle:
-            if l == 1:
-                self._ikle[kl] = self.ideal_Ikl(k, 1)
-            else:
-                self._ikle[kl] = self.ideal_Ik_le(k, l - 1).sum(self.ideal_Ikl(k, l))
-        return self._ikle[kl]
+        start = next((j for j in range(l, 0, -1) if (k, j) in self._ikle), 0)
+        for j in range(start + 1, l + 1):
+            self._ikle[k, j] = (self.ideal_Ikl(k, 1) if j == 1
+                                else self._ikle[k, j - 1].sum(self.ideal_Ikl(k, j)))
+        return self._ikle[k, l]
 
     def ideal_Ik(self, k: int) -> GradedSubspace:
         """The two-sided ideal: union of the partial sums over all factor counts.

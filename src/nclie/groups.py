@@ -6,6 +6,12 @@ classical and sl2-irrep pairs, the noncommutative difference-derivative
 calculus behind the sl2 criterion, elementary unipotent generators, and a
 probe for the conjectural characterization by conjugated generators.
 
+The Cartan battery lives here too: seeded diagonals of five construction
+kinds (`diagonals`), the criterion of each pair family
+(`diagonal_criterion`) and the criterion-against-direct verdicts
+(`battery_verdicts`) that `nclie verify` and scripts/cartan_battery.py
+compare.
+
 The direct test (`in_group_direct`) reads conjugation as a linear map: the
 conjugates g (w (x) s) g^(-1) of every word w and every s in the g basis are
 tested at once, per degree block of the closure, by integer matrix products
@@ -21,7 +27,9 @@ verbatim and the full word range up to the truncation degree is decidable.
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +38,7 @@ import numpy as np
 from .coeffalg import (
     AlgElement,
     ContextMismatchError,
+    FreeContext,
     NonUnitError,
     StructureContext,
     inverse,
@@ -296,23 +305,134 @@ def cartan_criterion_sl2(diag: DiagonalUnit, cache: FiltrationCache):
     return all(details), details
 
 
+def _twisted_sequence(diag: DiagonalUnit, u: AlgElement, lowering: bool = False):
+    """f_i u f_(i+1)^(-1) for i = 0..n-2; with lowering, the mirror image
+    f_(n-1-i) u f_(n-2-i)^(-1)."""
+    n = diag.n
+    steps = [(n - 1 - i, n - 2 - i) if lowering else (i, i + 1) for i in range(n - 1)]
+    return [mul(mul(diag.fs[a], u), diag.inv[b]) for a, b in steps]
+
+
 def stabilization_conditions(diag: DiagonalUnit, u: AlgElement, cache: FiltrationCache):
     """Memberships of both u-twisted difference derivatives, k = 1..n-2."""
-    n = diag.n
-    first = []
-    second = []
-    for k in range(1, n - 1):
-        up = [
-            mul(mul(diag.fs[i], u), diag.inv[i + 1])
-            for i in range(0, k + 1)
-        ]
-        down = [
-            mul(mul(diag.fs[n - 1 - i], u), diag.inv[n - 2 - i])
-            for i in range(0, k + 1)
-        ]
-        first.append(in_ideal(difference_derivative(up), cache, k))
-        second.append(in_ideal(difference_derivative(down), cache, k))
-    return first, second
+    up, down = _twisted_sequence(diag, u), _twisted_sequence(diag, u, lowering=True)
+    return ([in_ideal(difference_derivative(up[:k + 1]), cache, k) for k in range(1, diag.n - 1)],
+            [in_ideal(difference_derivative(down[:k + 1]), cache, k) for k in range(1, diag.n - 1)])
+
+
+# -- the seeded Cartan battery -------------------------------------------------
+
+
+def diagonal_criterion(pair: CompatiblePair):
+    """(flavor, criterion) of the diagonal membership test for the pair's
+    family: so:n and sp:2m take the classical one, sl2irrep:n the sl2 one."""
+    if pair.name.startswith(("so:", "sp:")):
+        return "classical", cartan_criterion_classical
+    if pair.name.startswith("sl2irrep:"):
+        return "sl2", cartan_criterion_sl2
+    raise ValueError(f"no diagonal criterion for {pair.name}; use so:n, sp:2m or sl2irrep:n")
+
+
+def battery_verdicts(pair: CompatiblePair, fctx, cache: FiltrationCache, L: GradedSubspace,
+                     battery):
+    """(kind, criterion verdict, direct verdict) for each (kind, diagonal) of
+    the battery, the direct test run against the closure L."""
+    _, criterion = diagonal_criterion(pair)
+    for kind, diag in battery:
+        yield kind, criterion(diag, cache)[0], in_group_direct(diag, pair, fctx, L).verdict
+
+
+def random_word_element(fctx: FreeContext, rng: random.Random, max_degree=2, terms=2):
+    out = fctx.zero()
+    for _ in range(terms):
+        length = rng.randint(1, max(1, max_degree))
+        word = tuple(rng.randrange(fctx.m) for _ in range(length))
+        coeff = rng.choice((-2, -1, 1, 2))
+        out = out + AlgElement(fctx, {fctx.word_index[word]: Fraction(coeff)})
+    return out
+
+
+def random_element(fctx: FreeContext, rng: random.Random, max_degree=2, terms=3):
+    e = random_word_element(fctx, rng, max_degree, terms)
+    if rng.random() < 0.5:
+        e = e + fctx.one() * rng.choice((-2, -1, 1, 2))
+    return e
+
+
+def random_unit(fctx: FreeContext, rng: random.Random, max_degree=2, terms=2):
+    return fctx.one() + random_word_element(fctx, rng, max_degree, terms)
+
+
+def random_bracket_element(fctx: FreeContext, rng: random.Random, terms=1):
+    out = fctx.zero()
+    gens = fctx.generators()
+    for _ in range(terms):
+        a = gens[rng.randrange(fctx.m)]
+        b = random_word_element(fctx, rng, 1, 1)
+        out = out + (a * b - b * a) * rng.choice((-1, 1))
+    return out
+
+
+def random_ideal_element(cache: FiltrationCache, k: int, rng: random.Random, terms=2):
+    rows = list(cache.ideal_Ik(k).vectors())
+    out = cache.ctx.zero()
+    if not rows:
+        return out
+    for _ in range(terms):
+        row = rows[rng.randrange(len(rows))]
+        out = out + cache.ctx.element_from_vector(row) * rng.choice((-2, -1, 1, 2))
+    return out
+
+
+def diagonals(pair: CompatiblePair, fctx: FreeContext, cache: FiltrationCache,
+              rng: random.Random):
+    """Endless seeded (kind, diagonal) pairs, cycling through the five
+    construction kinds; a draw that is not a unit is skipped."""
+    n = pair.n
+    one = fctx.one()
+    for kind in itertools.cycle(("constant", "geometric", "bracket", "word", "solved", "word")):
+        if kind == "constant":
+            f = random_unit(fctx, rng)
+            fs = [f] * n
+        elif kind == "geometric":
+            q = Fraction(rng.choice((2, 3, -2, 5)), rng.choice((1, 1, 3)))
+            fs = [one * q**i for i in range(n)]
+        elif kind == "bracket":
+            fs = [one + random_bracket_element(fctx, rng, terms=rng.randint(1, 2)) for _ in range(n)]
+        elif kind == "word":
+            # lone word perturbations: these fall outside the ideals and give
+            # the battery its negative instances
+            fs = [one] * n
+            for pos in {rng.randrange(n) for _ in range(rng.randint(1, 2))}:
+                fs[pos] = one + random_word_element(fctx, rng, max_degree=2, terms=1)
+        else:  # solved: built to satisfy the respective criterion
+            if pair.name.startswith("sl2irrep"):
+                m1 = one + random_bracket_element(fctx, rng)
+                hs = [random_ideal_element(cache, k, rng, terms=1) for k in range(1, n - 1)]
+                ms = solve_m_from_h(m1, hs)
+                fs = [one] * n
+                for i in range(n - 2, -1, -1):
+                    fs[i] = ms[i] * fs[i + 1]
+            else:
+                fs = [one] * n
+                for i in range(n // 2):
+                    fi = random_unit(fctx, rng)
+                    z = random_ideal_element(cache, 1, rng, terms=1)
+                    fs[i] = fi
+                    fs[n - 1 - i] = fi.inverse() * (one + z)
+                if n % 2:
+                    fs[n // 2] = one + random_ideal_element(cache, 1, rng, terms=1)
+        try:
+            diag = DiagonalUnit(fs)
+        except NonUnitError:
+            continue
+        yield kind, diag
+
+
+def battery_diagonals(pair: CompatiblePair, fctx: FreeContext, cache: FiltrationCache,
+                      rng: random.Random, count: int):
+    """The first count seeded diagonals of `diagonals`."""
+    return list(itertools.islice(diagonals(pair, fctx, cache, rng), count))
 
 
 # -- the weight-two basis and diagonal conjugation expansion -------------------
@@ -367,18 +487,8 @@ def conjugation_expansion(diag: DiagonalUnit, u: AlgElement, lowering: bool = Fa
 
 def expected_expansion(diag: DiagonalUnit, u: AlgElement, lowering: bool = False):
     """The difference-derivative form of the same coefficients, signed (-1)^k."""
-    n = diag.n
-    out = []
-    for k in range(n - 1):
-        if lowering:
-            args = [
-                mul(mul(diag.fs[n - 1 - i], u), diag.inv[n - 2 - i])
-                for i in range(0, k + 1)
-            ]
-        else:
-            args = [mul(mul(diag.fs[i], u), diag.inv[i + 1]) for i in range(0, k + 1)]
-        out.append(difference_derivative(args) * ((-1) ** k))
-    return out
+    seq = _twisted_sequence(diag, u, lowering)
+    return [difference_derivative(seq[:k + 1]) * ((-1) ** k) for k in range(diag.n - 1)]
 
 
 # -- homogeneous maps ----------------------------------------------------------

@@ -242,8 +242,26 @@ def test_battery_short_of_a_verdict_draws_another_round(capsys):
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert rc == 0
     assert [(c["verdict"], c["detail"]) for c in checks] == [
-        ("pass", "30 positive, 10 negative"), ("pass", "30/10, need 5 of each")]
+        ("pass", "29 positive, 11 negative"), ("pass", "29/11, need 5 of each")]
     assert checks[0]["name"] == "sp:4: criterion matches direct test on 40 diagonals"
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_small_battery_rounds_continue_the_kind_cycle(capsys, count):
+    # a round of fewer than four diagonals stops short of the word
+    # perturbations; the next round takes the cycle of kinds up where it left
+    # off, so it reaches them and the battery finds both verdicts
+    rc = main(["verify", "--suite", "cartan-classical", "--count", str(count), "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert rc == 0
+    assert [c["verdict"] for c in checks] == ["pass", "pass"]
+    if count == 3:
+        assert checks[0]["name"] == "so:3: criterion matches direct test on 6 diagonals"
+
+
+def test_deep_commutator_index_exits_zero(capsys):
+    assert main(["compute", "--object", "commutator-space", "--k", "5000", "--deg", "3"]) == 0
+    assert "total dim 0" in capsys.readouterr().out
 
 
 def test_battery_rounds_are_capped(monkeypatch, capsys):
@@ -388,6 +406,8 @@ def test_verify_rejects_count_below_one(monkeypatch, capsys, count):
 
 @pytest.mark.parametrize("args", [
     ["compute", "--object", "closure", "--backend", "matrix:33"],
+    ["compute", "--object", "closure", "--backend", "matrix:0"],
+    ["compute", "--object", "closure", "--backend", "matrix:-2"],
     ["compute", "--object", "closure", "--pair", "sl:40", "--deg", "2"],
     ["verify", "--suite", "closed-forms", "--pair", "sp:1000", "--deg", "2"],
 ])

@@ -92,7 +92,7 @@ def no_tables(monkeypatch):
     monkeypatch.setattr(StructureContext, "_setup", forbidden)
 
 
-@pytest.mark.parametrize("n", [coeffalg.MAX_MATRIX_SIZE + 1, 60, 10**9])
+@pytest.mark.parametrize("n", [coeffalg.MAX_MATRIX_SIZE + 1, 60, 10**9, 0, -1, -2])
 def test_oversized_matrix_algebra_refused_before_building(no_tables, n):
     with pytest.raises(ValueError, match=f"limit of {coeffalg.MAX_MATRIX_SIZE}"):
         StructureContext.matrix_algebra(n)

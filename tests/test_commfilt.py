@@ -229,3 +229,37 @@ def test_ideal_that_never_stabilizes_unsupported(monkeypatch):
                         lambda self, k, l: full if l % 2 else zero)
     with pytest.raises(UnsupportedError, match="did not stabilize"):
         cache.ideal_Ik(1)
+
+
+def test_deep_indices_fill_upward_without_recursion():
+    # a call stack growing with the index would overflow long before these
+    cache = FiltrationCache(FreeContext(1, 2))
+    assert cache.ideal_Ik_le(0, 2000) == cache.ideal_Ik_le(0, 2) == cache.base
+    assert cache.ideal_Ikl(0, 2000).is_zero()
+    assert cache.commutator_space(3000).is_zero()
+
+
+def test_commutator_spaces_stop_at_the_first_repeat(m2ctx):
+    # [M_2, M_2] = sl_2 and [M_2, sl_2] = sl_2: one repeat fixes every later space
+    cache = FiltrationCache(m2ctx)
+    assert cache.commutator_space(10**6) == cache.commutator_space(1)
+    assert sorted(cache._comm) == [0, 1, 2]
+
+
+def test_ikl_builds_only_what_the_recursion_reaches():
+    # the recursion in l skips I(k - i, l - 1) whenever C(i) is zero
+    cache = FiltrationCache(FreeContext(2, 3))
+
+    def reached(k, l):
+        out = {(k, l)}
+        if l > 1:
+            for i in range(k + 1):
+                if not cache.commutator_space(i).is_zero():
+                    out |= reached(k - i, l - 1)
+        return out
+
+    cache.ideal_Ikl(1, 2)
+    cache.ideal_Ikl(4, 4)
+    assert set(cache._ikl) == reached(1, 2) | reached(4, 4)
+    # C(3) and C(4) vanish at degree 3, so I(4, 4) never asks for I(1, 3) or I(0, 3)
+    assert (1, 3) not in cache._ikl and (0, 3) not in cache._ikl

@@ -590,3 +590,40 @@ def test_conjecture_probe(fctx):
         )
         outcomes.append(conjecture_probe(g, pair, fctx, L))
     assert all(set(o) == {"conjectural", "direct", "agree", "budget"} for o in outcomes)
+
+
+@pytest.mark.parametrize("name, flavor", [("so:3", "classical"), ("sp:4", "classical"),
+                                          ("sl2irrep:3", "sl2")])
+def test_diagonal_criterion_by_family(name, flavor):
+    got, criterion = groups.diagonal_criterion(pair_by_name(name))
+    assert got == flavor
+    assert criterion is getattr(groups, f"cartan_criterion_{flavor}")
+
+
+@pytest.mark.parametrize("name", ["gl:2", "sl:3", "jordan:3"])
+def test_no_diagonal_criterion_outside_the_families(name):
+    with pytest.raises(ValueError, match=f"no diagonal criterion for {name}; use so:n"):
+        groups.diagonal_criterion(pair_by_name(name))
+
+
+def test_battery_is_a_prefix_of_the_endless_draw():
+    import itertools
+
+    fctx = FreeContext(2, 3)
+    pair, cache = make_orthogonal(3), filtration(fctx)
+    battery = battery_diagonals(pair, fctx, cache, random.Random(5), 7)
+    draw = groups.diagonals(pair, fctx, cache, random.Random(5))
+    rounds = list(itertools.islice(draw, 3)) + list(itertools.islice(draw, 4))
+    assert [k for k, _ in rounds] == [k for k, _ in battery]
+    assert all(a.fs == b.fs for (_, a), (_, b) in zip(rounds, battery))
+    assert [k for k, _ in battery[3:5]] == ["word", "solved"]  # the cycle carries on
+
+
+def test_battery_verdicts_agree_on_a_classical_battery():
+    fctx = FreeContext(2, 3)
+    pair, cache = make_orthogonal(3), filtration(fctx)
+    battery = battery_diagonals(pair, fctx, cache, random.Random(1), 8)
+    verdicts = list(groups.battery_verdicts(pair, fctx, cache, lie_closure(pair, fctx), battery))
+    assert [k for k, _, _ in verdicts] == [k for k, _ in battery]
+    assert all(crit == direct for _, crit, direct in verdicts)
+    assert {crit for _, crit, _ in verdicts} == {True, False}

@@ -44,3 +44,24 @@ def test_cartan_battery_script():
     kinds = summary["kinds"]
     assert sum(k["positive"] + k["negative"] for k in kinds.values()) == 4
     assert all(k["mismatch"] == 0 for k in kinds.values())
+
+
+def test_cartan_battery_script_classical_pair():
+    out = run_script("cartan_battery.py", "--pair", "sp:4", "--deg", "3", "--count", "6")
+    summary = json.loads(out)
+    assert summary["pair"] == "sp:4"
+    assert summary["mismatches"] == []
+    assert sum(k["positive"] + k["negative"] for k in summary["kinds"].values()) == 6
+
+
+def test_cartan_battery_script_refuses_a_pair_without_criterion():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cartan_battery.py"), "--pair", "gl:2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "no diagonal criterion for gl:2" in proc.stderr
