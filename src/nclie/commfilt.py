@@ -16,6 +16,8 @@ from __future__ import annotations
 from .pairs import UnsupportedError
 from .subspace import GradedSubspace, bracket_saturate, op_bracket, op_product, subspace_sum
 
+_UNKNOWN = object()
+
 
 class FiltrationCache:
     """Memoized filtration data for one context (optionally for a subset S)."""
@@ -28,7 +30,10 @@ class FiltrationCache:
             raise ValueError("generating subspace lives in a different ambient")
         self._comm: dict[int, GradedSubspace] = {}
         self._ikl: dict[tuple[int, int], GradedSubspace] = {}
-        self._ikle: dict[tuple[int, int], GradedSubspace] = {}
+        self._ikle: dict[int, list[GradedSubspace]] = {}   # k -> partial sums over 1..j
+        self._ikle_done: set[int] = set()   # k whose partial sums stopped growing
+        self._order = _UNKNOWN
+        self._zero = GradedSubspace.zero(ctx.ambient)
         self._ik: dict[int, GradedSubspace] = {}
 
     # -- commutator spaces --------------------------------------------------
@@ -81,14 +86,44 @@ class FiltrationCache:
 
     def ideal_Ik_le(self, k: int, l: int) -> GradedSubspace:
         """Sum of the product ideals over factor counts 1..l, filled upward
-        from the largest factor count already held."""
+        from the largest factor count already held.
+
+        The fill stops at the first factor count j with I(k', j) = 0 for
+        every k' <= k: I(k', j + 1) is the sum of C(i) I(k' - i, j), so then
+        I(k, j') = 0 for every j' > j, and every later partial sum is the
+        one at j.  When C(c) = 0, every C(i) with i >= c vanishes too, so
+        I(k', j), spanned by products of j commutator spaces with orders
+        summing to k', is 0 for k' > (c - 1) j and is not built.  Past the
+        stop nothing is built, whatever l is.
+        """
         if k < 0 or l < 1:
             raise ValueError("need k >= 0 and l >= 1")
-        start = next((j for j in range(l, 0, -1) if (k, j) in self._ikle), 0)
-        for j in range(start + 1, l + 1):
-            self._ikle[k, j] = (self.ideal_Ikl(k, 1) if j == 1
-                                else self._ikle[k, j - 1].sum(self.ideal_Ikl(k, j)))
-        return self._ikle[k, l]
+        sums = self._ikle.setdefault(k, [])
+        c = self._vanishing_order()
+        while len(sums) < l and k not in self._ikle_done:
+            j = len(sums) + 1
+            top = k if c is None else min(k, (c - 1) * j)   # I(k', j) = 0 for k' > top
+            part = self.ideal_Ikl(k, j) if top == k else self._zero
+            if sums:
+                part = sums[-1] if part.is_zero() else sums[-1].sum(part)
+            sums.append(part)
+            if all(self.ideal_Ikl(kk, j).is_zero() for kk in range(top + 1)):
+                self._ikle_done.add(k)
+        return sums[min(l, len(sums)) - 1]
+
+    def _vanishing_order(self):
+        """The least c with C(c) = 0, or None when none is found: a nonzero
+        space repeats (so every later one is that space), or none vanishes
+        within dim + 1 steps."""
+        if self._order is _UNKNOWN:
+            C, c = self.commutator_space, 0
+            while not C(c).is_zero():
+                if c > self.ctx.ambient.dim or (c and C(c) == C(c - 1)):
+                    c = None
+                    break
+                c += 1
+            self._order = c
+        return self._order
 
     def ideal_Ik(self, k: int) -> GradedSubspace:
         """The two-sided ideal: union of the partial sums over all factor counts.

@@ -265,6 +265,17 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
     Terms are enumerated by layers s = k1+k2+l1+l2; in a graded context the
     layer dies once s+2 exceeds the truncation degree, otherwise enumeration
     stops after two layers contribute nothing new.
+
+    Each (k1, k2, l1, l2) gives the factors t = (i1, i2, j1, j2), i1 =
+    I(k1, l1+1), i2 = I(k2, l2+1) in F and j1 = J(l1, k1+1), j2 = J(l2,
+    k2+1) in A, and the terms i1 i2 (x) [j1, j2] and [i1, i2] (x) j2 j1.
+    Products and brackets of spans are monotone in each factor, and U <= U',
+    V <= V' give U (x) V <= U' (x) V'; so when t <= t' factor by factor,
+    both terms of t lie in those of t', and t adds nothing to the sum.  Only
+    the undominated factor tuples (_undominated) are multiplied out.  A
+    non-graded context reads the merged dimension after each layer, so
+    there a tuple is pruned only by tuples of its own layer or earlier ones,
+    and the sum after every layer is unchanged.
     """
     tctx = TensorContext(fctx, pair.n)
     cache = filtration(fctx)
@@ -274,6 +285,15 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
     max_layer = (fctx.ambient.max_degree - 2 if graded else _hard_cap(fctx, pair))
     if m_cap is not None:
         max_layer = min(max_layer, m_cap - 2)
+    canon: dict[GradedSubspace, GradedSubspace] = {}
+    below: dict[tuple[int, int], bool] = {}
+
+    def leq(a, b):
+        if (id(a), id(b)) not in below:
+            below[id(a), id(b)] = a is b or (a.dim <= b.dim and a.issubset(b))
+        return below[id(a), id(b)]
+
+    kept, fresh = [], []
     dim = None
     stale = 0
     for s in range(max_layer + 1):
@@ -289,14 +309,31 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
                     j2 = jcache.ideal_Ikl(l2, k2 + 1)
                     if j1.is_zero() or j2.is_zero():
                         continue
-                    terms.append((op_product(fctx, i1, i2), op_bracket(pair.mctx, j1, j2)))
-                    terms.append((op_bracket(fctx, i1, i2), op_product(pair.mctx, j2, j1)))
+                    fresh.append(tuple(canon.setdefault(x, x) for x in (i1, i2, j1, j2)))
+        if graded and s < max_layer:
+            continue
+        new = _undominated(kept, fresh, leq)
+        kept, fresh = kept + new, []
+        for i1, i2, j1, j2 in new:
+            terms.append((op_product(fctx, i1, i2), op_bracket(pair.mctx, j1, j2)))
+            terms.append((op_bracket(fctx, i1, i2), op_product(pair.mctx, j2, j1)))
         if not graded:
             prev, dim = dim, kron_sum(tctx, terms).dim
             stale = 0 if prev is None or dim > prev else stale + 1
             if stale >= 2:
                 break
     return kron_sum(tctx, terms)
+
+
+def _undominated(kept, fresh, leq) -> list:
+    """The distinct tuples of fresh not in kept that no other tuple of kept
+    or fresh dominates, factor by factor under leq.  Equal factors are one
+    object, so leq is a partial order on distinct tuples and every pruned
+    tuple lies below a returned or a kept one."""
+    held = set(kept)
+    fresh = [t for t in dict.fromkeys(fresh) if t not in held]
+    pool = kept + fresh
+    return [t for t in fresh if not any(u is not t and all(map(leq, t, u)) for u in pool)]
 
 
 def identity_span(n: int) -> GradedSubspace:

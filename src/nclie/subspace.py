@@ -36,6 +36,11 @@ when it grows it.
 Every product and commutator of two sparse vectors, of algebra elements as
 well as of subspace basis rows, is computed by one loop, `sparse_product`,
 and every split of a sparse vector into degree blocks by `Ambient.split`.
+Only the product of two subspaces of a free context skips it: there it is
+a sum of Kronecker blocks (`op_product`).  A sum adopts its largest part
+per block; when that part fills at least half of the block, the other
+parts' rows pass through its nullspace first, so only the rows that grow
+the sum are eliminated (`_quotient_growers`).
 """
 
 from __future__ import annotations
@@ -619,7 +624,6 @@ def kronecker_span(fsub: GradedSubspace, asub: GradedSubspace) -> GradedSubspace
     amat, apiv = asub._rows[0], asub._pivots[0]
     if amat is None:
         return GradedSubspace.zero(ambient)
-    amax = int(abs(amat).max())
     rows = []
     pivots = []
     for fmat, fpiv in zip(fsub._rows, fsub._pivots):
@@ -627,10 +631,16 @@ def kronecker_span(fsub: GradedSubspace, asub: GradedSubspace) -> GradedSubspace
             rows.append(None)
             pivots.append(())
             continue
-        dtype = object if int(abs(fmat).max()) * amax >= _GUARD else np.int64
-        rows.append(np.kron(fmat.astype(dtype), amat.astype(dtype)))
+        rows.append(_kron_block(fmat, amat))
         pivots.append(tuple(p * width + q for p in fpiv for q in apiv))
     return GradedSubspace(ambient, tuple(rows), tuple(pivots))
+
+
+def _kron_block(umat, vmat):
+    """kron(U, V) of two canonical blocks: int64 exactly when
+    max|U|*max|V| < _GUARD, the largest entry of the product."""
+    dtype = object if abs_max(umat) * abs_max(vmat) >= _GUARD else np.int64
+    return np.kron(umat.astype(dtype), vmat.astype(dtype))
 
 
 # -- bilinear span operations ----------------------------------------------
@@ -658,8 +668,33 @@ def sparse_product(mul, r1, r2, commutator=False) -> dict:
 
 
 def op_product(ctx, s1: GradedSubspace, s2: GradedSubspace) -> GradedSubspace:
-    """Span of pairwise products of two subspace bases under ctx.mul_basis."""
-    return _op_bilinear(ctx, s1, s2, commutator=False)
+    """Span of pairwise products of two subspace bases under ctx.mul_basis.
+
+    In a free context the products are Kronecker blocks.  Words are ordered
+    by length, then lexicographically, so concatenation maps the pair (p, q)
+    of local indices of words of lengths a and b one to one onto the local
+    index p*m^b + q of block a + b.  The products of block a of s1 with
+    block b of s2 are then the rows of kron(U_a, V_b), already canonical
+    (see kronecker_span), and only the sum of these parts is eliminated.
+    """
+    if not ctx.is_free:
+        return _op_bilinear(ctx, s1, s2, commutator=False)
+    amb = ctx.ambient
+    if s1.ambient != amb or s2.ambient != amb:
+        raise ValueError("ambient mismatch")
+    index = {d: bi for bi, (d, _) in enumerate(amb.blocks)}
+    parts = []
+    for b1, d1, m1 in s1.block_rows():
+        for b2, d2, m2 in s2.block_rows():
+            if d1 + d2 > amb.max_degree:
+                continue
+            width = amb.blocks[b2][1]
+            rows, pivots = [None] * len(amb.blocks), [()] * len(amb.blocks)
+            rows[index[d1 + d2]] = _kron_block(m1, m2)
+            pivots[index[d1 + d2]] = tuple(p * width + q for p in s1._pivots[b1]
+                                           for q in s2._pivots[b2])
+            parts.append(GradedSubspace(amb, tuple(rows), tuple(pivots)))
+    return subspace_sum(amb, parts)
 
 
 def op_bracket(ctx, s1: GradedSubspace, s2: GradedSubspace) -> GradedSubspace:
@@ -711,7 +746,9 @@ def subspace_sum(ambient: Ambient, parts: Iterable[GradedSubspace]) -> GradedSub
     """Sum of subspaces of one ambient.
 
     Per block, the part with the most rows is adopted as it is, and only the
-    rows of the other parts are eliminated against it.
+    rows of the other parts are eliminated against it; when the adopted
+    part fills at least half of the block, only those of them that grow
+    the sum (_quotient_growers).
     """
     parts = list(parts)
     if any(p.ambient != ambient for p in parts):
@@ -723,12 +760,43 @@ def subspace_sum(ambient: Ambient, parts: Iterable[GradedSubspace]) -> GradedSub
         if not present:
             continue
         top = max(present, key=lambda k: mats[k].shape[0])
-        b._blocks[bi].adopt(parts[top], bi)
-        for k in present:
-            if k != top:
-                for row in mats[k]:
-                    b.add_block_row(bi, row)
+        blk = b._blocks[bi]
+        blk.adopt(parts[top], bi)
+        rows = [row for k in present if k != top for row in mats[k]]
+        if rows and 2 * len(blk.rows) >= blk.width:
+            rows = _quotient_growers(parts[top], bi, rows)
+        for row in rows:
+            b.add_block_row(bi, row)
     return b.finalize()
+
+
+def _quotient_growers(sub, bi, rows) -> list:
+    """The rows that grow block bi of sub plus the span of the rows before them.
+
+    With N the nullspace of the block, v lies in the block exactly when v @
+    N = 0, and in the block plus the span of some rows exactly when v @ N
+    lies in the span of their images.  So the images, in chunks, are
+    eliminated in a block as wide as the codimension (_stored_images), and
+    once that block is full every later row lies in the span.
+    """
+    pidx, maxes = sub._echelon(bi)
+    null, nmax = _nullspace(sub._rows[bi], pidx.tolist(), sub.ambient.blocks[bi][1], maxes,
+                            float_ok=True)
+    qblk = _Block(null.shape[1])
+    out = []
+    for at in range(0, len(rows), _CHUNK):
+        if len(qblk.rows) == qblk.width:
+            break
+        chunk = rows[at:at + _CHUNK]
+        mat = np.array(chunk, dtype=object if any(r.dtype == object for r in chunk) else np.int64)
+        out += _stored_images(qblk, exact_product(mat, null, bmax=nmax), chunk)
+    return out
+
+
+def _stored_images(qblk, images, items) -> list:
+    """The items whose image rows, inserted into qblk in order, are stored."""
+    return [items[r] for r in np.flatnonzero(images.any(axis=1)).tolist()
+            if qblk.insert(images[r].copy(), abs_max(images[r])) is not None]
 
 
 def bracket_saturate(ctx, generators, sweeps=None) -> GradedSubspace:
@@ -868,9 +936,7 @@ class _SweepFilter:
         pos = dict(zip(cols, range(len(cols))))
         mat = int_matrix([{pos[c]: v for c, v in comp.items()} for comp in pending], len(cols))
         null = self.null if len(cols) == len(self.null) else self.null[cols]
-        quot = exact_product(mat, null, abs_max(mat), self.nmax)
-        return [pending[r] for r in np.flatnonzero(quot.any(axis=1)).tolist()
-                if self.quot.insert(quot[r].copy(), abs_max(quot[r])) is not None]
+        return _stored_images(self.quot, exact_product(mat, null, abs_max(mat), self.nmax), pending)
 
 
 def _direction(comp) -> tuple:

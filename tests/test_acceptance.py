@@ -162,12 +162,14 @@ def test_criterion_8_difference_calculus():
 
 def test_criterion_9_oracle_independence(monkeypatch):
     t0 = time.monotonic()
-    # structural half: the closed forms never call the saturation engine, and
-    # the engine never reads the power spaces the closed forms are built from
+    # structural half: the closed forms and the helpers they call never call
+    # the saturation engine, and the engine never reads the power spaces the
+    # closed forms are built from
     closed_forms = (
         tilde_bound, overline_bound, type2_formula, semisimple_closed_form,
         sl2_closed_form, abelian_closure_form, simple_coefficients_form,
         sl_trace_form, orthogonal_form, cur.f_langle_g_filtered, cur.kron_sum,
+        cur._undominated, FiltrationCache.ideal_Ik_le, FiltrationCache._vanishing_order,
     )
     ok = True
     for fn in closed_forms:

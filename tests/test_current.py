@@ -614,3 +614,130 @@ def test_abelian_series_stops_on_a_repeated_term(m2ctx):
     assert cache.commutator_space(1) == cache.commutator_space(2) and not pair.g_power(2).is_zero()
     form = abelian_closure_form(pair, m2ctx)
     assert form == lie_closure(pair, m2ctx) and form.dim == 4
+
+
+# -- overline_bound: pruned factor tuples against the full loop ------------------------
+
+
+def reference_overline_bound(pair, fctx, m_cap=None):
+    """The loop before pruning: both terms of every factor tuple that passes
+    the zero filters, multiplied out.  It calls current.kron_sum, so a test
+    can record the merged dimension it reads after each layer."""
+    tctx = TensorContext(fctx, pair.n)
+    cache = filtration(fctx)
+    jcache = current.FiltrationCache(pair.mctx, generating=pair.g)
+    terms = [(fctx.full_subspace(), pair.g)]
+    graded = fctx.is_free
+    max_layer = (fctx.ambient.max_degree - 2 if graded else current._hard_cap(fctx, pair))
+    if m_cap is not None:
+        max_layer = min(max_layer, m_cap - 2)
+    dim = None
+    stale = 0
+    for s in range(max_layer + 1):
+        for k1 in range(s + 1):
+            for k2 in range(s - k1 + 1):
+                for l1 in range(s - k1 - k2 + 1):
+                    l2 = s - k1 - k2 - l1
+                    i1 = cache.ideal_Ikl(k1, l1 + 1)
+                    i2 = cache.ideal_Ikl(k2, l2 + 1)
+                    if i1.is_zero() or i2.is_zero():
+                        continue
+                    j1 = jcache.ideal_Ikl(l1, k1 + 1)
+                    j2 = jcache.ideal_Ikl(l2, k2 + 1)
+                    if j1.is_zero() or j2.is_zero():
+                        continue
+                    terms.append((current.op_product(fctx, i1, i2), current.op_bracket(pair.mctx, j1, j2)))
+                    terms.append((current.op_bracket(fctx, i1, i2), current.op_product(pair.mctx, j2, j1)))
+        if not graded:
+            prev, dim = dim, current.kron_sum(tctx, terms).dim
+            stale = 0 if prev is None or dim > prev else stale + 1
+            if stale >= 2:
+                break
+    return current.kron_sum(tctx, terms)
+
+
+def merged_dims(monkeypatch, build, *args):
+    """build(*args) and the dimension of every kron_sum it calls, in order."""
+    dims = []
+    real = current.kron_sum
+
+    def recording(tctx, terms):
+        out = real(tctx, terms)
+        dims.append(out.dim)
+        return out
+
+    monkeypatch.setattr(current, "kron_sum", recording)
+    out = build(*args)
+    monkeypatch.undo()
+    return out, dims
+
+
+OVERLINE_PAIRS = ["sl:3", "sp:4", "so:4", "sl2irrep:4", "jordan:3"]
+FREE_BY_DEGREE = {4: FreeContext(2, 4), 5: FreeContext(2, 5)}
+
+
+@pytest.mark.parametrize("name", OVERLINE_PAIRS)
+@pytest.mark.parametrize("degree", [4, 5])
+def test_overline_bound_matches_reference(name, degree):
+    pair, fctx = pair_by_name(name), FREE_BY_DEGREE[degree]
+    for m_cap in (None, 2, 3, 4):
+        assert_bit_identical(overline_bound(pair, fctx, m_cap=m_cap),
+                             reference_overline_bound(pair, fctx, m_cap=m_cap))
+
+
+@pytest.mark.parametrize("name", OVERLINE_PAIRS)
+def test_overline_bound_layers_match_reference_over_matrices(name, m2ctx, monkeypatch):
+    # over M_2 the stale-layer stop reads the merged dimension after each
+    # layer, so pruning must leave every one of them as it was
+    pair = pair_by_name(name)
+    new, new_dims = merged_dims(monkeypatch, overline_bound, pair, m2ctx)
+    ref, ref_dims = merged_dims(monkeypatch, reference_overline_bound, pair, m2ctx)
+    assert_bit_identical(new, ref)
+    assert new_dims == ref_dims and len(ref_dims) >= 3
+
+
+def test_overline_bound_multiplies_only_undominated_tuples(monkeypatch):
+    # at D = 5, sp:4 keeps 8 of its 35 distinct factor tuples
+    calls = []
+    real = current._undominated
+
+    def recording(kept, fresh, leq):
+        out = real(kept, fresh, leq)
+        calls.append((len(set(fresh)), len(out)))
+        return out
+
+    monkeypatch.setattr(current, "_undominated", recording)
+    overline_bound(pair_by_name("sp:4"), FREE_BY_DEGREE[5])
+    assert calls == [(35, 8)]
+
+
+def test_undominated_keeps_the_maximal_tuples():
+    sub = {}
+
+    def leq(a, b):
+        return sub[a] <= sub[b]
+
+    sub.update({"a": {1}, "b": {1, 2}, "c": {3}, "d": {1, 2, 3}})
+    fresh = [("a", "c"), ("b", "c"), ("a", "c"), ("d", "a"), ("b", "a")]
+    # (a, c) lies below (b, c), and (b, a) below (d, a)
+    assert current._undominated([], fresh, leq) == [("b", "c"), ("d", "a")]
+    # a kept tuple prunes a fresh one below it, and is not returned again
+    assert current._undominated([("d", "d")], fresh, leq) == []
+    assert current._undominated([("a", "a")], [("a", "a"), ("c", "c")], leq) == [("c", "c")]
+
+
+# -- filtration ideals under a large cap -------------------------------------------
+
+
+def test_tilde_cap_past_the_zero_factor_count_builds_nothing_more(monkeypatch):
+    # I(k', 4) = 0 for every k' at D = 3, so every partial sum stops growing
+    # at four factors and a cap of 1500 builds what a cap of 150 builds
+    fctx, pair = FreeContext(2, 3), make_sl(2)
+    spans, built = [], []
+    for m_cap in (10, 150, 1500):
+        monkeypatch.setattr(current, "_closure_memo", {})
+        spans.append(tilde_bound(pair, fctx, m_cap=m_cap))
+        built.append(len(filtration(fctx)._ikl))
+    assert_bit_identical(spans[1], spans[0])
+    assert_bit_identical(spans[2], spans[0])
+    assert built[1] == built[2] < 50

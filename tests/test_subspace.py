@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nclie import subspace as subspace_module
 from nclie.coeffalg import FreeContext, StructureContext
 from nclie.subspace import (
     _GUARD,
@@ -710,6 +711,55 @@ def test_subspace_sum_matches_reinsertion_random(groups):
     assert_same_subspace(subspace_sum(AMB, parts), reference_subspace_sum(AMB, parts))
 
 
+SUM_AMB = Ambient([(1, 8)])
+SUM_ROW = st.dictionaries(st.integers(0, 7), COEFFICIENT, min_size=1, max_size=3)
+
+
+@st.composite
+def half_full_sums(draw):
+    """A part likely to fill half of its block, and parts with rows to add."""
+    top = GradedSubspace.span(SUM_AMB, draw(st.lists(SUM_ROW, min_size=4, max_size=7)))
+    others = [GradedSubspace.span(SUM_AMB, draw(st.lists(SUM_ROW, max_size=4)))
+              for _ in range(draw(st.integers(1, 3)))]
+    return [top, *others]
+
+
+@given(half_full_sums())
+@settings(max_examples=80, deadline=None)
+def test_subspace_sum_quotient_filter_matches_reinsertion(parts):
+    assert_same_subspace(subspace_sum(SUM_AMB, parts), reference_subspace_sum(SUM_AMB, parts))
+
+
+def test_subspace_sum_inserts_only_growing_rows(monkeypatch):
+    # six of eight columns held; of 146 further rows in 74 parts, only the
+    # two that grow the sum reach the block, and the third chunk of rows,
+    # past the point where the quotient block is full, is never multiplied
+    top = GradedSubspace.span(SUM_AMB, [{j: 1} for j in range(6)])
+
+    def members(count, at):
+        return [GradedSubspace.span(SUM_AMB, [{j % 6: 2**62 + j, (j + 1) % 6: 1}, {(j + 2) % 6: 3}])
+                for j in range(at, at + count)]
+
+    parts = [top, *members(30, 0), GradedSubspace.span(SUM_AMB, [{6: 3, 0: 2**53 + 1}]),
+             *members(2, 30), GradedSubspace.span(SUM_AMB, [{7: 1, 6: -(2**62)}]), *members(40, 32)]
+    assert sum(p.dim for p in parts[1:]) == 146
+    calls = _counting_inserts(monkeypatch)
+    products = []
+    real_product = exact_product
+
+    def counted_product(a, b, *args, **kwargs):
+        products.append(a.shape[0])
+        return real_product(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(subspace_module, "exact_product", counted_product)
+    total = subspace_sum(SUM_AMB, parts)
+    monkeypatch.undo()
+    assert total == GradedSubspace.full(SUM_AMB)
+    assert len([b for b in calls if b.width == 8]) == 2
+    assert products == [64, 64]
+    assert_same_subspace(total, reference_subspace_sum(SUM_AMB, parts))
+
+
 def test_subspace_sum_ambient_mismatch_raises_first():
     other = GradedSubspace.full(Ambient([(0, 2)]))
     good = GradedSubspace.full(AMB)
@@ -960,3 +1010,73 @@ def test_exact_product_matches_object_reference(operands):
     assert out.tolist() == (a.astype(object) @ b.astype(object)).tolist()
     if bmax < 2**53:  # an operand held in float64, as the saturation filter holds its nullspace
         assert exact_product(a, b.astype(np.float64), amax, bmax).tolist() == out.tolist()
+
+
+# -- products in a free context as Kronecker blocks ---------------------------------
+
+
+def reference_op_product(ctx, s1, s2):
+    """The sparse loop: the product of every pair of basis rows, eliminated
+    one at a time."""
+    amb = ctx.ambient
+    b = SpanBuilder(amb)
+    for b1, d1, m1 in s1.block_rows():
+        for b2, d2, m2 in s2.block_rows():
+            if d1 + d2 > amb.max_degree:
+                continue
+            for r1 in m1:
+                for r2 in m2:
+                    b.add(sparse_product(ctx.mul_basis, _row_support(amb, b1, r1),
+                                         _row_support(amb, b2, r2)))
+    return b.finalize()
+
+
+PRODUCT_CONTEXTS = (FreeContext(2, 3), FreeContext(3, 2), FreeContext(2, 3, unital=False),
+                    FreeContext(3, 2, unital=False))
+
+
+@st.composite
+def product_factor(draw, ctx):
+    """A subspace of ctx: zero, full, or spanned by a few sparse vectors,
+    some in the degree-0 block and some with entries past 2^53 and 2^62."""
+    kind = draw(st.sampled_from(("zero", "full", "span", "span", "span")))
+    if kind == "zero":
+        return GradedSubspace.zero(ctx.ambient)
+    if kind == "full":
+        return ctx.full_subspace()
+    index = st.integers(0, ctx.ambient.dim - 1)
+    vecs = draw(st.lists(st.dictionaries(index, COEFFICIENT, max_size=3), max_size=4))
+    return GradedSubspace.span(ctx.ambient, vecs)
+
+
+@st.composite
+def product_inputs(draw):
+    ctx = draw(st.sampled_from(PRODUCT_CONTEXTS))
+    return ctx, draw(product_factor(ctx)), draw(product_factor(ctx))
+
+
+def span_of(ctx, vecs):
+    return GradedSubspace.span(ctx.ambient, vecs)
+
+
+C23 = PRODUCT_CONTEXTS[0]
+
+
+@given(product_inputs())
+@example((C23, span_of(C23, [{0: 1}, {1: 2**62 + 1, 2: 1}]), span_of(C23, [{3: 2**31, 4: 1}])))
+@example((C23, span_of(C23, [{1: 2**53 + 1, 2: 3}]), span_of(C23, [{0: 1, 2: 2**53 + 3}])))
+@example((C23, GradedSubspace.zero(C23.ambient), C23.full_subspace()))
+@example((C23, span_of(C23, []), span_of(C23, [{14: 1}])))
+@settings(max_examples=120, deadline=None)
+def test_free_op_product_matches_reference_loop(inputs):
+    ctx, s1, s2 = inputs
+    assert_same_subspace(op_product(ctx, s1, s2), reference_op_product(ctx, s1, s2))
+
+
+def test_op_product_other_contexts_match_reference_loop(m2ctx):
+    # a structure context keeps the sparse loop
+    ctx = half_unit_matrix_context()
+    for c in (m2ctx, ctx):
+        s1 = GradedSubspace.span(c.ambient, [{0: 1, 3: 2}, {1: 1}])
+        s2 = GradedSubspace.span(c.ambient, [{2: 1}, {3: 2**62 + 5}])
+        assert_same_subspace(op_product(c, s1, s2), reference_op_product(c, s1, s2))
