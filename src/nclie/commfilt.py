@@ -16,8 +16,6 @@ from __future__ import annotations
 from .pairs import UnsupportedError
 from .subspace import GradedSubspace, bracket_saturate, op_bracket, op_product, subspace_sum
 
-_UNKNOWN = object()
-
 
 class FiltrationCache:
     """Memoized filtration data for one context (optionally for a subset S)."""
@@ -32,8 +30,6 @@ class FiltrationCache:
         self._ikl: dict[tuple[int, int], GradedSubspace] = {}
         self._ikle: dict[int, list[GradedSubspace]] = {}   # k -> partial sums over 1..j
         self._ikle_done: set[int] = set()   # k whose partial sums stopped growing
-        self._order = _UNKNOWN
-        self._zero = GradedSubspace.zero(ctx.ambient)
         self._ik: dict[int, GradedSubspace] = {}
 
     # -- commutator spaces --------------------------------------------------
@@ -99,31 +95,19 @@ class FiltrationCache:
         if k < 0 or l < 1:
             raise ValueError("need k >= 0 and l >= 1")
         sums = self._ikle.setdefault(k, [])
-        c = self._vanishing_order()
-        while len(sums) < l and k not in self._ikle_done:
-            j = len(sums) + 1
-            top = k if c is None else min(k, (c - 1) * j)   # I(k', j) = 0 for k' > top
-            part = self.ideal_Ikl(k, j) if top == k else self._zero
-            if sums:
-                part = sums[-1] if part.is_zero() else sums[-1].sum(part)
-            sums.append(part)
-            if all(self.ideal_Ikl(kk, j).is_zero() for kk in range(top + 1)):
-                self._ikle_done.add(k)
+        if len(sums) < l and k not in self._ikle_done:
+            C = self.commutator_space   # c: the least order with C(c) = 0, if one is found
+            c = next((i for i in range(self.ctx.ambient.dim + 2) if C(i).is_zero()), None)
+            while len(sums) < l and k not in self._ikle_done:
+                j = len(sums) + 1
+                top = k if c is None else min(k, (c - 1) * j)   # I(k', j) = 0 for k' > top
+                part = self.ideal_Ikl(k, j) if top == k else GradedSubspace.zero(self.ctx.ambient)
+                if sums:
+                    part = sums[-1] if part.is_zero() else sums[-1].sum(part)
+                sums.append(part)
+                if all(self.ideal_Ikl(kk, j).is_zero() for kk in range(top + 1)):
+                    self._ikle_done.add(k)
         return sums[min(l, len(sums)) - 1]
-
-    def _vanishing_order(self):
-        """The least c with C(c) = 0, or None when none is found: a nonzero
-        space repeats (so every later one is that space), or none vanishes
-        within dim + 1 steps."""
-        if self._order is _UNKNOWN:
-            C, c = self.commutator_space, 0
-            while not C(c).is_zero():
-                if c > self.ctx.ambient.dim or (c and C(c) == C(c - 1)):
-                    c = None
-                    break
-                c += 1
-            self._order = c
-        return self._order
 
     def ideal_Ik(self, k: int) -> GradedSubspace:
         """The two-sided ideal: union of the partial sums over all factor counts.

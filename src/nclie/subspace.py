@@ -37,10 +37,7 @@ Every product and commutator of two sparse vectors, of algebra elements as
 well as of subspace basis rows, is computed by one loop, `sparse_product`,
 and every split of a sparse vector into degree blocks by `Ambient.split`.
 Only the product of two subspaces of a free context skips it: there it is
-a sum of Kronecker blocks (`op_product`).  A sum adopts its largest part
-per block; when that part fills at least half of the block, the other
-parts' rows pass through its nullspace first, so only the rows that grow
-the sum are eliminated (`_quotient_growers`).
+a sum of Kronecker blocks (`op_product`).
 """
 
 from __future__ import annotations
@@ -746,9 +743,7 @@ def subspace_sum(ambient: Ambient, parts: Iterable[GradedSubspace]) -> GradedSub
     """Sum of subspaces of one ambient.
 
     Per block, the part with the most rows is adopted as it is, and only the
-    rows of the other parts are eliminated against it; when the adopted
-    part fills at least half of the block, only those of them that grow
-    the sum (_quotient_growers).
+    rows of the other parts are eliminated against it.
     """
     parts = list(parts)
     if any(p.ambient != ambient for p in parts):
@@ -760,43 +755,12 @@ def subspace_sum(ambient: Ambient, parts: Iterable[GradedSubspace]) -> GradedSub
         if not present:
             continue
         top = max(present, key=lambda k: mats[k].shape[0])
-        blk = b._blocks[bi]
-        blk.adopt(parts[top], bi)
-        rows = [row for k in present if k != top for row in mats[k]]
-        if rows and 2 * len(blk.rows) >= blk.width:
-            rows = _quotient_growers(parts[top], bi, rows)
-        for row in rows:
-            b.add_block_row(bi, row)
+        b._blocks[bi].adopt(parts[top], bi)
+        for k in present:
+            if k != top:
+                for row in mats[k]:
+                    b.add_block_row(bi, row)
     return b.finalize()
-
-
-def _quotient_growers(sub, bi, rows) -> list:
-    """The rows that grow block bi of sub plus the span of the rows before them.
-
-    With N the nullspace of the block, v lies in the block exactly when v @
-    N = 0, and in the block plus the span of some rows exactly when v @ N
-    lies in the span of their images.  So the images, in chunks, are
-    eliminated in a block as wide as the codimension (_stored_images), and
-    once that block is full every later row lies in the span.
-    """
-    pidx, maxes = sub._echelon(bi)
-    null, nmax = _nullspace(sub._rows[bi], pidx.tolist(), sub.ambient.blocks[bi][1], maxes,
-                            float_ok=True)
-    qblk = _Block(null.shape[1])
-    out = []
-    for at in range(0, len(rows), _CHUNK):
-        if len(qblk.rows) == qblk.width:
-            break
-        chunk = rows[at:at + _CHUNK]
-        mat = np.array(chunk, dtype=object if any(r.dtype == object for r in chunk) else np.int64)
-        out += _stored_images(qblk, exact_product(mat, null, bmax=nmax), chunk)
-    return out
-
-
-def _stored_images(qblk, images, items) -> list:
-    """The items whose image rows, inserted into qblk in order, are stored."""
-    return [items[r] for r in np.flatnonzero(images.any(axis=1)).tolist()
-            if qblk.insert(images[r].copy(), abs_max(images[r])) is not None]
 
 
 def bracket_saturate(ctx, generators, sweeps=None) -> GradedSubspace:
@@ -936,7 +900,9 @@ class _SweepFilter:
         pos = dict(zip(cols, range(len(cols))))
         mat = int_matrix([{pos[c]: v for c, v in comp.items()} for comp in pending], len(cols))
         null = self.null if len(cols) == len(self.null) else self.null[cols]
-        return _stored_images(self.quot, exact_product(mat, null, abs_max(mat), self.nmax), pending)
+        quot = exact_product(mat, null, abs_max(mat), self.nmax)
+        return [pending[r] for r in np.flatnonzero(quot.any(axis=1)).tolist()
+                if self.quot.insert(quot[r].copy(), abs_max(quot[r])) is not None]
 
 
 def _direction(comp) -> tuple:

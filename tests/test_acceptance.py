@@ -169,7 +169,7 @@ def test_criterion_9_oracle_independence(monkeypatch):
         tilde_bound, overline_bound, type2_formula, semisimple_closed_form,
         sl2_closed_form, abelian_closure_form, simple_coefficients_form,
         sl_trace_form, orthogonal_form, cur.f_langle_g_filtered, cur.kron_sum,
-        cur._undominated, FiltrationCache.ideal_Ik_le, FiltrationCache._vanishing_order,
+        cur._undominated, FiltrationCache.ideal_Ik_le,
     )
     ok = True
     for fn in closed_forms:

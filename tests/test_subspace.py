@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nclie import subspace as subspace_module
 from nclie.coeffalg import FreeContext, StructureContext
 from nclie.subspace import (
     _GUARD,
@@ -709,55 +708,6 @@ def test_subspace_sum_matches_reinsertion_random(groups):
     parts = [GradedSubspace.span(AMB, vs) for vs in groups]
     parts += parts[:1]  # an overlapping part
     assert_same_subspace(subspace_sum(AMB, parts), reference_subspace_sum(AMB, parts))
-
-
-SUM_AMB = Ambient([(1, 8)])
-SUM_ROW = st.dictionaries(st.integers(0, 7), COEFFICIENT, min_size=1, max_size=3)
-
-
-@st.composite
-def half_full_sums(draw):
-    """A part likely to fill half of its block, and parts with rows to add."""
-    top = GradedSubspace.span(SUM_AMB, draw(st.lists(SUM_ROW, min_size=4, max_size=7)))
-    others = [GradedSubspace.span(SUM_AMB, draw(st.lists(SUM_ROW, max_size=4)))
-              for _ in range(draw(st.integers(1, 3)))]
-    return [top, *others]
-
-
-@given(half_full_sums())
-@settings(max_examples=80, deadline=None)
-def test_subspace_sum_quotient_filter_matches_reinsertion(parts):
-    assert_same_subspace(subspace_sum(SUM_AMB, parts), reference_subspace_sum(SUM_AMB, parts))
-
-
-def test_subspace_sum_inserts_only_growing_rows(monkeypatch):
-    # six of eight columns held; of 146 further rows in 74 parts, only the
-    # two that grow the sum reach the block, and the third chunk of rows,
-    # past the point where the quotient block is full, is never multiplied
-    top = GradedSubspace.span(SUM_AMB, [{j: 1} for j in range(6)])
-
-    def members(count, at):
-        return [GradedSubspace.span(SUM_AMB, [{j % 6: 2**62 + j, (j + 1) % 6: 1}, {(j + 2) % 6: 3}])
-                for j in range(at, at + count)]
-
-    parts = [top, *members(30, 0), GradedSubspace.span(SUM_AMB, [{6: 3, 0: 2**53 + 1}]),
-             *members(2, 30), GradedSubspace.span(SUM_AMB, [{7: 1, 6: -(2**62)}]), *members(40, 32)]
-    assert sum(p.dim for p in parts[1:]) == 146
-    calls = _counting_inserts(monkeypatch)
-    products = []
-    real_product = exact_product
-
-    def counted_product(a, b, *args, **kwargs):
-        products.append(a.shape[0])
-        return real_product(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(subspace_module, "exact_product", counted_product)
-    total = subspace_sum(SUM_AMB, parts)
-    monkeypatch.undo()
-    assert total == GradedSubspace.full(SUM_AMB)
-    assert len([b for b in calls if b.width == 8]) == 2
-    assert products == [64, 64]
-    assert_same_subspace(total, reference_subspace_sum(SUM_AMB, parts))
 
 
 def test_subspace_sum_ambient_mismatch_raises_first():
