@@ -2,8 +2,8 @@
 
 Computes the iterated commutator spaces, the ideals spanned by products of
 commutator spaces whose orders sum to a given k, their partial sums over the
-number of factors, and the full two-sided ideals via the closed form
-I_k = I_k^k + F * I_k^k.  The same machinery evaluated on a generating
+number of factors, and the full two-sided ideals as the limits of those
+partial sums.  The same machinery evaluated on a generating
 subspace S gives the subset ideals used by the refined upper bound.
 
 For unital free contexts everything is computed on the augmentation ideal:
@@ -13,7 +13,8 @@ ones while staying inside the graded coordinates.
 
 from __future__ import annotations
 
-from .pairs import UnsupportedError
+import math
+
 from .subspace import GradedSubspace, bracket_saturate, op_bracket, op_product, subspace_sum
 
 
@@ -28,9 +29,9 @@ class FiltrationCache:
             raise ValueError("generating subspace lives in a different ambient")
         self._comm: dict[int, GradedSubspace] = {}
         self._ikl: dict[tuple[int, int], GradedSubspace] = {}
-        self._ikle: dict[int, list[GradedSubspace]] = {}   # k -> partial sums over 1..j
-        self._ikle_done: set[int] = set()   # k whose partial sums stopped growing
-        self._ik: dict[int, GradedSubspace] = {}
+        self._ikle: list[list[GradedSubspace]] = []   # [k][j]: S(k, j), from S(k, 0) = 0
+        self._ikle_stable = -1   # the partial sums of every k <= this one have stopped,
+        self._ikle_stop = 0   # at this factor count
 
     # -- commutator spaces --------------------------------------------------
 
@@ -81,67 +82,53 @@ class FiltrationCache:
         return self._ikl[k, l]
 
     def ideal_Ik_le(self, k: int, l: int) -> GradedSubspace:
-        """Sum of the product ideals over factor counts 1..l, filled upward
-        from the largest factor count already held.
+        """S(k, l), the sum of the product ideals I(k, 1), ..., I(k, l).
 
-        The fill stops at the first factor count j with I(k', j) = 0 for
-        every k' <= k: I(k', j + 1) is the sum of C(i) I(k' - i, j), so then
-        I(k, j') = 0 for every j' > j, and every later partial sum is the
-        one at j.  When C(c) = 0, every C(i) with i >= c vanishes too, so
-        I(k', j), spanned by products of j commutator spaces with orders
-        summing to k', is 0 for k' > (c - 1) j and is not built.  Past the
-        stop nothing is built, whatever l is.
+        The partial sums of every index k' <= k are filled together, upward
+        in the factor count, up to the first count j where none of them grew:
+        S(k', j) = S(k', j - 1) for every k' <= k, with S(k', 0) = 0.  None
+        grows after it, since I(k', j + 1) = sum_i C(i) I(k' - i, j) lies in
+        sum_i C(i) S(k' - i, j - 1), which lies in S(k', j).  The k + 1 sums
+        are chains in F, so they grow at most (k + 1) dim F times in all and
+        the stop is reached; past it nothing is built, whatever l is.  When
+        C(c) = 0, every C(i) with i >= c vanishes too, so I(k', j), spanned by
+        products of j commutator spaces with orders summing to k', is 0 for
+        k' > (c - 1) j and is not built.
         """
         if k < 0 or l < 1:
             raise ValueError("need k >= 0 and l >= 1")
-        sums = self._ikle.setdefault(k, [])
-        if len(sums) < l and k not in self._ikle_done:
+        zero = GradedSubspace.zero(self.ctx.ambient)
+        sums = self._ikle
+        sums.extend([zero] for _ in range(k + 1 - len(sums)))
+        if k > self._ikle_stable and len(sums[k]) <= l:
             C = self.commutator_space   # c: the least order with C(c) = 0, if one is found
             c = next((i for i in range(self.ctx.ambient.dim + 2) if C(i).is_zero()), None)
-            while len(sums) < l and k not in self._ikle_done:
-                j = len(sums) + 1
+            while k > self._ikle_stable and len(sums[k]) <= l:
+                j = len(sums[k])   # each lower index not yet stable holds S(k', j - 1) or more
                 top = k if c is None else min(k, (c - 1) * j)   # I(k', j) = 0 for k' > top
-                part = self.ideal_Ikl(k, j) if top == k else GradedSubspace.zero(self.ctx.ambient)
-                if sums:
-                    part = sums[-1] if part.is_zero() else sums[-1].sum(part)
-                sums.append(part)
-                if all(self.ideal_Ikl(kk, j).is_zero() for kk in range(top + 1)):
-                    self._ikle_done.add(k)
-        return sums[min(l, len(sums)) - 1]
+                stable = j >= self._ikle_stop   # S(k', j) = S(k', j - 1) for every k' up to kk
+                for kk in range(self._ikle_stable + 1, k + 1):
+                    s = sums[kk]
+                    if len(s) == j:
+                        part = self.ideal_Ikl(kk, j) if kk <= top else zero
+                        s.append(s[-1] if part.is_zero() else part if j == 1 else s[-1].sum(part))
+                    stable = stable and s[j] == s[j - 1]
+                    if stable:
+                        self._ikle_stable, self._ikle_stop = kk, j
+        return sums[k][min(l, len(sums[k]) - 1)]
 
     def ideal_Ik(self, k: int) -> GradedSubspace:
-        """The two-sided ideal: union of the partial sums over all factor counts.
-
-        Computed as a joint fixed point: the partial sums for 0..k satisfy a
-        monotone recursion in the factor-count bound, so once one more factor
-        adds nothing at any index the union is reached.  (The closed form
-        I_k = I_k^k + F I_k^k familiar from unital algebras fails on the
-        augmentation ideal, where nothing pads short products.)
+        """The two-sided ideal I_k: the union of the partial sums over all
+        factor counts, which is the last one `ideal_Ik_le` builds before its
+        proven stop.  (The closed form I_k = I_k^k + F I_k^k familiar from
+        unital algebras fails on the augmentation ideal, where nothing pads
+        short products.)
         """
         if not self._full_base:
             raise ValueError("two-sided ideals are defined for the full algebra only")
         if k < 0:
             raise ValueError("k must be >= 0")
-        if k not in self._ik:
-            if k == 0:
-                self._ik[0] = self.base
-            else:
-                ell = 1
-                cap = self.ctx.ambient.dim + k + 2
-                while True:
-                    stable = all(
-                        self.ideal_Ik_le(j, ell + 1) == self.ideal_Ik_le(j, ell)
-                        for j in range(k + 1)
-                    )
-                    if stable:
-                        break
-                    ell += 1
-                    if ell > cap:
-                        raise UnsupportedError(
-                            f"ideal I_{k} did not stabilize within {cap} factors"
-                        )
-                self._ik[k] = self.ideal_Ik_le(k, ell)
-        return self._ik[k]
+        return self.ideal_Ik_le(k, math.inf)
 
 
 def ideal_IklS(ctx, k: int, l: int, S: GradedSubspace) -> GradedSubspace:

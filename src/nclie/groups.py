@@ -48,7 +48,7 @@ from .coeffalg import (
 from .commfilt import FiltrationCache
 from .current import TensorContext, lie_closure, tensor_mul
 from .pairs import CompatiblePair, sl2_irrep_matrices
-from .subspace import GradedSubspace, abs_max, exact_product, int_matrix
+from .subspace import GradedSubspace, abs_max, exact_product, int_matrix, op_product
 
 
 class BudgetExhaustedError(ValueError):
@@ -646,12 +646,10 @@ def is_stable_nilpotent(e: AlgElement, ctx) -> bool:
     Power-iterates the subspace F e F; under nilpotency the chain strictly
     decreases, so stabilizing nonzero within dim steps refutes it.
     """
-    from .subspace import op_product, GradedSubspace as GS
-
     if e.is_zero():
         return True
     full = ctx.full_subspace()
-    single = GS.span(ctx.ambient, [e.to_vector()])
+    single = GradedSubspace.span(ctx.ambient, [e.to_vector()])
     ideal = op_product(ctx, op_product(ctx, full, single), full)
     current = ideal
     for _ in range(ctx.ambient.dim + 1):

@@ -95,7 +95,8 @@ class CompatiblePair:
         if not self.g.issubset(self.algebra):
             raise ValueError("g does not lie inside the declared algebra")
         self._key = key or ("custom", n, self.g_basis, self.algebra_basis)
-        self._powers: dict[int, GradedSubspace] = {}
+        self._powers: list[GradedSubspace] = [self.g]
+        self._powers_repeat = False   # whether g^(K+1) = g^K, K = len(self._powers)
         self._bracket_powers: dict[int, GradedSubspace] = {}
         self._sums: list[GradedSubspace] = []
         self._center: GradedSubspace | None = None
@@ -115,18 +116,27 @@ class CompatiblePair:
     # -- power spaces ---------------------------------------------------------
 
     def g_power(self, k: int) -> GradedSubspace:
-        """Span of k-fold products of elements of g inside A."""
+        """Span of k-fold products of elements of g inside A.
+
+        The memo is filled upward and stops at the first repeat: g^(K+2) =
+        g^(K+1) g, so g^K = g^(K+1) fixes every later power.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if k not in self._powers:
-            if k == 1:
-                self._powers[1] = self.g
+        powers = self._powers   # g, g^2, ..., g^K
+        while len(powers) < k and not self._powers_repeat:
+            power = op_product(self.mctx, powers[-1], self.g)
+            if power == powers[-1]:
+                self._powers_repeat = True
             else:
-                self._powers[k] = op_product(self.mctx, self.g_power(k - 1), self.g)
-        return self._powers[k]
+                powers.append(power)
+        return powers[min(k, len(powers)) - 1]
 
     def bracket_power(self, k: int) -> GradedSubspace:
-        """[g, g^k], the span of commutators of g against k-fold products."""
+        """[g, g^k], the span of commutators of g against k-fold products; for
+        k past the first repeat K of the powers it is [g, g^K], built once."""
+        self.g_power(k)
+        k = min(k, len(self._powers))
         if k not in self._bracket_powers:
             self._bracket_powers[k] = op_bracket(self.mctx, self.g, self.g_power(k))
         return self._bracket_powers[k]
@@ -175,13 +185,12 @@ class CompatiblePair:
 
     def power_stabilization(self) -> int:
         """First K with g^K = g^(K+1) (then all later powers coincide)."""
-        k = 1
-        while self.g_power(k) != self.g_power(k + 1):
-            k += 1
-            if k > self.mctx.ambient.dim + 1:
-                raise UnsupportedError(f"the powers of g have not stabilized by g^{k}, "
-                                       "so the perfectness test has no stopping point")
-        return k
+        k = self.mctx.ambient.dim + 2
+        self.g_power(k)
+        if not self._powers_repeat:
+            raise UnsupportedError(f"the powers of g have not stabilized by g^{k}, "
+                                   "so the perfectness test has no stopping point")
+        return len(self._powers)
 
     def pair_type(self):
         """Minimal m with g + g^2 + ... + g^m = A, or INFINITE."""

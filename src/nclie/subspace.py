@@ -128,7 +128,7 @@ def _primitive(arr):
             arr = np.array([v // g for v in arr.tolist()], dtype=object)
         else:
             arr = arr // g
-    amax = int(max(arr.max(), -arr.min()))
+    amax = abs_max(arr)
     if arr.dtype == object and amax < _GUARD:
         arr = arr.astype(np.int64)
     return arr, int(nz[0]), amax
@@ -382,9 +382,9 @@ class GradedSubspace:
                 continue
             blk = _Block(2 * width)
             for row in ra:
-                blk.insert(np.concatenate([row, row]), int(max(row.max(), -row.min())))
+                blk.insert(np.concatenate([row, row]), abs_max(row))
             for row in rb:
-                blk.insert(np.concatenate([row, np.zeros_like(row)]), int(max(row.max(), -row.min())))
+                blk.insert(np.concatenate([row, np.zeros_like(row)]), abs_max(row))
             for row, pivot in zip(blk.rows, blk.pidx.tolist()):
                 if pivot >= width:
                     b.add_block_row(bi, row[width:])
@@ -569,7 +569,7 @@ class SpanBuilder:
     def add_block_row(self, bi: int, arr) -> bool:
         if arr.dtype != object:
             arr = arr.astype(np.int64)
-        amax = int(max(arr.max(), -arr.min())) if arr.any() else 0
+        amax = abs_max(arr)
         if amax == 0:
             return False
         return self._blocks[bi].insert(arr, amax) is not None
@@ -941,34 +941,34 @@ def _normalize_int_items(items):
 # -- small dense rational solvers -------------------------------------------
 
 
+def _dense_span(rows: list[list[Fraction]]) -> GradedSubspace:
+    """The canonical span of dense rational rows, in one block of their width."""
+    return GradedSubspace.span(
+        Ambient([(0, len(rows[0]))]), ({j: Fraction(v) for j, v in enumerate(r) if v} for r in rows)
+    )
+
+
 def fraction_rref(rows: list[list[Fraction]]):
     """Reduced row echelon form over Q, (rows, pivot columns): the canonical
     basis of the row space with each row divided by its pivot entry."""
     if not rows or not rows[0]:
         return [], []
+    span = _dense_span(rows)
     width = len(rows[0])
-    span = GradedSubspace.span(
-        Ambient([(0, width)]), ({j: Fraction(v) for j, v in enumerate(r) if v} for r in rows)
-    )
     dense = [[vec.get(j, Fraction(0)) for j in range(width)] for vec in span.vectors()]
     return dense, list(span._pivots[0])
 
 
 def fraction_nullspace(rows: list[list[Fraction]]):
-    """Basis of {x : rows @ x = 0} (right kernel)."""
-    if not rows:
+    """Basis of {x : rows @ x = 0} (right kernel), one vector per free column
+    of the reduced echelon form: the columns of the nullspace matrix, each
+    divided by its entry at its free column."""
+    if not rows or not rows[0]:
         return []
-    ncols = len(rows[0])
-    rref, pivots = fraction_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -rref[i][f]
-        basis.append(vec)
-    return basis
+    span = _dense_span(rows)
+    free = [c for c in range(len(rows[0])) if c not in span._pivots[0]]
+    return [[Fraction(v, col[f]) for v in col]
+            for f, col in zip(free, span.nullspace_matrix(0).T.tolist())]
 
 
 def fraction_left_kernel(rows: list[list[Fraction]]):

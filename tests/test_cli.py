@@ -12,10 +12,8 @@ from nclie.cli import (
 )
 from nclie import cli, coeffalg, current
 from nclie.coeffalg import FreeContext
-from nclie.commfilt import FiltrationCache
 from nclie.current import filtration
 from nclie.pairs import make_orthogonal
-from nclie.subspace import GradedSubspace
 
 
 def strip_ms(payload):
@@ -377,14 +375,6 @@ def test_series_past_the_cap_exits_three(monkeypatch, capsys, args):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert "within 2 steps" in captured.out + captured.err
-
-
-def test_ideal_that_never_stabilizes_exits_three(monkeypatch, capsys):
-    monkeypatch.setattr(current, "_closure_memo", {})  # no ideal cached by earlier tests
-    monkeypatch.setattr(FiltrationCache, "ideal_Ik_le",
-                        lambda self, k, l: self.base if l % 2 else GradedSubspace.zero(self.ctx.ambient))
-    assert main(["compute", "--object", "ideal", "--k", "2", "--deg", "3"]) == 3
-    assert "did not stabilize" in capsys.readouterr().err
 
 
 def test_out_to_missing_directory_config_error(tmp_path, capsys):

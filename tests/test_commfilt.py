@@ -1,12 +1,14 @@
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from nclie.coeffalg import FreeContext
+from nclie.coeffalg import FreeContext, StructureContext
 from nclie.commfilt import FiltrationCache, ideal_IklS, lie_generated, two_sided_ideal
-from nclie.pairs import UnsupportedError
+from nclie.pairs import CompatiblePair
 from nclie.subspace import GradedSubspace, op_bracket, op_product, subspace_sum
 
 
@@ -220,23 +222,47 @@ def test_unital_closed_form_on_matrix_backend(m2ctx):
         assert closed == cache.ideal_Ik(k)
 
 
-def test_ideal_that_never_stabilizes_unsupported(monkeypatch):
-    # partial sums that alternate with the factor count never repeat, so the
-    # fixed point is never proven
-    cache = FiltrationCache(FreeContext(2, 3))
-    full, zero = cache.ctx.full_subspace(), GradedSubspace.zero(cache.ctx.ambient)
-    monkeypatch.setattr(FiltrationCache, "ideal_Ik_le",
-                        lambda self, k, l: full if l % 2 else zero)
-    with pytest.raises(UnsupportedError, match="did not stabilize"):
-        cache.ideal_Ik(1)
-
-
 def test_deep_indices_fill_upward_without_recursion():
-    # a call stack growing with the index would overflow long before these
+    # a call stack growing with an index would overflow the lowered limit: the
+    # product ideals and partial sums fill upward in the factor count and the
+    # index, the commutator spaces and the powers of g upward in the exponent
     cache = FiltrationCache(FreeContext(1, 2))
-    assert cache.ideal_Ik_le(0, 2000) == cache.ideal_Ik_le(0, 2) == cache.base
-    assert cache.ideal_Ikl(0, 2000).is_zero()
-    assert cache.commutator_space(3000).is_zero()
+    pair = CompatiblePair(2, [[[1, 0], [0, 2]]])   # g^k = span{diag(1, 2^k)} never repeats
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        assert cache.ideal_Ik_le(0, 2000) == cache.ideal_Ik_le(0, 2) == cache.base
+        assert cache.ideal_Ikl(0, 2000).is_zero()
+        assert cache.commutator_space(3000).is_zero()
+        assert cache.ideal_Ik(2000).is_zero() and len(cache._ikle[2000]) == 3
+        assert pair.g_power(300).contains_vector({0: 1, 3: 2**300}) and pair.g_power(300).dim == 1
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def reference_stop(cache, k):
+    """The first factor count j with S(k', j) = S(k', j - 1) for every k' <= k,
+    and S(k, j), from the product ideals alone."""
+    sums = [GradedSubspace.zero(cache.ctx.ambient)] * (k + 1)
+    for j in itertools.count(1):
+        grown = [s.sum(cache.ideal_Ikl(kk, j)) for kk, s in enumerate(sums)]
+        if grown == sums:
+            return j, sums[k]
+        sums = grown
+
+
+@pytest.mark.parametrize("ctx", [FreeContext(2, 5), FreeContext(2, 3), StructureContext.matrix_algebra(2)],
+                         ids=["free-5", "free-3", "M_2"])
+def test_ideal_is_the_partial_sum_at_the_joint_stop(ctx):
+    # whichever index is asked for first, the memo of each index ends at the
+    # first factor count where no partial sum of that index or below grew
+    ref = FiltrationCache(ctx)
+    for order in (range(5), range(4, -1, -1)):
+        cache = FiltrationCache(ctx)
+        for k in order:
+            stop, last = reference_stop(ref, k)
+            assert cache.ideal_Ik(k) == cache.ideal_Ik_le(k, 10**4) == last
+            assert len(cache._ikle[k]) == stop + 1   # S(k, 0), ..., S(k, stop)
 
 
 def test_commutator_spaces_stop_at_the_first_repeat(m2ctx):

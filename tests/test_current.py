@@ -731,13 +731,19 @@ def test_undominated_keeps_the_maximal_tuples():
 
 def test_tilde_cap_past_the_zero_factor_count_builds_nothing_more(monkeypatch):
     # I(k', 4) = 0 for every k' at D = 3, so every partial sum stops growing
-    # at four factors and a cap of 1500 builds what a cap of 150 builds
-    fctx, pair = FreeContext(2, 3), make_sl(2)
-    spans, built = [], []
-    for m_cap in (10, 150, 1500):
-        monkeypatch.setattr(current, "_closure_memo", {})
-        spans.append(tilde_bound(pair, fctx, m_cap=m_cap))
-        built.append(len(filtration(fctx)._ikl))
-    assert_bit_identical(spans[1], spans[0])
-    assert_bit_identical(spans[2], spans[0])
-    assert built[1] == built[2] < 50
+    # at four factors and a cap of 1500 builds what a cap of 150 builds.
+    # Over M_2 no product ideal vanishes, but the partial sums of every index
+    # stop growing at three factors, so what is built grows linearly with the cap
+    pair = make_sl(2)
+    built = {}
+    for fctx, caps in ((FreeContext(2, 3), (10, 150, 1500)),
+                       (StructureContext.matrix_algebra(2), (20, 80))):
+        spans = []
+        for m_cap in caps:
+            monkeypatch.setattr(current, "_closure_memo", {})
+            spans.append(tilde_bound(pair, fctx, m_cap=m_cap))
+            built[fctx.is_free, m_cap] = len(filtration(fctx)._ikl)
+        for span in spans[1:]:
+            assert_bit_identical(span, spans[0])
+    assert built[True, 150] == built[True, 1500] < 50
+    assert built[False, 20] <= 3 * 20 and built[False, 80] <= 3 * 80

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nclie import pairs
 from nclie.coeffalg import NonUnitError, StructureContext, commutator, inverse, mul
 from nclie.pairs import (
     INFINITE,
@@ -331,6 +332,21 @@ def test_g_power_basics():
     assert sl2.g_power(2).dim == 4
     ir3 = make_sl2_irrep(3)
     assert ir3.g_power(2).dim == 9
+
+
+def test_powers_stop_at_the_first_repeat(monkeypatch):
+    # g^2 = g^3 = M_2 for sl_2: no power past g^3 and no bracket past [g, g^2]
+    # is formed, however high the exponent asked for
+    pair = make_sl(2)
+    formed = []
+    for name in ("op_product", "op_bracket"):
+        real = getattr(pairs, name)
+        monkeypatch.setattr(pairs, name, lambda *args, real=real, name=name:
+                            formed.append(name) or real(*args))
+    assert pair.g_power(10**6) == pair.g_power(2) and pair.g_power(2).dim == 4
+    assert pair.bracket_power(10**6) == pair.bracket_power(2) == pair.g
+    assert pair.power_stabilization() == 2
+    assert formed.count("op_product") <= 3 and formed.count("op_bracket") <= 3
 
 
 def test_pair_types():
