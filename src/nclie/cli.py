@@ -274,7 +274,7 @@ def suite_closed_forms(cfg: RunConfig, report: Report):
     if pair.name.startswith("sl:"):
         equals_closure("trace-in-commutators form", "closed.sl-trace",
                        lambda: sl_trace_form(pair, fctx))
-    if pair.name.startswith(("so:", "sp:")):
+    if pair.name.startswith(("so:", "sp:")) and pair.semisimple:
         equals_closure("orthogonal/symplectic form", "closed.orthogonal",
                        lambda: orthogonal_form(pair, fctx))
     if pair.bracket_power(1).is_zero():
@@ -315,7 +315,7 @@ def suite_cartan(cfg: RunConfig, report: Report, flavor: str):
     if family != flavor:
         pair = make_orthogonal(3) if flavor == "classical" else pair_by_name(
             f"sl2irrep:{min(pair.n, 4)}" if pair.n >= 2 else "sl2irrep:3")
-    vacuous = flavor == "sl2" and pair.n == 2
+    vacuous = pair.n == 2
     # five of each verdict at the stock battery size, proportionally fewer
     # when the caller asks for a smaller battery
     need = min(5, max(1, cfg.count // 4))

@@ -1,10 +1,11 @@
 """Commutator filtration of a coefficient algebra.
 
-Computes the iterated commutator spaces, the ideals spanned by products of
-commutator spaces whose orders sum to a given k, their partial sums over the
-number of factors, and the full two-sided ideals as the limits of those
-partial sums.  The same machinery evaluated on a generating
-subspace S gives the subset ideals used by the refined upper bound.
+Computes the iterated commutator spaces (a `Chain` that stops at its first
+repeat), the ideals spanned by products of commutator spaces whose orders
+sum to a given k, their partial sums over the number of factors, and the
+full two-sided ideals as the limits of those partial sums.  The same
+machinery evaluated on a generating subspace S gives the subset ideals
+used by the refined upper bound.
 
 For unital free contexts everything is computed on the augmentation ideal:
 the unit is central, so the spaces for k >= 1 coincide with the full-algebra
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .subspace import GradedSubspace, bracket_saturate, op_bracket, op_product, subspace_sum
+from .subspace import Chain, GradedSubspace, bracket_saturate, op_bracket, op_product, subspace_sum
 
 
 class FiltrationCache:
@@ -24,10 +25,10 @@ class FiltrationCache:
     def __init__(self, ctx, generating: GradedSubspace | None = None):
         self.ctx = ctx
         self._full_base = generating is None
-        self.base = ctx.filtration_subspace() if generating is None else generating
-        if self.base.ambient != ctx.ambient:
+        self.base = base = ctx.filtration_subspace() if generating is None else generating
+        if base.ambient != ctx.ambient:
             raise ValueError("generating subspace lives in a different ambient")
-        self._comm: dict[int, GradedSubspace] = {}
+        self._comm = Chain(base, lambda _, c: op_bracket(ctx, base, c))
         self._ikl: dict[tuple[int, int], GradedSubspace] = {}
         self._ikle: list[list[GradedSubspace]] = []   # [k][j]: S(k, j), from S(k, 0) = 0
         self._ikle_stable = -1   # the partial sums of every k <= this one have stopped,
@@ -38,19 +39,13 @@ class FiltrationCache:
     def commutator_space(self, k: int) -> GradedSubspace:
         """k-fold bracket span; k = 0 is the (filtration) algebra itself.
 
-        The memo is filled upward and stops at the first repeat: C(k + 1) =
-        [base, C(k)], so C(k) = C(k - 1) fixes every later space.
+        The chain stops at the first repeat C(k + 1) = C(k): every later
+        space is [base, C(k)] again.  A base closed under brackets makes the
+        spaces decrease, so the repeat comes; a generating S may have none.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
-        comm = self._comm
-        comm.setdefault(0, self.base)
-        while k not in comm:
-            top = len(comm) - 1
-            if top and comm[top] == comm[top - 1]:
-                return comm[top]
-            comm[top + 1] = op_bracket(self.ctx, self.base, comm[top])
-        return comm[k]
+        return self._comm.term(k)
 
     # -- product ideals -------------------------------------------------------
 
@@ -60,7 +55,8 @@ class FiltrationCache:
         I(k, l) is the sum of C(i) I(k - i, l - 1) over the i with C(i)
         nonzero.  The entries that recursion would build are found level by
         level down to one factor, then built upward in the factor count, so
-        no call stack grows with l.
+        no call stack grows with l.  Each distinct factor pair is multiplied
+        once: past the stop of the commutator chain every C(i) is the same.
         """
         if k < 0 or l < 1:
             raise ValueError("need k >= 0 and l >= 1")
@@ -76,9 +72,10 @@ class FiltrationCache:
             j -= 1
         for j, ks in reversed(levels):
             for kk in sorted(ks):
+                factors = dict.fromkeys((C(i), self._ikl[kk - i, j - 1]) for i in range(kk + 1)
+                                        if j > 1 and not C(i).is_zero())
                 self._ikl[kk, j] = C(kk) if j == 1 else subspace_sum(self.ctx.ambient, [
-                    op_product(self.ctx, C(i), self._ikl[kk - i, j - 1]) for i in range(kk + 1)
-                    if not C(i).is_zero() and not self._ikl[kk - i, j - 1].is_zero()])
+                    op_product(self.ctx, a, b) for a, b in factors if not b.is_zero()])
         return self._ikl[k, l]
 
     def ideal_Ik_le(self, k: int, l: int) -> GradedSubspace:
@@ -143,18 +140,12 @@ def lie_generated(ctx, S: GradedSubspace) -> GradedSubspace:
 
 
 def two_sided_ideal(ctx, S: GradedSubspace) -> GradedSubspace:
-    """Smallest two-sided ideal containing S, by multiplicative saturation.
+    """Smallest two-sided ideal containing S, by multiplicative saturation:
+    the chain J + F J + J F grows inside F, so it stops, at the ideal.
 
     Independent of the closed form in FiltrationCache.ideal_Ik; used as an
     oracle when cross-checking that closed form.
     """
     full = ctx.full_subspace()
-    current = S
-    while True:
-        grown = subspace_sum(
-            ctx.ambient,
-            [current, op_product(ctx, full, current), op_product(ctx, current, full)],
-        )
-        if grown == current:
-            return current
-        current = grown
+    return Chain(S, lambda _, J: subspace_sum(
+        ctx.ambient, [J, op_product(ctx, full, J), op_product(ctx, J, full)])).limit()

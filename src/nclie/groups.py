@@ -48,7 +48,7 @@ from .coeffalg import (
 from .commfilt import FiltrationCache
 from .current import TensorContext, lie_closure, tensor_mul
 from .pairs import CompatiblePair, sl2_irrep_matrices
-from .subspace import GradedSubspace, abs_max, exact_product, int_matrix, op_product
+from .subspace import Chain, GradedSubspace, abs_max, exact_product, int_matrix, op_product
 
 
 class BudgetExhaustedError(ValueError):
@@ -643,23 +643,15 @@ def elementary_generators(pair: CompatiblePair, fctx, degree_cap: int,
 def is_stable_nilpotent(e: AlgElement, ctx) -> bool:
     """Is the two-sided ideal generated by e nilpotent?
 
-    Power-iterates the subspace F e F; under nilpotency the chain strictly
-    decreases, so stabilizing nonzero within dim steps refutes it.
+    Power-iterates the ideal J = F e F: J^(k+1) = J^k J lies in J^k, so the
+    chain decreases and stops, at 0 exactly when J is nilpotent.
     """
     if e.is_zero():
         return True
     full = ctx.full_subspace()
     single = GradedSubspace.span(ctx.ambient, [e.to_vector()])
     ideal = op_product(ctx, op_product(ctx, full, single), full)
-    current = ideal
-    for _ in range(ctx.ambient.dim + 1):
-        if current.is_zero():
-            return True
-        nxt = op_product(ctx, current, ideal)
-        if nxt == current:
-            return False
-        current = nxt
-    return current.is_zero()
+    return Chain(ideal, lambda _, power: op_product(ctx, power, ideal)).limit().is_zero()
 
 
 def conjecture_probe(g, pair: CompatiblePair, fctx, L: GradedSubspace | None = None):

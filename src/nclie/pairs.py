@@ -8,7 +8,8 @@ commutators, powers and inverses are those of coeffalg; rows of rationals
 from outside (a JSON pair file, a caller's basis) become elements through
 `matrix`.  Powers of g, the pair type, perfectness, enveloping-center data,
 and the split strong-grading witness all reduce to exact subspace
-computations in the matrix-unit coordinates of M_n.
+computations in the matrix-unit coordinates of M_n.  The powers of g and
+their partial sums are `Chain`s that stop at their first repeat.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 from .coeffalg import AlgElement, StructureContext, commutator, mul
 from .subspace import (
     Ambient,
+    Chain,
     GradedSubspace,
     SpanBuilder,
     fraction_left_kernel,
@@ -95,10 +97,10 @@ class CompatiblePair:
         if not self.g.issubset(self.algebra):
             raise ValueError("g does not lie inside the declared algebra")
         self._key = key or ("custom", n, self.g_basis, self.algebra_basis)
-        self._powers: list[GradedSubspace] = [self.g]
-        self._powers_repeat = False   # whether g^(K+1) = g^K, K = len(self._powers)
-        self._bracket_powers: dict[int, GradedSubspace] = {}
-        self._sums: list[GradedSubspace] = []
+        mctx, g = self.mctx, self.g   # the chains' steps hold no reference to the pair
+        self._powers = powers = Chain(g, lambda _, p: op_product(mctx, p, g))   # g^(k+1) at k
+        self._bracket_powers: dict[GradedSubspace, GradedSubspace] = {}
+        self._sums = Chain(g, lambda k, s: s.sum(powers.term(k + 1)))   # g + ... + g^(k+1)
         self._center: GradedSubspace | None = None
 
     def key(self):
@@ -118,28 +120,20 @@ class CompatiblePair:
     def g_power(self, k: int) -> GradedSubspace:
         """Span of k-fold products of elements of g inside A.
 
-        The memo is filled upward and stops at the first repeat: g^(K+2) =
-        g^(K+1) g, so g^K = g^(K+1) fixes every later power.
+        The chain stops at the first repeat: g^(K+2) = g^(K+1) g, so g^K =
+        g^(K+1) fixes every later power.  For some g it never comes.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        powers = self._powers   # g, g^2, ..., g^K
-        while len(powers) < k and not self._powers_repeat:
-            power = op_product(self.mctx, powers[-1], self.g)
-            if power == powers[-1]:
-                self._powers_repeat = True
-            else:
-                powers.append(power)
-        return powers[min(k, len(powers)) - 1]
+        return self._powers.term(k - 1)
 
     def bracket_power(self, k: int) -> GradedSubspace:
         """[g, g^k], the span of commutators of g against k-fold products; for
         k past the first repeat K of the powers it is [g, g^K], built once."""
-        self.g_power(k)
-        k = min(k, len(self._powers))
-        if k not in self._bracket_powers:
-            self._bracket_powers[k] = op_bracket(self.mctx, self.g, self.g_power(k))
-        return self._bracket_powers[k]
+        power = self.g_power(k)
+        if power not in self._bracket_powers:
+            self._bracket_powers[power] = op_bracket(self.mctx, self.g, power)
+        return self._bracket_powers[power]
 
     def tilde_power(self, k: int) -> GradedSubspace:
         """Span of pure powers a^k over a in g, by full polarization.
@@ -168,34 +162,25 @@ class CompatiblePair:
         combos = itertools.combinations_with_replacement(range(len(self.g_basis)), k)
         return GradedSubspace.span(self.mctx.ambient, (sym(c).coeffs for c in combos))
 
-    def _partial_sums(self) -> list[GradedSubspace]:
-        """The partial sums g, g + g^2, ... up to the first one that the next
-        power does not grow.  That one is the sum of all powers: once g^(k+1)
-        lies in S = g + ... + g^k, S g lies in S, so every later power does."""
-        sums = self._sums
-        if not sums:
-            sums.append(self.g)
-            while (grown := sums[-1].sum(self.g_power(len(sums) + 1))) != sums[-1]:
-                sums.append(grown)
-        return sums
-
     def envelope(self) -> GradedSubspace:
-        """The associative subalgebra generated by g: sum of all powers."""
-        return self._partial_sums()[-1]
+        """The associative subalgebra generated by g: the limit of the
+        partial sums g, g + g^2, ..., which grow; once g^(k+1) lies in
+        S = g + ... + g^k, S g lies in S, so every later power does."""
+        return self._sums.limit()
 
     def power_stabilization(self) -> int:
         """First K with g^K = g^(K+1) (then all later powers coincide)."""
         k = self.mctx.ambient.dim + 2
         self.g_power(k)
-        if not self._powers_repeat:
+        if self._powers.stop is None:
             raise UnsupportedError(f"the powers of g have not stabilized by g^{k}, "
                                    "so the perfectness test has no stopping point")
-        return len(self._powers)
+        return self._powers.stop + 1
 
     def pair_type(self):
-        """Minimal m with g + g^2 + ... + g^m = A, or INFINITE."""
-        return next((m for m, acc in enumerate(self._partial_sums(), 1) if acc == self.algebra),
-                    INFINITE)
+        """Minimal m with g + g^2 + ... + g^m = A, or INFINITE: the sums grow
+        strictly to the envelope, which lies in A, so only the last can."""
+        return self._sums.stop + 1 if self.envelope() == self.algebra else INFINITE
 
     def is_perfect(self, k_max: int | None = None):
         """Check [g, g^k]g + (g^k intersect g^(k+1)) = g^(k+1) for k = 2..k_max.

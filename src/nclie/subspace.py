@@ -37,7 +37,9 @@ Every product and commutator of two sparse vectors, of algebra elements as
 well as of subspace basis rows, is computed by one loop, `sparse_product`,
 and every split of a sparse vector into degree blocks by `Ambient.split`.
 Only the product of two subspaces of a free context skips it: there it is
-a sum of Kronecker blocks (`op_product`).
+a sum of Kronecker blocks (`op_product`).  Every sequence built upward to
+its first repeat (commutator spaces, ideals, powers of g, their sums) is a
+`Chain`.
 """
 
 from __future__ import annotations
@@ -761,6 +763,30 @@ def subspace_sum(ambient: Ambient, parts: Iterable[GradedSubspace]) -> GradedSub
                 for row in mats[k]:
                     b.add_block_row(bi, row)
     return b.finalize()
+
+
+class Chain:
+    """x_0 = first, x_(k+1) = step(k, x_k), built upward on demand up to the
+    first k with step(k, x_k) == x_k, recorded as `stop`.  Past it `term`
+    returns x_stop with no step and no comparison; the caller proves that
+    every later term is x_stop.  `limit` is for chains proven to repeat, such
+    as monotone chains of subspaces."""
+
+    def __init__(self, first, step):
+        self._terms, self._step, self.stop = [first], step, None
+
+    def term(self, k):
+        terms = self._terms
+        while self.stop is None and len(terms) <= k:
+            nxt = self._step(len(terms) - 1, terms[-1])
+            if nxt == terms[-1]:
+                self.stop = len(terms) - 1
+            else:
+                terms.append(nxt)
+        return terms[min(k, len(terms) - 1)]
+
+    def limit(self):
+        return self.term(math.inf)
 
 
 def bracket_saturate(ctx, generators, sweeps=None) -> GradedSubspace:

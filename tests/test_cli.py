@@ -277,6 +277,28 @@ def test_battery_rounds_are_capped(monkeypatch, capsys):
         ("pass", f"0 positive, {drawn} negative"), ("fail", f"0/{drawn}, need 2 of each")]
 
 
+@pytest.mark.parametrize("pair", ["sp:2", "so:2"])
+def test_classical_battery_at_n_2_is_vacuous(pair, capsys):
+    # at n = 2 the classical criterion always holds: for i = 1 it tests
+    # f1 f2 - f1 f2 = 0, for i = 2 it tests [f2, f1], which lies in I_1
+    rc = main(["verify", "--suite", "cartan-classical", "--pair", pair, "--deg", "3", "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert rc == 0
+    assert [(c["anchor"], c["verdict"]) for c in checks] == [
+        ("cartan.classical.equivalence", "pass"), ("cartan.classical.coverage", "vacuous")]
+
+
+@pytest.mark.parametrize("pair, rc, unsupported", [("sp:2", 0, []), ("so:2", 3, ["pairs.perfect"])])
+def test_verify_all_at_n_2(pair, rc, unsupported, capsys):
+    # so:2 is abelian, outside the orthogonal form's hypothesis of a semisimple
+    # g; its powers alternate with period 2, so perfectness has no stop
+    assert main(["verify", "--suite", "all", "--pair", pair, "--deg", "3", "--json"]) == rc
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["anchor"] for c in checks if c["verdict"] == "unsupported"] == unsupported
+    assert "fail" not in {c["verdict"] for c in checks}
+    assert ("closed.orthogonal" in {c["anchor"] for c in checks}) == (pair == "sp:2")
+
+
 def test_matrix_backend_all_suites_exit_three(capsys):
     rc = main(["verify", "--suite", "all", "--backend", "matrix:2", "--json"])
     assert rc == 3

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from nclie import commfilt
 from nclie.coeffalg import FreeContext, StructureContext
 from nclie.commfilt import FiltrationCache, ideal_IklS, lie_generated, two_sided_ideal
 from nclie.pairs import CompatiblePair
@@ -265,11 +266,36 @@ def test_ideal_is_the_partial_sum_at_the_joint_stop(ctx):
             assert len(cache._ikle[k]) == stop + 1   # S(k, 0), ..., S(k, stop)
 
 
-def test_commutator_spaces_stop_at_the_first_repeat(m2ctx):
-    # [M_2, M_2] = sl_2 and [M_2, sl_2] = sl_2: one repeat fixes every later space
+def test_commutator_spaces_stop_at_the_first_repeat(m2ctx, monkeypatch):
+    # [M_2, M_2] = sl_2 and [M_2, sl_2] = sl_2: one repeat fixes every later
+    # space, so two brackets are built, and once the repeat is recorded a
+    # later call compares no spaces
     cache = FiltrationCache(m2ctx)
-    assert cache.commutator_space(10**6) == cache.commutator_space(1)
-    assert sorted(cache._comm) == [0, 1, 2]
+    brackets, comparisons = [], []
+    monkeypatch.setattr(commfilt, "op_bracket", lambda *args, real=commfilt.op_bracket:
+                        brackets.append(args) or real(*args))
+    monkeypatch.setattr(GradedSubspace, "__eq__", lambda *args, real=GradedSubspace.__eq__:
+                        comparisons.append(args) or real(*args))
+    top = cache.commutator_space(10**6)
+    assert len(brackets) == 2 and top.dim == 3
+    comparisons.clear()
+    for _ in range(5):
+        assert cache.commutator_space(10**6) is top
+    assert comparisons == [] and len(brackets) == 2
+
+
+def test_ikl_multiplies_each_distinct_factor_pair_once(m2ctx, monkeypatch):
+    # over M_2, C(i) = sl_2 for every i >= 1, so the eleven terms C(i) C(10 - i)
+    # of I(10, 2) hold three distinct factor pairs: (M_2, sl_2), (sl_2, sl_2)
+    # and (sl_2, M_2)
+    cache = FiltrationCache(m2ctx)
+    C = cache.commutator_space
+    expected = subspace_sum(m2ctx.ambient, [op_product(m2ctx, C(i), C(10 - i)) for i in range(11)])
+    products = []
+    monkeypatch.setattr(commfilt, "op_product", lambda *args, real=commfilt.op_product:
+                        products.append(args) or real(*args))
+    assert cache.ideal_Ikl(10, 2) == expected
+    assert len(products) == 3
 
 
 def test_ikl_builds_only_what_the_recursion_reaches():

@@ -11,6 +11,7 @@ from nclie.coeffalg import FreeContext, StructureContext
 from nclie.subspace import (
     _GUARD,
     Ambient,
+    Chain,
     GradedSubspace,
     SpanBuilder,
     _Block,
@@ -1030,3 +1031,25 @@ def test_op_product_other_contexts_match_reference_loop(m2ctx):
         s1 = GradedSubspace.span(c.ambient, [{0: 1, 3: 2}, {1: 1}])
         s2 = GradedSubspace.span(c.ambient, [{2: 1}, {3: 2**62 + 5}])
         assert_same_subspace(op_product(c, s1, s2), reference_op_product(c, s1, s2))
+
+
+def test_chain_records_its_stop_and_steps_no_further():
+    steps = []
+
+    def step(k, x):
+        steps.append(k)
+        return min(x + 1, 3)
+
+    chain = Chain(0, step)
+    assert chain.term(1) == 1 and chain.stop is None and steps == [0]
+    assert chain.limit() == 3 and chain.stop == 3   # step(3, 3) == 3
+    assert steps == [0, 1, 2, 3]
+    assert chain.term(10**9) == 3 and chain.term(2) == 2 and chain.limit() == 3
+    assert steps == [0, 1, 2, 3]
+
+
+def test_chain_that_never_repeats_answers_a_bounded_term():
+    steps = []
+    chain = Chain(1, lambda k, x: steps.append(k) or 2 * x)
+    assert chain.term(10) == 2**10 and chain.stop is None
+    assert chain.term(3) == 8 and steps == list(range(10))
