@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from .subspace import (
@@ -63,6 +64,7 @@ class Context:
 
     unital = False
     is_free = False
+    denominator = 1   # lcm of the denominators of the basis product's coefficients
 
     def key(self):
         raise NotImplementedError
@@ -88,6 +90,20 @@ class Context:
 
     def element_from_vector(self, vec) -> "AlgElement":
         return AlgElement(self, {i: Fraction(v) for i, v in (vec.items() if isinstance(vec, dict) else vec) if v})
+
+    def word_layout(self):
+        """(a, mulmat), the layout that bracket saturation pulls brackets
+        back through.  A block holds the words of one length of a free
+        algebra times the a coordinates of a coefficient algebra A, at local
+        index word * a + coordinate, the words of each length in
+        lexicographic order, so that the word f of a block of W_e words put
+        before (after) the word u of a block of W_d words is the word
+        f * W_d + u (u * W_e + f) of their product's block.  mulmat(alpha,
+        right=False) is the integer matrix of x -> alpha x (x -> x alpha)
+        on A, for alpha with integer coordinates {coordinate: value}, times
+        one scale fixed per context.  Here the one block is A, with the
+        empty word alone, and the scale is `denominator`."""
+        return self.ambient.dim, functools.partial(multiplication_matrix, self, scale=self.denominator)
 
 
 class FreeContext(Context):
@@ -133,6 +149,10 @@ class FreeContext(Context):
         self.word_index = {w: i for i, w in enumerate(words)}
         self.ambient = Ambient([(d, m**d) for d in range(lo, self.D + 1)])
         self.integral = True
+
+    def word_layout(self):
+        """Words of F times A = Q: alpha x = x alpha."""
+        return 1, lambda alpha, right=False: int_matrix([alpha], 1)
 
     def key(self):
         return ("free", self.m, self.D, self.unital, self.names)
@@ -222,6 +242,8 @@ class StructureContext(Context):
         self.integral = all(
             isinstance(c, int) for row in self.products for cell in row for _, c in cell
         )
+        self.denominator = math.lcm(*(Fraction(c).denominator
+                                      for row in self.products for cell in row for _, c in cell))
         self._key = key or ("structure", self.products, self.unit)
 
     def _check_axioms(self):
@@ -435,15 +457,17 @@ def commutator(a: AlgElement, b: AlgElement) -> AlgElement:
     return mul(a, b) - mul(b, a)
 
 
-def multiplication_matrix(ctx, coeffs: dict[int, int], right: bool = False):
+def multiplication_matrix(ctx, coeffs: dict[int, int], right: bool = False, scale: int = 1):
     """Integer matrix of x -> a x (x -> x a with right=True) on row vectors,
-    for the element a with integer coefficients {basis index: int}: row p is
-    the coordinate vector of a e_p (e_p a), filled from ctx.mul_basis, so
-    the product a x is x @ M for a row vector x."""
-    if not ctx.integral:
+    times scale, for the element a with integer coefficients {basis index:
+    int}: row p is scale times the coordinate vector of a e_p (e_p a),
+    filled from ctx.mul_basis, so the product a x is x @ M / scale for a
+    row vector x.  scale must clear the denominators of the basis product
+    (a multiple of ctx.denominator)."""
+    if scale % ctx.denominator:
         raise ValueError(f"{ctx!r} has a non-integral basis product")
     dim = ctx.ambient.dim
-    items = list(coeffs.items())
+    items = [(i, c * scale) for i, c in coeffs.items()]
     return int_matrix(
         [sparse_product(ctx.mul_basis, ((p, 1),), items) if right
          else sparse_product(ctx.mul_basis, items, ((p, 1),))

@@ -17,7 +17,17 @@ jobs parallelize across processes without synchronization.
 
 from __future__ import annotations
 
-from .coeffalg import AlgElement, Context, ContextMismatchError, StructureContext, commutator, mul
+import functools
+
+from .coeffalg import (
+    AlgElement,
+    Context,
+    ContextMismatchError,
+    StructureContext,
+    commutator,
+    mul,
+    multiplication_matrix,
+)
 from .commfilt import FiltrationCache
 from .pairs import (
     CompatiblePair,
@@ -53,6 +63,7 @@ class TensorContext(Context):
         fblocks = fctx.ambient.blocks
         self.ambient = Ambient([(d, s * self.nn) for d, s in fblocks])
         self.integral = fctx.integral
+        self.denominator = fctx.denominator
         self.unital = fctx.unital
         self._fdim = fctx.ambient.dim
         # for mul_basis: (word, row, column) per basis index, and the
@@ -65,6 +76,13 @@ class TensorContext(Context):
 
     def __repr__(self):
         return f"TensorContext({self.fctx!r}, n={self.n})"
+
+    def word_layout(self):
+        """Over a free F the words are F's and A is M_n (see
+        Context.word_layout); over any other F the one block is A."""
+        if not self.fctx.is_free:
+            return super().word_layout()
+        return self.nn, functools.partial(multiplication_matrix, self.mctx)
 
     def flat(self, f_idx: int, a_idx: int) -> int:
         return f_idx * self.nn + a_idx

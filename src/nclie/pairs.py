@@ -120,8 +120,10 @@ class CompatiblePair:
     def g_power(self, k: int) -> GradedSubspace:
         """Span of k-fold products of elements of g inside A.
 
-        The chain stops at the first repeat: g^(K+2) = g^(K+1) g, so g^K =
-        g^(K+1) fixes every later power.  For some g it never comes.
+        The chain stops at the first repeat of g^K among the two powers
+        before: g^(k+1) = g^k g depends on g^k alone, so g^K = g^(K+p)
+        repeats every later power with period p (1 or 2; so:2 has g = g^3 =
+        span J and g^2 = span 1).  For some g no such repeat comes.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -169,13 +171,21 @@ class CompatiblePair:
         return self._sums.limit()
 
     def power_stabilization(self) -> int:
-        """First K with g^K = g^(K+1) (then all later powers coincide)."""
+        """First K with g^K = g^(K+p), for the period p = power_period() of
+        the powers (then every later power repeats one of g^K ..
+        g^(K+p-1))."""
         k = self.mctx.ambient.dim + 2
         self.g_power(k)
         if self._powers.stop is None:
             raise UnsupportedError(f"the powers of g have not stabilized by g^{k}, "
                                    "so the perfectness test has no stopping point")
-        return self._powers.stop + 1
+        return self._powers.stop + 2 - self._powers.period
+
+    def power_period(self) -> int:
+        """The period, 1 or 2, with which the powers repeat from
+        power_stabilization() on."""
+        self.power_stabilization()
+        return self._powers.period
 
     def pair_type(self):
         """Minimal m with g + g^2 + ... + g^m = A, or INFINITE: the sums grow
@@ -185,12 +195,14 @@ class CompatiblePair:
     def is_perfect(self, k_max: int | None = None):
         """Check [g, g^k]g + (g^k intersect g^(k+1)) = g^(k+1) for k = 2..k_max.
 
-        Defaults k_max to the stabilization point of the powers; once
-        g^K = g^(K+1) every later condition holds automatically since the
-        bracket term stays inside the stable power.
+        Defaults k_max to the end of the first full period of the powers,
+        K + p - 1 for K = power_stabilization() and p = power_period().
+        The condition for k is a function of the pair (g^k, g^(k+1)), as
+        [g, g^k] is one of g^k; from K on these pairs repeat with period p,
+        so the conditions for k = K .. K + p - 1 are those of every later k.
         """
         if k_max is None:
-            k_max = max(2, self.power_stabilization())
+            k_max = max(2, self.power_stabilization() + self.power_period() - 1)
         for k in range(2, k_max + 1):
             lhs = op_product(self.mctx, self.bracket_power(k), self.g).sum(
                 self.g_power(k).intersect(self.g_power(k + 1))

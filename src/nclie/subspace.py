@@ -22,16 +22,19 @@ Intersections (Zassenhaus) and the small dense rational solvers
 (`fraction_rref` and the kernels and solutions read off it) build canonical
 subspaces with the same insertion.
 
-Saturation (`bracket_saturate`) eliminates only what can grow the span.  Its
-first sweep brackets the parts of the generators in pairs, each pair once.
-Every sweep then passes its candidates per block through `_SweepFilter`,
-which drops a multiple of a candidate the sweep already offered there and,
-in a block at least half full, filters the rest: one exact product with the
-nullspace of the span at the start of the sweep, over the columns the
-candidates use, maps them to quotient coordinates, a zero row is proof of
-membership and is dropped, and the other rows are eliminated in a quotient
-block as wide as the codimension; a candidate reaches the real block only
-when it grows it.
+Saturation (`bracket_saturate`) forms only the brackets that grow the span.
+Per sweep and target block it takes N, the nullspace of the block's span, and
+pulls it back through the bracket maps: the image [x, r] N of the bracket of
+a frontier row r with a generator part x is r (ad_x N).  In the word layout
+of a context (`Context.word_layout`: words of a free algebra times the
+coordinates of a coefficient algebra), ad_x N is made of word prefix and
+suffix slices of N times multiplication matrices of the coefficient algebra,
+so one exact product serves every pair of a group of parts, and rows of the
+product that are equal get one id, so that a zero or repeated image is found
+without being formed.  A zero image proves membership, a repeated direction
+is dropped, and the other images are eliminated in a quotient block as wide
+as the codimension; only a bracket whose image grows it is formed and
+inserted.  Once the quotient block is half full, N is taken anew.
 
 Every product and commutator of two sparse vectors, of algebra elements as
 well as of subspace basis rows, is computed by one loop, `sparse_product`,
@@ -122,7 +125,7 @@ def _primitive(arr):
     nz = np.nonzero(arr)[0]
     if len(nz) == 0:
         return None, -1, 0
-    g = _gcd_reduce(arr)
+    g = _gcd_reduce(arr[nz])
     if arr[nz[0]] < 0:
         g = -g
     if g != 1:
@@ -180,13 +183,14 @@ def _eliminate(rows, pidx, maxes, arr, amax):
 class _Block:
     """Mutable echelon basis of one degree block (rows ordered by pivot)."""
 
-    __slots__ = ("width", "rows", "pidx", "maxes")
+    __slots__ = ("width", "rows", "pidx", "maxes", "reduced")
 
     def __init__(self, width: int):
         self.width = width
         self.rows: list[np.ndarray] = []
         self.pidx = np.empty(0, dtype=np.intp)   # pivot column of each row
         self.maxes: list[int] = []
+        self.reduced = np.zeros(width, dtype=bool)   # pivot columns as of the last canonicalize
 
     def insert(self, arr, amax):
         """Reduce and insert; returns the stored row (kept in pivot order) or None."""
@@ -198,7 +202,7 @@ class _Block:
             return None
         pos = bisect.bisect_left(self.pidx, pivot)
         self.rows.insert(pos, arr)
-        self.pidx = np.insert(self.pidx, pos, pivot)
+        self.pidx = np.concatenate((self.pidx[:pos], [pivot], self.pidx[pos:])).astype(np.intp)
         self.maxes.insert(pos, amax)
         return arr
 
@@ -216,6 +220,7 @@ class _Block:
         ]
         self.pidx = pidx
         self.maxes = list(maxes)
+        self.reduced[pidx] = True
 
     def canonicalize(self):
         """Eliminate above pivots, then renormalize; yields the unique basis.
@@ -224,19 +229,28 @@ class _Block:
         it, latest first, each already reduced.  Row j is zero at every other
         pivot column, so combining it in clears only column p_j there and
         leaves the others zero or nonzero: the rows that row i meets are the
-        nonzeros of one gather of row i at the later pivots.  Rows are
-        replaced, never changed in place.
+        nonzeros of row i at the later pivots.  Those lie among the pivot
+        columns new since the last call: a row stored since then was reduced
+        against every row present before it, and a row present then is zero
+        at their other pivots.  So the rows that meet any are found by one
+        gather of every row at the new pivots.  Rows are replaced, never
+        changed in place.
         """
         rows, maxes = self.rows, self.maxes
+        new = np.flatnonzero(~self.reduced[self.pidx])
+        if not len(new):
+            return
         pivots = self.pidx.tolist()
-        for i in range(len(rows) - 2, -1, -1):
+        hits = np.array([row[self.pidx[new]] != 0 for row in rows])
+        hits &= new[None, :] > np.arange(len(rows))[:, None]
+        for i in np.flatnonzero(hits.any(axis=1))[::-1].tolist():
             row, amax = rows[i], maxes[i]
-            hits = np.flatnonzero(row[self.pidx[i + 1:]])
-            for j in (hits[::-1] + (i + 1)).tolist():
+            for j in new[hits[i]][::-1].tolist():
                 pj = pivots[j]
                 row, _ = _combine(int(rows[j][pj]), rows[j], maxes[j], int(row[pj]), row, amax)
                 row, _, amax = _primitive(row)
             rows[i], maxes[i] = row, amax
+        self.reduced[self.pidx] = True
 
 
 class GradedSubspace:
@@ -767,26 +781,38 @@ def subspace_sum(ambient: Ambient, parts: Iterable[GradedSubspace]) -> GradedSub
 
 class Chain:
     """x_0 = first, x_(k+1) = step(k, x_k), built upward on demand up to the
-    first k with step(k, x_k) == x_k, recorded as `stop`.  Past it `term`
-    returns x_stop with no step and no comparison; the caller proves that
-    every later term is x_stop.  `limit` is for chains proven to repeat, such
-    as monotone chains of subspaces."""
+    first repeat of one of the last two terms: the first k with step(k, x_k)
+    equal to x_k (`period` 1) or to x_(k-1) (`period` 2), recorded as
+    `stop`.  Past it `term` repeats the last `period` terms, with no step
+    and no comparison; the caller proves that the terms repeat so, as they
+    do when step depends on x_k alone.  A monotone chain stops with period
+    1: x_(k+1) = x_(k-1) would have made x_k = x_(k-1) a repeat one step
+    before.  `limit` is for chains proven to stop with period 1, such as
+    monotone chains of subspaces."""
 
     def __init__(self, first, step):
-        self._terms, self._step, self.stop = [first], step, None
+        self._terms, self._step, self.stop, self.period = [first], step, None, None
 
     def term(self, k):
         terms = self._terms
         while self.stop is None and len(terms) <= k:
             nxt = self._step(len(terms) - 1, terms[-1])
-            if nxt == terms[-1]:
-                self.stop = len(terms) - 1
+            for period in (1, 2):
+                if period <= len(terms) and nxt == terms[-period]:
+                    self.stop, self.period = len(terms) - 1, period
+                    break
             else:
                 terms.append(nxt)
-        return terms[min(k, len(terms) - 1)]
+        if k < len(terms):
+            return terms[k]
+        return terms[-1] if self.period == 1 else terms[len(terms) - 2 + (k - len(terms)) % 2]
 
     def limit(self):
-        return self.term(math.inf)
+        while self.stop is None:
+            self.term(len(self._terms))
+        if self.period != 1:
+            raise ValueError("the chain repeats with period 2: it has no limit")
+        return self._terms[-1]
 
 
 def bracket_saturate(ctx, generators, sweeps=None) -> GradedSubspace:
@@ -794,158 +820,343 @@ def bracket_saturate(ctx, generators, sweeps=None) -> GradedSubspace:
 
     This is the saturation oracle: starting from span(generators), each sweep
     adds [g, v] for every generator g and every vector v added in the previous
-    sweep, until the dimensions stabilize (or for `sweeps` rounds when the
-    bracket-depth filtration is wanted).  Monotonicity makes one stale sweep
-    definitive, and in a graded context brackets only raise the degree.
+    sweep, split into degrees, until the dimensions stabilize (or for `sweeps`
+    rounds when the bracket-depth filtration is wanted).  Monotonicity makes
+    one stale sweep definitive, and in a graded context brackets only raise
+    the degree.  The split of [g, v] into degrees is the brackets [x, v] of
+    the homogeneous parts x of g, and the parts that did not grow the span
+    are combinations of those that did, so the sweeps bracket with those.
+    While the frontier is the parts themselves (the first sweep), [x, r] =
+    -[r, x], so the brackets of a part of degree e with a row of degree
+    d < e are those of degree e with d, and are left out.
 
-    Before the first sweep the span is spanned by the homogeneous parts of the
-    generators that grew it (the split of [g, v] into degrees is the brackets
-    of the parts of g with v), so the first sweep brackets those parts in
-    pairs, each pair once.  Every sweep inserts through _SweepFilter.
+    A sweep decides membership before it forms a bracket (_sweep_block).
+    Take a target block, its span S when the test starts, and N, the
+    nullspace of S, so that S = {v : v N = 0}.  For a frontier row r and a
+    part x, [x, r] = r ad_x, and its image is Q = [x, r] N = r (ad_x N),
+    formed from N by _pulled_images without forming [x, r].
+      * Q = 0 exactly when [x, r] lies in S: the bracket is dropped.
+      * v -> v N has kernel S, so [x, r] lies in S + span(B), for the
+        brackets B inserted since, exactly when Q lies in the span of their
+        images.  The images go into a quotient block as wide as the
+        codimension of S.  A bracket is formed and inserted only when its
+        image grows that block, and then it is sure to grow the span.  A
+        direction of Q met before cannot grow it and is dropped first.
+      * Once the quotient block is half full, S is taken anew (the span
+        now) with its N, at most half as wide, and an empty quotient block.
+    So each bracket of the sweep is inserted or proven to lie in the span,
+    and every sweep ends at S + span{[x, r]}, the span that inserting every
+    bracket reaches: the span after every sweep, and with it the `sweeps`
+    cap, is unchanged, and so is the canonical form.  The rows a sweep
+    stores are the next sweep's frontier; any rows spanning the same
+    complement give the same next span, since [x, S] already lies in the
+    span after the sweep.
     """
     amb = ctx.ambient
-    maxdeg = amb.max_degree
-    mul = ctx.mul_basis
+    a, mulmat = ctx.word_layout()
     builder = SpanBuilder(amb)
-    gens = []
-    parts = []   # (degree, support) of each homogeneous part that grew the span
+    parts: dict[int, list] = {}   # block -> the parts that grew the span, as (columns, values)
     for g in generators:
         items = [(i, v) for i, v in (g.items() if isinstance(g, dict) else g) if v]
-        if not items:
-            continue
-        deg = min(amb.degree_of(i) for i, _ in items)  # brackets with g start there
-        norm = _normalize_int_items(items)
-        gens.append((deg, norm))
-        for bi, comp in amb.split(norm).items():
+        for bi, comp in amb.split(_normalize_int_items(items)).items():
             arr, amax = _int_row(amb.blocks[bi][1], comp)
             if builder._blocks[bi].insert(arr, amax) is not None:
-                start = amb.starts[bi]
-                parts.append((amb.blocks[bi][0], [(start + j, v) for j, v in comp.items()]))
+                parts.setdefault(bi, []).append(_entries(arr))
+    if not parts:
+        return builder.finalize()
+    part_pieces = _word_pieces(a, parts)
+    mulmats = [[mulmat(_sparse(p), right=right) for p in part_pieces[0]] for right in (False, True)]
     frontier = parts
     rounds = 0
-    while frontier:
-        if sweeps is not None and rounds >= sweeps:
-            break
-        if rounds == 0:
-            products = (sparse_product(mul, r1, r2, True)
-                        for k, (d1, r1) in enumerate(parts)
-                        for d2, r2 in parts[k + 1:] if d1 + d2 <= maxdeg)
-        else:
-            products = _generator_brackets(amb, mul, gens, frontier)
+    while frontier and (sweeps is None or rounds < sweeps):
         rounds += 1
-        filters: dict[int, _SweepFilter] = {}
-        frontier = []   # the rows this sweep stores, as (block index, row)
-        for acc in products:
-            for bi, comp in amb.split(acc).items():
-                if bi not in filters:
-                    filters[bi] = _SweepFilter(builder._blocks[bi])
-                frontier.extend((bi, row) for row in filters[bi].offer(comp))
-        for bi, filt in filters.items():
-            frontier.extend((bi, row) for row in filt.flush())
+        pieces = _word_pieces(a, frontier)
+        fresh = {}
+        for t, (deg_t, _) in enumerate(amb.blocks):
+            splits = [(d, e) for d in frontier for e in parts
+                      if amb.blocks[d][0] + amb.blocks[e][0] == deg_t
+                      and (frontier is not parts or d >= e)]
+            pairs = _pairs(splits, pieces, part_pieces, mulmats)
+            stored = _sweep_block(ctx, a, builder._blocks[t], t, pairs, frontier, parts)
+            if stored:
+                fresh[t] = stored
+        frontier = fresh
     return builder.finalize()
 
 
-def _generator_brackets(amb, mul, gens, rows):
-    """[g, v] for every row v, given as (block index, row), and every
-    generator g, given as (lowest degree, support), that can reach degree D."""
-    for bi, row in rows:
-        deg, items = amb.blocks[bi][0], _row_support(amb, bi, row)
-        for deg_g, items_g in gens:
-            if deg_g + deg <= amb.max_degree:
-                yield sparse_product(mul, items_g, items, True)
+def _sweep_block(ctx, a, blk, t, pairs, frontier, parts) -> list:
+    """Insert the brackets of one sweep into block t (bracket_saturate):
+    pairs holds, per group of parts, the parts' factors of ad_x (their
+    multiplication matrices with the rows' basis) and the splits (d, e)
+    with their part numbers.  Returns the rows stored, as entries."""
+    amb = ctx.ambient
+    stored, quot = [], None
+    for factors, splits in pairs:
+        images = None
+        for (d, e), members in splits.items():
+            if quot is None or 2 * len(quot.rows) >= quot.width:
+                blk.canonicalize()
+                null, nmax = _nullspace(blk.rows, blk.pidx.tolist(), blk.width, blk.maxes,
+                                        float_ok=True)
+                quot, seen, images = _Block(null.shape[1]), set(), None
+                if not quot.width:
+                    return stored   # the block is full
+            if images is None:
+                images = _pulled_images(a, factors, null, nmax)
+            for ridx, xidx, q in _pair_images(amb, a, d, e, members, images):
+                for k, img in _new_directions(q, seen):
+                    if quot.insert(img, abs_max(img)) is not None:
+                        x = _support(amb, e, parts[e][xidx[k]])
+                        r = _support(amb, d, frontier[d][ridx[k]])
+                        bracket = amb.split(sparse_product(ctx.mul_basis, x, r, True))[t]
+                        stored.append(_entries(blk.insert(*_int_row(blk.width, bracket))))
+    return stored
 
 
-# Candidates per product with the nullspace.  Larger chunks measured no
-# faster, and their short-lived arrays of a megabyte and more raised the
-# peak RSS of a closure by several megabytes.
-_CHUNK = 64
+def _entries(row):
+    """(columns, values) of the nonzero entries of an integer row."""
+    cols = np.flatnonzero(row)
+    return cols, row[cols]
 
 
-class _SweepFilter:
-    """Inserts one sweep's candidates into one block, skipping what is known
-    to lie in the span: a repeated direction, and by one exact product every
-    candidate that the block spanned when the sweep started.
+def _support(amb, bi, entries):
+    cols, vals = entries
+    return list(zip((cols + amb.starts[bi]).tolist(), vals.tolist()))
 
-    A candidate whose direction (`_direction`) was offered before in this
-    sweep is dropped: the earlier copy was stored, or found to lie in the
-    span, or is still queued and will be.  N is the nullspace of the block
-    at the start of the sweep (canonicalized in place first), so v @ N = 0
-    exactly when v lies in that span, S.  The candidates come in chunks C
-    and are mapped to Q = C @ N.  A row with Q = 0 lies in S and is dropped.
-    Since the kernel of v -> v @ N is S, a row lies in S + span(rows inserted
-    since) exactly when its Q row lies in the span of their Q rows; so the Q
-    rows go into a quotient block as wide as the codimension of S, and a
-    candidate is inserted into the real block, where it is sure to be
-    stored, only when its Q row is stored there.  The candidates are sparse,
-    so Q is C[:, U] @ N[U] over the union U of the columns the chunk uses,
-    and a candidate becomes a full-width row only when it is inserted.  A
-    block less than half full at the start of the sweep takes its
-    candidates directly: its quotient block would be more than half as wide
-    as the block, and filtering there measured slower than inserting once.
+
+def _word_pieces(a: int, blocks):
+    """The rows of each block {block: [(columns, values)]} as sums of words u
+    times coefficient vectors r_u of length a (Context.word_layout), each
+    r_u written over one basis of them for all the blocks: (basis, {block:
+    (row, word, basis index, coefficient)}), the last four as arrays.
+
+    The basis is the distinct directions of the r_u when they are fewer
+    than a, so that each r_u is one basis vector times its content (the
+    generators w (x) s of a closure use the dim g directions s), and
+    otherwise the unit vectors, one entry per nonzero coordinate.
     """
-
-    __slots__ = ("blk", "null", "nmax", "quot", "pending", "seen")
-
-    def __init__(self, blk: _Block):
-        self.blk = blk
-        self.pending: list[dict] = []
-        self.seen: set[tuple] = set()
-        self.null = self.quot = None
-        if 2 * len(blk.rows) >= blk.width:
-            blk.canonicalize()
-            self.null, self.nmax = _nullspace(blk.rows, blk.pidx.tolist(), blk.width, blk.maxes,
-                                              float_ok=True)
-            self.quot = _Block(self.null.shape[1])
-
-    def offer(self, comp) -> list:
-        """Queue one candidate {column: value}; returns the rows stored."""
-        if self.null is not None and self.null.shape[1] == 0:
-            return []   # the block is full
-        key = _direction(comp)
-        if key in self.seen:
-            return []
-        self.seen.add(key)
-        self.pending.append(comp)
-        return self.flush() if len(self.pending) >= _CHUNK else []
-
-    def flush(self) -> list:
-        """Insert the queued candidates; returns the rows stored."""
-        pending, self.pending = self.pending, []
-        if self.null is not None and pending:
-            pending = self._quotient_growers(pending)
-        stored = []
-        for comp in pending:
-            row = self.blk.insert(*_int_row(self.blk.width, comp))
-            if row is not None:
-                stored.append(row)
-        return stored
-
-    def _quotient_growers(self, pending) -> list:
-        """The candidates whose Q rows grow the quotient block, in order."""
-        cols = sorted(set().union(*pending))
-        pos = dict(zip(cols, range(len(cols))))
-        mat = int_matrix([{pos[c]: v for c, v in comp.items()} for comp in pending], len(cols))
-        null = self.null if len(cols) == len(self.null) else self.null[cols]
-        quot = exact_product(mat, null, abs_max(mat), self.nmax)
-        return [pending[r] for r in np.flatnonzero(quot.any(axis=1)).tolist()
-                if self.quot.insert(quot[r].copy(), abs_max(quot[r])) is not None]
+    found = {}
+    for bi, rows in blocks.items():
+        cols = np.concatenate([c for c, _ in rows])
+        vals = np.concatenate([v.astype(object) if v.dtype == object else v for _, v in rows])
+        r = np.repeat(np.arange(len(rows)), [len(c) for c, _ in rows])
+        key = r * (cols.max() // a + 1) + cols // a          # (row, word), increasing
+        new = np.diff(key, prepend=-1) != 0
+        vecs = np.zeros((int(new.sum()), a), dtype=vals.dtype)
+        vecs[np.cumsum(new) - 1, cols % a] = vals
+        found[bi] = (r[new], cols[new] // a, vecs)
+    vecs = np.concatenate([v for _, _, v in found.values()])
+    content = _contents(vecs)
+    prim = vecs // content[:, None]
+    keys: dict = {}
+    ids = np.array([keys.setdefault(key, len(keys)) for key in _keys(prim)], dtype=np.intp)
+    out = {}
+    if len(keys) < a:
+        pos = 0
+        for bi, (r, u, _) in found.items():
+            out[bi] = (r, u, ids[pos:pos + len(r)], content[pos:pos + len(r)])
+            pos += len(r)
+        return prim[np.unique(ids, return_index=True)[1]], out
+    for bi, (r, u, v) in found.items():
+        p, j = np.nonzero(v)
+        out[bi] = (r[p], u[p], j, v[p, j])
+    return np.eye(a, dtype=np.int64), out
 
 
-def _direction(comp) -> tuple:
-    """An exact key of the line through a nonzero sparse vector {column:
-    value}: the sorted columns, then the values scaled to integers, divided
-    by their content and signed so that the first is positive."""
-    cols = sorted(comp)
-    vals = [comp[c] for c in cols]
-    try:
-        g = math.gcd(*vals)
-    except TypeError:   # Fraction values: scale them to integers first
-        denom = math.lcm(*(Fraction(v).denominator for v in vals))
-        vals = [int(v * denom) for v in vals]
-        g = math.gcd(*vals)
-    if vals[0] < 0:
-        g = -g
-    return (*cols, *[v // g for v in vals])
+def _contents(mat):
+    """The content of each nonzero row, signed like its first nonzero entry."""
+    if mat.dtype == object:
+        g = np.array([math.gcd(*row) for row in mat.tolist()], dtype=object)
+    else:
+        g = np.gcd.reduce(mat, axis=1)
+    first = mat[np.arange(len(mat)), (mat != 0).argmax(axis=1)]
+    return np.where(first < 0, -g, g)
+
+
+def _keys(rows):
+    """Exact keys of integer rows: the bytes of a row as int16 when its
+    entries fit there, else a 1-tuple of its int64 bytes, else the tuple of
+    its Python integers; rows of the three kinds never share a key."""
+    if rows.dtype == object:
+        return [tuple(row) for row in rows.tolist()]
+    narrow = (np.abs(rows) < 1 << 15).all(axis=1).tolist()
+    short = rows.astype(np.int16)
+    return [s.tobytes() if ok else (r.tobytes(),) for r, s, ok in zip(rows, short, narrow)]
+
+
+def _new_directions(images, seen):
+    """(k, primitive row) for the nonzero rows k of images whose direction
+    is not in seen, in order, adding each to seen."""
+    nz = np.flatnonzero(images.any(axis=1))
+    if not len(nz):
+        return
+    rows = images[nz]
+    rows = rows // _contents(rows)[:, None]
+    for k, row, key in zip(nz.tolist(), rows, _keys(rows)):
+        if key not in seen:
+            seen.add(key)
+            yield k, row
+
+
+def _pairs(splits, pieces, part_pieces, mulmats):
+    """The pairs of frontier rows and parts for the splits (d, e) of one
+    target, as [(factors, {(d, e): (row entries, part entries)})], one item
+    per group of parts that use the same basis vectors of their
+    coefficients; see _pulled_images for the factors and _pair_images for
+    the entries."""
+    rbasis, rpieces = pieces
+    ppieces = part_pieces[1]
+    groups: dict[tuple, dict] = {}
+    for d, e in splits:
+        x, _, i, _ = ppieces[e]
+        uses: dict[int, set] = {}
+        for xi, ii in zip(x.tolist(), i.tolist()):
+            uses.setdefault(xi, set()).add(ii)
+        for xi, used in uses.items():
+            groups.setdefault(tuple(sorted(used)), {}).setdefault((d, e), []).append(xi)
+    out = []
+    for used, members in groups.items():
+        local = np.zeros(len(part_pieces[0]), dtype=np.intp)
+        local[list(used)] = np.arange(len(used)) * len(rbasis)
+        factors = [[exact_product(rbasis, mulmats[right][i]) for i in used] for right in (0, 1)]
+        splits = {}
+        for (d, e), xs in members.items():
+            x, f, i, xv = ppieces[e]
+            keep = np.isin(x, xs)
+            splits[d, e] = rpieces[d], (x[keep], f[keep], local[i[keep]], xv[keep])
+        out.append((factors, splits))
+    return out
+
+
+def _pulled_images(a: int, factors, null, nmax):
+    """ad N pulled back for one group of parts: (G, H, max |G| + max |H|,
+    ids), where, for the words z of the target block, G[z, (i, j)] =
+    (P_i R_j) N[z] and H[z, (i, j)] = (R_j P_i) N[z], with N[z] the rows of
+    N at the word z, P_i the basis vectors of the parts' coefficients in the
+    group and R_j those of the rows' (see _pair_images).  The rows R_j M of
+    each multiplication matrix M of P_i (factors) go into one exact product
+    with N, in one dtype for both, left in float64 when product_dtype finds
+    it exact there.  ids numbers the rows of G and H together, equal rows
+    alike (_row_ids)."""
+    dtype = product_dtype(max(abs_max(m) for mats in factors for m in mats), nmax, a)
+    null3 = _as_dtype(null.reshape(-1, a, null.shape[1]), dtype)
+    G, H = (_as_dtype(np.concatenate(mats), dtype) @ null3 for mats in factors)
+    return G, H, abs_max(G) + abs_max(H), _row_ids(G, H)
+
+
+def _splitmix64(n: int):
+    """n fixed pseudo-random 64-bit words (splitmix64, wrapping uint64
+    arithmetic), as int64."""
+    with np.errstate(over="ignore"):
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))).view(np.int64)
+
+
+# A fixed projection for hashing integer rows (wrapping int64 arithmetic).
+_HASH = _splitmix64(1 << 13)
+
+
+def _row_ids(G, H):
+    """Ids of the rows of G and H (arrays of one shape, rows along the last
+    axis), equal exactly for equal rows: (ids of G, ids of H).  Rows are
+    grouped by a hash of their bits (float64 zeros made positive first),
+    and a row that differs from the first row of its group gets an id of
+    its own."""
+    C = G.shape[-1]
+    tables = [T.reshape(-1, C) for T in (G, H)]
+    n = len(tables[0])
+    if G.dtype == object or C > len(_HASH):
+        keys: dict = {}
+        ids = np.array([keys.setdefault(key, len(keys)) for T in tables for key in _keys(T)])
+    else:
+        for T in tables:
+            if T.dtype == np.float64:
+                T += 0.0   # -0.0 becomes 0.0, so equal rows have equal bits
+        bits = [T.view(np.int64) @ _HASH[:C] for T in tables]
+        _, first, ids = np.unique(np.concatenate(bits), return_index=True, return_inverse=True)
+        ids = ids.reshape(-1)
+        for t, T in enumerate(tables):
+            own = np.arange(t * n, (t + 1) * n)
+            rep = first[ids[own]]
+            for s, S in enumerate(tables):   # rows whose group starts in S
+                k = np.flatnonzero((rep != own) & (rep // n == s))
+                bad = k[(T[k] != S[rep[k] - s * n]).any(axis=1)]
+                ids[own[bad]] = 2 * n + own[bad]
+    return ids[:n].reshape(G.shape[:-1]), ids[n:].reshape(G.shape[:-1])
+
+
+# Entries per chunk of images: 256 KB of int64.  Larger chunks measured no
+# faster and raised the peak memory of a closure.
+_CHUNK_ENTRIES = 1 << 15
+
+
+def _pair_images(amb, a, d, e, entries, images):
+    """The images Q = [x, r] N for every pair of a frontier row r of block d
+    and a part x of block e; yields (row numbers, part numbers, Q) in chunks.
+
+    In the word layout (Context.word_layout) a row is r = sum over words u
+    of u (x) r_u and a part x = sum over words f of f (x) x_f, so
+    [x, r] = sum of fu (x) x_f r_u - uf (x) r_u x_f, and with x_f and r_u
+    written over the bases P and R of _word_pieces,
+        Q = sum of x_f[i] r_u[j] (G[fu, (i, j)] - H[uf, (i, j)])
+    (_pulled_images): fu and uf are the word prefix and suffix slices of the
+    target block, at f * W_d + u and u * W_e + f for the numbers W_d and W_e
+    of words of blocks d and e.  entries holds (row, word,
+    basis index, coefficient) of the rows and (part, word, column of its
+    basis index in G, coefficient) of the parts.
+
+    A pair of one row entry and one part entry needs no coefficient, since
+    only the direction of Q counts, and its Q is the difference of a row of
+    G and a row of H: it is 0 when their ids agree, and equal to the Q of
+    any pair with the same two ids.  Such pairs yield only the first pair
+    of each two distinct ids.
+    """
+    (r, u, j, rv), (x, f, col, xv) = entries
+    G, H, gmax, ids = images
+    wd, we = amb.blocks[d][1] // a, amb.blocks[e][1] // a
+    rnum, rstart = np.unique(r, return_index=True)
+    xnum, xinv = np.unique(x, return_inverse=True)
+    rstart = np.append(rstart, len(r))
+    terms = int(np.diff(rstart).max() * np.bincount(xinv).max())
+    bound = gmax if terms == 1 else abs_max(rv) * abs_max(xv) * gmax * terms
+    dtype = G.dtype if bound < _FLOAT_EXACT else np.int64 if bound < _GUARD else object
+    if terms == 1:
+        pp, qq = np.repeat(np.arange(len(r)), len(x)), np.tile(np.arange(len(x)), len(r))
+        cols = col[qq] + j[pp]
+        zg, zh = f[qq] * wd + u[pp], u[pp] * we + f[qq]
+        gid, hid = ids[0][zg, cols], ids[1][zh, cols]
+        key = gid * (4 * ids[0].size) + hid
+        live = np.flatnonzero(gid != hid)
+        live = live[np.sort(np.unique(key[live], return_index=True)[1])]
+        step = max(1, _CHUNK_ENTRIES // G.shape[2])
+        for lo in range(0, len(live), step):
+            k = live[lo:lo + step]
+            vals = _as_dtype(G[zg[k], cols[k]], dtype)
+            vals -= _as_dtype(H[zh[k], cols[k]], dtype)
+            yield r[pp[k]], x[qq[k]], _as_dtype(vals, np.int64) if vals.dtype == np.float64 else vals
+        return
+    step = max(1, _CHUNK_ENTRIES // (len(xnum) * G.shape[2]))
+    for lo in range(0, len(rnum), step):
+        p = np.arange(rstart[lo], rstart[min(lo + step, len(rnum))])
+        pp, qq = np.repeat(p, len(x)), np.tile(np.arange(len(x)), len(p))
+        cols = col[qq] + j[pp]
+        vals = _as_dtype(G[f[qq] * wd + u[pp], cols], dtype)
+        vals -= _as_dtype(H[u[pp] * we + f[qq], cols], dtype)
+        vals *= (_as_dtype(rv[pp], dtype) * _as_dtype(xv[qq], dtype))[:, None]
+        keys = np.searchsorted(rnum, r[pp]) * len(xnum) + xinv[qq]
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], vals[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        vals, keys = np.add.reduceat(vals, starts, axis=0), keys[starts]
+        yield rnum[keys // len(xnum)], xnum[keys % len(xnum)], _as_dtype(vals, np.int64) if vals.dtype == np.float64 else vals
+
+
+def _sparse(vec) -> dict:
+    """{coordinate: value} of the nonzero entries of an integer vector."""
+    nz = np.flatnonzero(vec)
+    return dict(zip(nz.tolist(), vec[nz].tolist()))
 
 
 def _normalize_int_items(items):

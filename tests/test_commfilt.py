@@ -315,3 +315,44 @@ def test_ikl_builds_only_what_the_recursion_reaches():
     assert set(cache._ikl) == reached(1, 2) | reached(4, 4)
     # C(3) and C(4) vanish at degree 3, so I(4, 4) never asks for I(1, 3) or I(0, 3)
     assert (1, 3) not in cache._ikl and (0, 3) not in cache._ikl
+
+
+def _mobius(n: int) -> int:
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def pbw_quotient_dims(m: int, D: int):
+    """coef[d][c] = [t^d s^c] of prod over n of (1 - t^n s^(n-1))^(-l(n)), with
+    l(n) = (1/n) sum over e | n of mu(e) m^(n/e), Witt's count of Lie words of
+    length n on m letters.  By PBW, gr T(V) = Sym(FreeLie(V)), with a Lie
+    word of length n in commutator degree n - 1, so dim (F/I_k)_d is the sum
+    of coef[d][c] over c < k."""
+    coef = [[0] * (D + 1) for _ in range(D + 1)]
+    coef[0][0] = 1
+    for n in range(1, D + 1):
+        ell = sum(_mobius(e) * m ** (n // e) for e in range(1, n + 1) if n % e == 0) // n
+        for _ in range(ell):   # times 1 / (1 - t^n s^(n-1))
+            for d in range(n, D + 1):
+                for c in range(n - 1, D + 1):
+                    coef[d][c] += coef[d - n][c - (n - 1)]
+    return coef
+
+
+@pytest.mark.parametrize("m, D", [(2, 7), (3, 5)])
+def test_ideal_dims_match_the_pbw_count(m, D):
+    # an oracle independent of saturation and of products of subspaces, at
+    # sizes the two-sided-ideal cross-check cannot reach
+    coef = pbw_quotient_dims(m, D)
+    cache = FiltrationCache(FreeContext(m, D))
+    assert cache.ideal_Ik(0) == cache.base   # the augmentation ideal: F without its unit
+    for k in range(1, D + 2):
+        assert cache.ideal_Ik(k).dim_profile() == [
+            (d, m**d - sum(coef[d][:k])) for d in range(D + 1)]

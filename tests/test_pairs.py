@@ -349,6 +349,18 @@ def test_powers_stop_at_the_first_repeat(monkeypatch):
     assert formed.count("op_product") <= 3 and formed.count("op_bracket") <= 3
 
 
+def test_period_two_powers_end_in_a_perfectness_verdict():
+    # so:2: g = span J, g^2 = span 1 (J^2 = -1), g^3 = span J again
+    pair = pair_by_name("so:2")
+    assert pair.power_stabilization() == 1 and pair.power_period() == 2
+    powers = [pair.g_power(k) for k in range(1, 8)]
+    assert powers[0::2] == [pair.g] * 4 and powers[1::2] == [pair.g_power(2)] * 3
+    assert pair.g_power(2) != pair.g and pair.g_power(10**6) == pair.g_power(2)
+    assert pair.g_power(10**6 + 1) == pair.g
+    # [g, g^2] g + (g^2 meet g^3) = 0, not g^3 = g
+    assert pair.is_perfect() == (False, 2)
+
+
 def test_pair_types():
     assert make_gl(2).pair_type() == 1
     assert make_sl(2).pair_type() == 2

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nclie import subspace as subspace_module
 from nclie.coeffalg import FreeContext, StructureContext
+from nclie.current import TensorContext
 from nclie.subspace import (
     _GUARD,
     Ambient,
@@ -16,12 +18,10 @@ from nclie.subspace import (
     SpanBuilder,
     _Block,
     _combine,
-    _direction,
     _int_row,
     _normalize_int_items,
     _primitive,
     _row_support,
-    _SweepFilter,
     bracket_closed,
     bracket_saturate,
     exact_product,
@@ -321,8 +321,8 @@ def saturation_inputs(draw):
     return ctx, gens, draw(st.sampled_from((None, 0, 1, 2, 3)))
 
 
-# Two inputs whose filtered chunks use all the columns of their block, and
-# only some of them (6 of 8), with entries past 2^62 and 2^53.
+# Two inputs with entries past 2^62 and 2^53: M_2, where a block is the
+# whole algebra, and a free context with several generators per degree.
 FULL_COLUMN_CHUNKS = (StructureContext.matrix_algebra(2), [{0: 1, 1: 2**62 + 1}, {2: 2**53 + 1, 3: 1}], None)
 FEW_COLUMN_CHUNKS = (SATURATION_CONTEXTS[0], [{1: 1}, {2: 1}, {4: 2**53 + 1, 5: 1}, {7: 1},
                                               {8: 2**62 + 1, 9: 1}, {13: 1}, {14: 1}], None)
@@ -357,66 +357,140 @@ def test_saturation_keeps_a_bracket_congruent_to_the_span(free23, p):
     assert_same_rows(sat, reference_bracket_saturate(free23, gens))
 
 
-def test_sweep_filter_chunks_use_their_columns(monkeypatch):
-    seen = []
-    growers = _SweepFilter._quotient_growers
-
-    def spy(self, pending):
-        seen.append((len(set().union(*pending)), self.blk.width))
-        return growers(self, pending)
-
-    monkeypatch.setattr(_SweepFilter, "_quotient_growers", spy)
-    for ctx, gens, sweeps in (FULL_COLUMN_CHUNKS, FEW_COLUMN_CHUNKS):
-        bracket_saturate(ctx, gens, sweeps)
-    assert (4, 4) in seen and (6, 8) in seen
+TENSOR_CONTEXTS = (TensorContext(FreeContext(2, 3), 2), TensorContext(FreeContext(2, 2), 3))
+TENSOR_COEFFICIENT = st.one_of(COEFFICIENT, st.builds(Fraction, st.integers(-7, 7).filter(bool),
+                                                      st.integers(2, 9)))
 
 
-def test_direction_key_is_the_line():
-    key = _direction({4: 2, 1: -6})
-    assert key == (1, 4, 3, -1)
-    for same in ({1: 3, 4: -1}, {4: Fraction(1, 2), 1: Fraction(-3, 2)},
-                 {1: -3 * 2**70, 4: 2**70}, {4: Fraction(-5, 7), 1: Fraction(15, 7)}):
-        assert _direction(same) == key
-    for other in ({1: 3, 4: 1}, {1: 3, 4: -2}, {1: 3, 5: -1}, {1: 3}, {4: -1, 1: 3, 6: 1}):
-        assert _direction(other) != key
+@st.composite
+def tensor_saturation_inputs(draw):
+    """Generators of F (x) M_n that are not pure in the word, spread over
+    several degrees, with coefficients past 2^53 and 2^62 and Fractions,
+    and, half the time, a few word-pure matrix units that make the
+    saturation grow."""
+    ctx = draw(st.sampled_from(TENSOR_CONTEXTS))
+    index = st.integers(0, ctx.ambient.dim - 1)
+    gens = [draw(st.dictionaries(index, TENSOR_COEFFICIENT, min_size=1, max_size=4))
+            for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        words = st.integers(1, ctx.fctx.ambient.dim - 1)
+        gens += [{ctx.flat(draw(words), draw(st.integers(0, ctx.nn - 1))): 1}
+                 for _ in range(draw(st.integers(2, 4)))]
+    return ctx, gens, draw(st.sampled_from((None, 0, 1, 2)))
 
 
-def _counting_inserts(monkeypatch):
-    calls = []
-    insert = _Block.insert
+def low_redundancy_tensor_example():
+    """x (x) E11, x (x) E12, xx (x) E11, xx (x) E12 and xy (x) E21 in
+    F (x) M_2.  The parts x (x) E12 take their brackets with the degree-2
+    rows in one chunk: xx (x) E11 gives -xxx (x) E12, a repeat of
+    [x (x) E11, xx (x) E12], and xy (x) E21 after it gives xxy (x) E11 -
+    xyx (x) E22, which no other row and part form.  A filter that left a
+    chunk at its first repeat would lose it."""
+    ctx = TENSOR_CONTEXTS[0]
+    unit = {word: ctx.fctx.word_index[word] for word in ((0,), (0, 0), (0, 1))}
+    gens = [{ctx.flat(unit[w], a): 1} for w, a in (((0,), 0), ((0,), 1), ((0, 0), 0),
+                                                    ((0, 0), 1), ((0, 1), 2))]
+    return ctx, gens
+
+
+@given(tensor_saturation_inputs())
+@example((*low_redundancy_tensor_example(), None))
+@example((*low_redundancy_tensor_example(), 1))
+@example((TENSOR_CONTEXTS[1], [{9: 2**62 + 1, 20: Fraction(-3, 4), 40: 1}, {10: 1}, {22: 1},
+                               {33: 2**53 + 1, 45: -1}], None))
+@settings(max_examples=80, deadline=None)
+def test_tensor_saturation_matches_reference_loop(inputs):
+    ctx, gens, sweeps = inputs
+    assert_same_rows(bracket_saturate(ctx, gens, sweeps), reference_bracket_saturate(ctx, gens, sweeps))
+
+
+def test_low_redundancy_example_keeps_the_bracket_after_a_repeat():
+    ctx, gens = low_redundancy_tensor_example()
+    w = ctx.fctx.word_index
+    sat = bracket_saturate(ctx, gens)
+    assert sat.dim == 8
+    assert sat.contains_vector({ctx.flat(w[0, 0, 1], 0): 1, ctx.flat(w[0, 1, 0], 3): -1})
+
+
+def _quotient_inserts(monkeypatch):
+    """(block, row) of every insertion into a block that no SpanBuilder owns:
+    the quotient blocks of the saturation."""
+    owned, calls = set(), []
+    init, insert = SpanBuilder.__init__, _Block.insert
+
+    def built(self, ambient):
+        init(self, ambient)
+        owned.update(map(id, self._blocks))
 
     def counted(self, arr, amax):
-        calls.append(self)
+        if id(self) not in owned:
+            calls.append((self, arr.copy()))
         return insert(self, arr, amax)
 
+    monkeypatch.setattr(SpanBuilder, "__init__", built)
     monkeypatch.setattr(_Block, "insert", counted)
     return calls
 
 
-def test_sweep_filter_repeats_never_reach_the_quotient_block(monkeypatch):
-    blk = _Block(8)
-    for j in range(4):   # half full, so the sweep filters
-        blk.insert(np.eye(8, dtype=np.int64)[j], 1)
-    calls = _counting_inserts(monkeypatch)
-    filt = _SweepFilter(blk)
-    offered = [{4: 1}, {4: 2}, {5: 1, 6: 1}, {4: -3}, {6: Fraction(3, 2), 5: Fraction(3, 2)},
-               {0: 5}, {0: 1, 4: 1}, {5: -1, 6: -1}, {0: 1}]
-    stored = [row for comp in offered for row in filt.offer(comp)] + filt.flush()
-    # the quotient block meets e4, e5 + e6 and e0 + e4 once each; e0 maps to 0
-    assert [b is filt.quot for b in calls].count(True) == 3
-    assert [b is blk for b in calls].count(True) == 2
-    assert [row.tolist() for row in stored] == [[0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 1, 0]]
+def _line(row) -> tuple:
+    g = math.gcd(*map(int, row))
+    first = int(row[np.flatnonzero(row)[0]])
+    return tuple(int(v) // (g if first > 0 else -g) for v in row)
 
 
-def test_sweep_filter_repeats_skip_direct_insertion(monkeypatch):
-    blk = _Block(8)
-    blk.insert(np.eye(8, dtype=np.int64)[0], 1)   # less than half full: no filter
-    calls = _counting_inserts(monkeypatch)
-    filt = _SweepFilter(blk)
-    assert filt.null is None
-    offered = [{3: 2, 5: 1}, {5: -1, 3: -2}, {0: 4}, {3: 2, 5: 1}, {0: 1}, {3: 1, 5: 2}]
-    stored = [row for comp in offered for row in filt.offer(comp)] + filt.flush()
-    assert len(calls) == 3 and len(stored) == 2
+def test_repeated_images_never_reach_the_quotient_block(monkeypatch):
+    from nclie.current import lie_closure
+    from nclie.pairs import pair_by_name
+
+    calls = _quotient_inserts(monkeypatch)
+    offered = []
+    directions = subspace_module._new_directions
+
+    def spy(images, seen):
+        offered.append(int(images.any(axis=1).sum()))
+        return directions(images, seen)
+
+    monkeypatch.setattr(subspace_module, "_new_directions", spy)
+    lie_closure(pair_by_name("sp:4"), FreeContext(2, 4), m_cap=7)
+    per_block: dict[int, list] = {}
+    for blk, row in calls:
+        per_block.setdefault(id(blk), []).append(_line(row))
+    assert per_block and all(len(set(lines)) == len(lines) for lines in per_block.values())
+    # the images repeat: most nonzero ones never reach a quotient block
+    assert 2 * len(calls) < sum(offered)
+
+
+def test_brackets_are_formed_only_for_rows_that_grow_the_span(monkeypatch):
+    from nclie.current import fg_generator_vectors
+    from nclie.pairs import pair_by_name
+
+    formed = []
+    product = subspace_module.sparse_product
+    monkeypatch.setattr(subspace_module, "sparse_product",
+                        lambda *args: formed.append(args) or product(*args))
+    pair = pair_by_name("sl2irrep:4")
+    ctx = TensorContext(FreeContext(2, 4), pair.n)
+    gens = fg_generator_vectors(pair, ctx)
+    for sweeps in (None, 1, 2):
+        formed.clear()
+        sat = bracket_saturate(ctx, gens, sweeps)
+        stored = sat.dim - GradedSubspace.span(ctx.ambient, gens).dim
+        assert stored > 0 and len(formed) == stored
+
+
+def test_row_ids_stay_exact_when_every_hash_collides(monkeypatch):
+    # with a zero hash every row of the pulled-back images lands in one
+    # group, and only the comparison with its first row tells rows apart
+    from nclie.current import fg_generator_vectors
+    from nclie.pairs import pair_by_name
+
+    pair = pair_by_name("sp:4")
+    ctx = TensorContext(FreeContext(2, 3), pair.n)
+    gens = fg_generator_vectors(pair, ctx)
+    expected = bracket_saturate(ctx, gens)
+    monkeypatch.setattr(subspace_module, "_HASH", np.zeros_like(subspace_module._HASH))
+    assert_same_rows(bracket_saturate(ctx, gens), expected)
+    assert_same_rows(expected, reference_bracket_saturate(ctx, gens))
 
 
 def half_unit_matrix_context():
@@ -1046,6 +1120,19 @@ def test_chain_records_its_stop_and_steps_no_further():
     assert steps == [0, 1, 2, 3]
     assert chain.term(10**9) == 3 and chain.term(2) == 2 and chain.limit() == 3
     assert steps == [0, 1, 2, 3]
+
+
+def test_chain_repeating_with_period_two():
+    steps = []
+    chain = Chain(5, lambda k, x: steps.append(k) or (x + 1 if x < 7 else 6))
+    # 5, 6, 7, 6, 7, ...: step(2, 7) = 6 repeats x_1
+    assert chain.term(1) == 6 and chain.stop is None
+    assert chain.term(3) == 6 and chain.stop == 2 and chain.period == 2
+    assert [chain.term(k) for k in range(8)] == [5, 6, 7, 6, 7, 6, 7, 6]
+    assert chain.term(10**9) == 7 and chain.term(10**9 + 1) == 6
+    assert steps == [0, 1, 2]
+    with pytest.raises(ValueError, match="period 2"):
+        chain.limit()
 
 
 def test_chain_that_never_repeats_answers_a_bounded_term():
