@@ -876,22 +876,21 @@ def bracket_saturate(ctx, generators, sweeps=None) -> GradedSubspace:
             splits = [(d, e) for d in frontier for e in parts
                       if amb.blocks[d][0] + amb.blocks[e][0] == deg_t
                       and (frontier is not parts or d >= e)]
-            pairs = _pairs(splits, pieces, part_pieces, mulmats)
-            stored = _sweep_block(ctx, a, builder._blocks[t], t, pairs, frontier, parts)
+            groups = _part_groups(splits, pieces, part_pieces, mulmats)
+            stored = _sweep_block(ctx, a, builder._blocks[t], t, groups, frontier, parts)
             if stored:
                 fresh[t] = stored
         frontier = fresh
     return builder.finalize()
 
 
-def _sweep_block(ctx, a, blk, t, pairs, frontier, parts) -> list:
-    """Insert the brackets of one sweep into block t (bracket_saturate):
-    pairs holds, per group of parts, the parts' factors of ad_x (their
-    multiplication matrices with the rows' basis) and the splits (d, e)
-    with their part numbers.  Returns the rows stored, as entries."""
+def _sweep_block(ctx, a, blk, t, groups, frontier, parts) -> list:
+    """Insert the brackets of one sweep into block t (bracket_saturate), for
+    the groups of parts of _part_groups; returns the rows stored, as
+    entries."""
     amb = ctx.ambient
     stored, quot = [], None
-    for factors, splits in pairs:
+    for factors, splits in groups:
         images = None
         for (d, e), members in splits.items():
             if quot is None or 2 * len(quot.rows) >= quot.width:
@@ -998,8 +997,8 @@ def _new_directions(images, seen):
             yield k, row
 
 
-def _pairs(splits, pieces, part_pieces, mulmats):
-    """The pairs of frontier rows and parts for the splits (d, e) of one
+def _part_groups(splits, pieces, part_pieces, mulmats):
+    """The frontier rows and parts to bracket for the splits (d, e) of one
     target, as [(factors, {(d, e): (row entries, part entries)})], one item
     per group of parts that use the same basis vectors of their
     coefficients; see _pulled_images for the factors and _pair_images for
