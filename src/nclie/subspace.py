@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -823,34 +824,30 @@ def bracket_saturate(ctx, generators, sweeps=None) -> GradedSubspace:
     sweep, split into degrees, until the dimensions stabilize (or for `sweeps`
     rounds when the bracket-depth filtration is wanted).  Monotonicity makes
     one stale sweep definitive, and in a graded context brackets only raise
-    the degree.  The split of [g, v] into degrees is the brackets [x, v] of
-    the homogeneous parts x of g, and the parts that did not grow the span
-    are combinations of those that did, so the sweeps bracket with those.
-    While the frontier is the parts themselves (the first sweep), [x, r] =
-    -[r, x], so the brackets of a part of degree e with a row of degree
-    d < e are those of degree e with d, and are left out.
+    the degree.  The degree parts of [g, v] are the brackets [x, v] with the
+    homogeneous parts x of g, and a part that did not grow the span is a
+    combination of those that did, so the sweeps bracket with those.  In the
+    first sweep the frontier is those parts and [x, r] = -[r, x], so a split
+    of degrees (d, e) with d < e repeats (e, d) and is left out.
 
-    A sweep decides membership before it forms a bracket (_sweep_block).
-    Take a target block, its span S when the test starts, and N, the
-    nullspace of S, so that S = {v : v N = 0}.  For a frontier row r and a
-    part x, [x, r] = r ad_x, and its image is Q = [x, r] N = r (ad_x N),
-    formed from N by _pulled_images without forming [x, r].
+    A sweep tests a bracket before forming it (_sweep_block).  For a target
+    block with span S and nullspace N (S = {v : v N = 0}), a frontier row r
+    and a part x, the image Q = [x, r] N = r (ad_x N) is read off N pulled
+    back through the bracket maps (_pulled_images, _pair_images).
       * Q = 0 exactly when [x, r] lies in S: the bracket is dropped.
-      * v -> v N has kernel S, so [x, r] lies in S + span(B), for the
-        brackets B inserted since, exactly when Q lies in the span of their
+      * v -> v N has kernel S, so [x, r] lies in S + span(B), B the brackets
+        inserted since N was taken, exactly when Q lies in the span of their
         images.  The images go into a quotient block as wide as the
-        codimension of S.  A bracket is formed and inserted only when its
-        image grows that block, and then it is sure to grow the span.  A
-        direction of Q met before cannot grow it and is dropped first.
-      * Once the quotient block is half full, S is taken anew (the span
-        now) with its N, at most half as wide, and an empty quotient block.
-    So each bracket of the sweep is inserted or proven to lie in the span,
-    and every sweep ends at S + span{[x, r]}, the span that inserting every
-    bracket reaches: the span after every sweep, and with it the `sweeps`
-    cap, is unchanged, and so is the canonical form.  The rows a sweep
-    stores are the next sweep's frontier; any rows spanning the same
-    complement give the same next span, since [x, S] already lies in the
-    span after the sweep.
+        codimension of S, and a bracket is formed and inserted only when its
+        image grows that block, so that it is sure to grow the span; a
+        direction met before cannot grow it and is dropped first.
+      * Once the quotient block is half full, S is taken anew: the span now.
+    So every sweep ends at the span that inserting all its brackets reaches,
+    and the span after every sweep, the `sweeps` cap with it, and the
+    canonical form are unchanged.  The rows a sweep stores are the next
+    sweep's frontier; any rows completing the span before the sweep to the
+    span after it give the same next span, since the brackets with the span
+    before lie in the span after.
     """
     amb = ctx.ambient
     a, mulmat = ctx.word_layout()
@@ -1043,18 +1040,8 @@ def _pulled_images(a: int, factors, null, nmax):
     return G, H, abs_max(G) + abs_max(H), _row_ids(G, H)
 
 
-def _splitmix64(n: int):
-    """n fixed pseudo-random 64-bit words (splitmix64, wrapping uint64
-    arithmetic), as int64."""
-    with np.errstate(over="ignore"):
-        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return (z ^ (z >> np.uint64(31))).view(np.int64)
-
-
 # A fixed projection for hashing integer rows (wrapping int64 arithmetic).
-_HASH = _splitmix64(1 << 13)
+_HASH = np.frombuffer(random.Random(0).randbytes(8 << 13), dtype=np.int64)
 
 
 def _row_ids(G, H):
