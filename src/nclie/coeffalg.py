@@ -66,6 +66,11 @@ class Context:
     is_free = False
     denominator = 1   # lcm of the denominators of the basis product's coefficients
 
+    @property
+    def integral(self) -> bool:
+        """Whether every coefficient of the basis product is an integer."""
+        return self.denominator == 1
+
     def key(self):
         raise NotImplementedError
 
@@ -148,7 +153,6 @@ class FreeContext(Context):
         self.words = tuple(words)
         self.word_index = {w: i for i, w in enumerate(words)}
         self.ambient = Ambient([(d, m**d) for d in range(lo, self.D + 1)])
-        self.integral = True
 
     def word_layout(self):
         """Words of F times A = Q: alpha x = x alpha."""
@@ -239,9 +243,6 @@ class StructureContext(Context):
         self.unital = unit is not None
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(d))
         self.ambient = Ambient([(0, d)])
-        self.integral = all(
-            isinstance(c, int) for row in self.products for cell in row for _, c in cell
-        )
         self.denominator = math.lcm(*(Fraction(c).denominator
                                       for row in self.products for cell in row for _, c in cell))
         self._key = key or ("structure", self.products, self.unit)

@@ -62,7 +62,6 @@ class TensorContext(Context):
         self.mctx = StructureContext.matrix_algebra(n)
         fblocks = fctx.ambient.blocks
         self.ambient = Ambient([(d, s * self.nn) for d, s in fblocks])
-        self.integral = fctx.integral
         self.denominator = fctx.denominator
         self.unital = fctx.unital
         self._fdim = fctx.ambient.dim
