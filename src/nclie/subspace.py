@@ -203,7 +203,7 @@ class _Block:
             return None
         pos = bisect.bisect_left(self.pidx, pivot)
         self.rows.insert(pos, arr)
-        self.pidx = np.concatenate((self.pidx[:pos], [pivot], self.pidx[pos:])).astype(np.intp)
+        self.pidx = np.concatenate((self.pidx[:pos], [pivot], self.pidx[pos:]))
         self.maxes.insert(pos, amax)
         return arr
 
@@ -970,11 +970,13 @@ def _contents(mat):
 
 
 def _keys(rows):
-    """Exact keys of integer rows: the bytes of a row as int16 when its
-    entries fit there, else a 1-tuple of its int64 bytes, else the tuple of
-    its Python integers; rows of the three kinds never share a key."""
+    """Exact keys of integer rows, set by each row's values alone: its bytes
+    as int16 when its entries fit there, else a 1-tuple of its int64 bytes
+    when they fit there, else the tuple of its Python integers; keys of the
+    three kinds never coincide."""
     if rows.dtype == object:
-        return [tuple(row) for row in rows.tolist()]
+        return [tuple(row) if max(map(abs, row)) >= _GUARD else _keys(np.array([row]))[0]
+                for row in rows.tolist()]
     narrow = (np.abs(rows) < 1 << 15).all(axis=1).tolist()
     short = rows.astype(np.int16)
     return [s.tobytes() if ok else (r.tobytes(),) for r, s, ok in zip(rows, short, narrow)]
