@@ -415,15 +415,15 @@ def test_low_redundancy_example_keeps_the_bracket_after_a_repeat():
 def _quotient_inserts(monkeypatch):
     """(block, row) of every insertion into a block that no SpanBuilder owns:
     the quotient blocks of the saturation."""
-    owned, calls = set(), []
+    owned, calls = [], []   # the builders' blocks, kept alive so that no id is reused
     init, insert = SpanBuilder.__init__, _Block.insert
 
     def built(self, ambient):
         init(self, ambient)
-        owned.update(map(id, self._blocks))
+        owned.extend(self._blocks)
 
     def counted(self, arr, amax):
-        if id(self) not in owned:
+        if not any(self is blk for blk in owned):
             calls.append((self, arr.copy()))
         return insert(self, arr, amax)
 
@@ -439,9 +439,12 @@ def _line(row) -> tuple:
 
 
 def test_repeated_images_never_reach_the_quotient_block(monkeypatch):
-    from nclie.current import lie_closure
+    from nclie.current import fg_generator_vectors
     from nclie.pairs import pair_by_name
 
+    pair = pair_by_name("sp:4")
+    ctx = TensorContext(FreeContext(2, 4), pair.n)
+    gens = fg_generator_vectors(pair, ctx)
     calls = _quotient_inserts(monkeypatch)
     offered = []
     directions = subspace_module._new_directions
@@ -451,7 +454,7 @@ def test_repeated_images_never_reach_the_quotient_block(monkeypatch):
         return directions(images, seen)
 
     monkeypatch.setattr(subspace_module, "_new_directions", spy)
-    lie_closure(pair_by_name("sp:4"), FreeContext(2, 4), m_cap=7)
+    bracket_saturate(ctx, gens)
     per_block: dict[int, list] = {}
     for blk, row in calls:
         per_block.setdefault(id(blk), []).append(_line(row))
