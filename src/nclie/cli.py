@@ -170,7 +170,8 @@ def degree_table(lhs: GradedSubspace, rhs: GradedSubspace):
 # -- suites ---------------------------------------------------------------------
 
 
-def suite_filtration_identities(cfg: RunConfig, report: Report, kmax=4, lmax=4):
+def suite_filtration_identities(cfg: RunConfig, report: Report):
+    kmax = lmax = 4
     fctx = cfg.coefficient_context()
     cache = cur.filtration(fctx)
     C = cache.commutator_space
@@ -206,7 +207,7 @@ def suite_filtration_identities(cfg: RunConfig, report: Report, kmax=4, lmax=4):
     return report
 
 
-def suite_bounds_chain(cfg: RunConfig, report: Report, m_caps=(2, 3, 4)):
+def suite_bounds_chain(cfg: RunConfig, report: Report):
     fctx = cfg.coefficient_context()
     pair = pair_by_name(cfg.pair)
     tctx = cur.TensorContext(fctx, pair.n)
@@ -232,7 +233,7 @@ def suite_bounds_chain(cfg: RunConfig, report: Report, m_caps=(2, 3, 4)):
         Gm = cur.f_langle_g_filtered(pair, fctx, m)
         return Lm.issubset(Om) and Om.issubset(Tm) and Tm.issubset(Gm)
 
-    for m in m_caps:
+    for m in (2, 3, 4):
         _timed(report, f"{pair.name}: filtered chain at depth {m}", "bounds.filtered-chain",
                lambda m=m: filtered_chain(m))
     return report
@@ -370,7 +371,7 @@ def suite_cartan(cfg: RunConfig, report: Report, flavor: str):
     return report
 
 
-def suite_difference_calculus(cfg: RunConfig, report: Report, ell_max=4, k_max=2):
+def suite_difference_calculus(cfg: RunConfig, report: Report):
     fctx = cfg.coefficient_context()
     if _free_only(report, fctx, "difference-calculus", "diffcalc"):
         return report
@@ -386,7 +387,7 @@ def suite_difference_calculus(cfg: RunConfig, report: Report, ell_max=4, k_max=2
     # built by the first check, so its ms includes them; they draw from rng
     # before any later check does
     instances = functools.cache(
-        lambda: {ell: build_instance(ell) for ell in range(2, ell_max + 1)}
+        lambda: {ell: build_instance(ell) for ell in range(2, 5)}
     )
 
     _timed(report, "difference tables satisfy the two-term recursion",
@@ -403,7 +404,7 @@ def suite_difference_calculus(cfg: RunConfig, report: Report, ell_max=4, k_max=2
 
     def homogeneity():
         for ell, ms in instances().items():
-            for k in range(0, k_max + 1):
+            for k in range(3):
                 a, b = gr.homogeneity_check_dij(ms, 1, ell, k, cache)
                 if not (a and b):
                     return False

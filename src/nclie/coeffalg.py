@@ -221,15 +221,14 @@ class StructureContext(Context):
     law, when a unit is declared) is checked on construction.
     """
 
-    def __init__(self, table, unit=None, labels=None, check=True, key=None):
+    def __init__(self, table, unit=None, labels=None):
         d = len(table)
         if any(len(row) != d or any(len(cell) != d for cell in row) for row in table):
             raise ValueError("table must be d x d with d-vectors as entries")
         products = {(i, j): enumerate(cell)
                     for i, row in enumerate(table) for j, cell in enumerate(row)}
-        self._setup(d, products, unit, labels, key)
-        if check:
-            self._check_axioms()
+        self._setup(d, products, unit, labels, None)
+        self._check_axioms()
 
     def _setup(self, d, products, unit, labels, key):
         """Store the sparse table from {(i, j): (k, coefficient) pairs}."""

@@ -91,10 +91,17 @@ class FiltrationCache:
         C(c) = 0, every C(i) with i >= c vanishes too, so I(k', j), spanned by
         products of j commutator spaces with orders summing to k', is 0 for
         k' > (c - 1) j and is not built.
+
+        In a free context truncated at degree D, C(i) lies in degree
+        i + 1 or more for i >= 1, and C(0) in degree 1 or more, so a product
+        of commutator spaces with orders summing to k lies in degree k + 1
+        or more: S(k, l) = 0 for k >= D, returned before anything is built.
         """
         if k < 0 or l < 1:
             raise ValueError("need k >= 0 and l >= 1")
         zero = GradedSubspace.zero(self.ctx.ambient)
+        if self._full_base and self.ctx.is_free and k >= self.ctx.ambient.max_degree:
+            return zero
         sums = self._ikle
         sums.extend([zero] for _ in range(k + 1 - len(sums)))
         if k > self._ikle_stable and len(sums[k]) <= l:

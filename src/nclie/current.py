@@ -38,6 +38,7 @@ from .pairs import (
 )
 from .subspace import (
     Ambient,
+    Chain,
     GradedSubspace,
     SpanBuilder,
     bracket_saturate,
@@ -207,20 +208,27 @@ def _hard_cap(fctx, pair) -> int:
 
 def _series(name: str, pair: CompatiblePair, fctx, first: int, step) -> list:
     """The terms of step(k) for k = first, first + 1, ... of a series whose
-    steps are tuples of terms (U, V), each step determined by the one
-    before.  It stops at a step that returns None (every later term is
-    zero) or equals the step before it (so every later step repeats it).  A
-    series that does neither within _hard_cap steps raises: its partial sum
-    is not proven to be the whole sum."""
+    steps are tuples of terms (U, V); a step whose terms are all zero is ().
+
+    The steps are read as a Chain, up to _hard_cap, and the series stops at
+    the chain's stop: a step x_(j+1) equal to x_j (period 1) or to x_(j-1)
+    (period 2).  Each step holds the spaces the next is built from, a
+    commutator space C(k) or an ideal I_k and a power g^k, and the next
+    step is a function of them alone: C(k+1) = [F, C(k)], I_(k+1) =
+    F [F, I_k] + [F, I_k] (the recursion of the partial sums, in the
+    limit), g^(k+1) = g^k g, and a zero step is followed by a zero step.
+    So x_(j+1) = x_(j-1) gives x_(j+2) = x_j, then x_(j+3) = x_(j+1), and
+    so on: every step past the stop repeats one of the last two, and the
+    terms up to the stop are the whole sum.  (Over M_2 the series of so:2
+    alternate so, with its powers g = g^3 = span J and g^2 = span 1.)  A
+    series that does not stop within _hard_cap steps raises: its partial
+    sum is not proven to be the whole sum."""
     cap = _hard_cap(fctx, pair)
-    terms, prev = [], None
-    for k in range(first, cap + 1):
-        cur = step(k)
-        if cur is None or cur == prev:
-            return terms
-        terms += cur
-        prev = cur
-    raise UnsupportedError(f"{name} for {pair.name}: no zero or repeated term within {cap} steps")
+    chain = Chain(step(first), lambda k, _: step(first + k + 1))
+    chain.term(cap - first)
+    if chain.stop is None:
+        raise UnsupportedError(f"{name} for {pair.name}: no zero or repeated term within {cap} steps")
+    return [t for k in range(chain.stop + 1) for t in chain.term(k)]
 
 
 def kron_sum(tctx: TensorContext, terms) -> GradedSubspace:
@@ -269,7 +277,7 @@ def tilde_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> GradedS
         ik = cache.ideal_Ik(k)
         fik = op_bracket(fctx, base, cache.ideal_Ik(k - 1))
         if ik.is_zero() and fik.is_zero():
-            return None
+            return ()
         return (ik, pair.bracket_power(k + 1)), (fik, pair.g_power(k + 1))
 
     terms += _series("tilde_bound", pair, fctx, 1, step)
@@ -398,13 +406,16 @@ def semisimple_closed_form(pair: CompatiblePair, fctx) -> GradedSubspace:
         raise ValueError("closed form requires a declared-semisimple perfect pair")
     cache = filtration(fctx)
     base = cache.base
+    zero = GradedSubspace.zero(fctx.ambient)
 
     def step(k):
         ik1 = cache.ideal_Ik(k - 1)
         fik2 = op_bracket(fctx, base, cache.ideal_Ik(k - 2))
         if ik1.is_zero() and fik2.is_zero():
-            return None
-        return (ik1, pair.bracket_power(k)), (fik2, pair.center_part(k))
+            return ()
+        # the term 0 (x) g^k adds nothing to the sum; it makes the step
+        # determine the next one, as _series needs
+        return (ik1, pair.bracket_power(k)), (fik2, pair.center_part(k)), (zero, pair.g_power(k))
 
     terms = [(fctx.full_subspace(), pair.g)]
     terms += _series("semisimple_closed_form", pair, fctx, 2, step)
@@ -453,13 +464,13 @@ def lower_bound_terms(pair: CompatiblePair, fctx, k: int):
 def abelian_closure_form(pair: CompatiblePair, fctx) -> GradedSubspace:
     """Sum of F^(k) (x) g^(k+1): the exact closure for abelian g.
 
-    F^(k) = [F, F^(k-1)] and g^(k+2) = g^(k+1) g, so a repeated term
-    (F^(k), g^(k+1)) repeats forever."""
+    F^(k) = [F, F^(k-1)] and g^(k+2) = g^(k+1) g, so each term determines
+    the next, and the series stops as _series proves."""
     cache = filtration(fctx)
 
     def step(k):
         fk, gp = cache.commutator_space(k), pair.g_power(k + 1)
-        return None if fk.is_zero() or gp.is_zero() else ((fk, gp),)
+        return () if fk.is_zero() or gp.is_zero() else ((fk, gp),)
 
     terms = [(fctx.full_subspace(), pair.g)]
     terms += _series("abelian_closure_form", pair, fctx, 1, step)

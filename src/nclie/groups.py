@@ -48,7 +48,8 @@ from .coeffalg import (
 from .commfilt import FiltrationCache
 from .current import TensorContext, lie_closure, tensor_mul
 from .pairs import CompatiblePair, sl2_irrep_matrices
-from .subspace import Chain, GradedSubspace, abs_max, exact_product, int_matrix, op_product
+from .subspace import (Chain, GradedSubspace, abs_max, clear_denominators, exact_product,
+                       int_matrix, op_product)
 
 
 class BudgetExhaustedError(ValueError):
@@ -238,7 +239,7 @@ def in_group_direct(g, pair: CompatiblePair, fctx, L: GradedSubspace | None = No
     left = {ik: multiplication_matrix(fctx, c)[words] for ik, c in enumerate(gint) if c}
     right = {lj: multiplication_matrix(fctx, c, right=True) for lj, c in enumerate(hint) if c}
     lmax, rmax = max(map(abs_max, left.values())), max(map(abs_max, right.values()))
-    smat = int_matrix([_common_denominator([s])[0] for s in pair.g_basis], nn)
+    smat = int_matrix([s.coeffs for s in pair.g_basis], nn)
     used = [kl for kl in range(nn) if smat[:, kl].any()]
     fail = np.zeros((len(pair.g_basis), len(words)), dtype=bool)
     for b, (start, (_, size)) in enumerate(zip(fctx.ambient.starts, fctx.ambient.blocks)):
@@ -273,13 +274,9 @@ def in_group_direct(g, pair: CompatiblePair, fctx, L: GradedSubspace | None = No
 
 def _common_denominator(elements) -> list[dict[int, int]]:
     """The coefficients of the elements as integers, all scaled by one common
-    denominator."""
-    den = 1
-    for e in elements:
-        for v in e.coeffs.values():
-            if isinstance(v, Fraction):
-                den = math.lcm(den, v.denominator)
-    return [{i: int(v * den) for i, v in e.coeffs.items()} for e in elements]
+    denominator (clear_denominators)."""
+    vals = iter(clear_denominators([v for e in elements for v in e.coeffs.values()]))
+    return [{i: next(vals) for i in e.coeffs} for e in elements]
 
 
 def cartan_criterion_classical(diag: DiagonalUnit, cache: FiltrationCache):

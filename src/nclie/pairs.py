@@ -24,6 +24,7 @@ from .subspace import (
     Chain,
     GradedSubspace,
     SpanBuilder,
+    clear_denominators,
     fraction_left_kernel,
     fraction_nullspace,
     fraction_solve,
@@ -192,17 +193,16 @@ class CompatiblePair:
         strictly to the envelope, which lies in A, so only the last can."""
         return self._sums.stop + 1 if self.envelope() == self.algebra else INFINITE
 
-    def is_perfect(self, k_max: int | None = None):
-        """Check [g, g^k]g + (g^k intersect g^(k+1)) = g^(k+1) for k = 2..k_max.
+    def is_perfect(self):
+        """Check [g, g^k]g + (g^k intersect g^(k+1)) = g^(k+1) for every k >= 2.
 
-        Defaults k_max to the end of the first full period of the powers,
-        K + p - 1 for K = power_stabilization() and p = power_period().
+        It suffices to check k up to the end of the first full period of the
+        powers, K + p - 1 for K = power_stabilization() and p = power_period().
         The condition for k is a function of the pair (g^k, g^(k+1)), as
         [g, g^k] is one of g^k; from K on these pairs repeat with period p,
         so the conditions for k = K .. K + p - 1 are those of every later k.
         """
-        if k_max is None:
-            k_max = max(2, self.power_stabilization() + self.power_period() - 1)
+        k_max = max(2, self.power_stabilization() + self.power_period() - 1)
         for k in range(2, k_max + 1):
             lhs = op_product(self.mctx, self.bracket_power(k), self.g).sum(
                 self.g_power(k).intersect(self.g_power(k + 1))
@@ -326,10 +326,7 @@ def rational_eigenvalues(a) -> list[Fraction] | None:
 
 def _find_rational_root(poly):
     # poly: descending coefficients, leading 1 possibly fractional after deflation
-    denom = 1
-    for c in poly:
-        denom = denom // math.gcd(denom, c.denominator) * c.denominator
-    ints = [int(c * denom) for c in poly]
+    ints = clear_denominators(poly)
     if ints[-1] == 0:
         return Fraction(0)
     lead, const = ints[0], ints[-1]
@@ -543,19 +540,21 @@ def _json_entry(v) -> Fraction:
     if isinstance(v, str):
         num, _, den = v.partition("/")
         return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    if isinstance(v, bool):   # Fraction(true) would read as 1
+        raise TypeError(f"entry {v} is not a number")
     return Fraction(v)
 
 
 def pair_from_json(path: str) -> CompatiblePair:
     """Load {"n": ..., "g_basis": [matrix, ...], "algebra_basis": optional,
     "name": optional, "semisimple": optional} with rational entries given as
-    numbers or "p/q" strings."""
+    finite numbers or "p/q" strings, n an integer and semisimple a boolean."""
     import json
 
     try:
         with open(path) as fh:
             data = json.load(fh)
-        n = int(data["n"])
+        n = data["n"]
         g_basis = [
             [[_json_entry(v) for v in row] for row in m] for m in data["g_basis"]
         ]
@@ -563,14 +562,11 @@ def pair_from_json(path: str) -> CompatiblePair:
         if algebra is not None:
             algebra = [[[_json_entry(v) for v in row] for row in m] for m in algebra]
         name = data.get("name", "custom")
-    except (OSError, KeyError, TypeError, ZeroDivisionError) as exc:
+        semisimple = data.get("semisimple", False)
+    except (OSError, KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"malformed pair file {path}: {type(exc).__name__}: {exc}") from exc
-    if not isinstance(name, str):
-        raise ValueError(f"malformed pair file {path}: name must be a string")
-    return CompatiblePair(
-        n,
-        g_basis,
-        algebra_basis=algebra,
-        name=name,
-        semisimple=bool(data.get("semisimple", False)),
-    )
+    # JSON values have exact types: 2.5 is no integer and "no" no boolean
+    for field, value, kind in (("n", n, int), ("name", name, str), ("semisimple", semisimple, bool)):
+        if type(value) is not kind:
+            raise ValueError(f"malformed pair file {path}: {field} must be of type {kind.__name__}")
+    return CompatiblePair(n, g_basis, algebra_basis=algebra, name=name, semisimple=semisimple)

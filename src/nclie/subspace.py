@@ -6,7 +6,11 @@ rationals: two subspaces are equal iff their stored matrices are identical.
 
 Row operations run on numpy int64 arrays guarded against overflow; rows whose
 entries outgrow 64 bits are promoted to object (big-integer) arrays, so every
-result is exact regardless of coefficient growth.
+result is exact regardless of coefficient growth.  A sparse rational vector
+enters one block component at a time, as one row (`_int_row`) or a batch
+(`int_matrix`); each component is scaled to integers on its own by
+`clear_denominators`, the one place where rationals become integers, since
+neither a span nor membership depends on the scale of a component.
 
 This is the one exact elimination engine.  Insertion runs `_eliminate`: it
 finds the next stored row whose pivot entry is nonzero in the candidate with
@@ -365,8 +369,7 @@ class GradedSubspace:
         one integer matrix per block, filled directly, for contains_all_block_rows."""
         batches: dict[int, list] = {}
         for vec in vectors:
-            items = list(vec.items() if isinstance(vec, dict) else vec)
-            for bi, comp in self.ambient.split(_normalize_int_items(items)).items():
+            for bi, comp in self.ambient.split(vec).items():
                 batches.setdefault(bi, []).append(comp)
         for bi, rows in batches.items():
             if not self.contains_all_block_rows(bi, int_matrix(rows, self.ambient.blocks[bi][1])):
@@ -445,17 +448,23 @@ class GradedSubspace:
         return out
 
 
+def clear_denominators(values: list) -> list:
+    """Rationals (ints and Fractions) times the lcm of their denominators,
+    as ints; a list without a Fraction is returned as it is."""
+    dens = [v.denominator for v in values if isinstance(v, Fraction)]
+    if not dens:
+        return values
+    denom = math.lcm(*dens)
+    return [int(v.numerator) * (denom // v.denominator) for v in values]
+
+
 def int_matrix(rows, width: int):
-    """Dense integer matrix from sparse rows {column: value}, a row with
-    Fraction values scaled by the lcm of their denominators: int64 when
-    every entry is below _GUARD in absolute value, object (big integers)
-    otherwise."""
+    """Dense integer matrix from sparse rows {column: value}, each row
+    scaled by clear_denominators: int64 when every entry is below _GUARD
+    in absolute value, object (big integers) otherwise."""
     ridx, cidx, vals = [], [], []
     for r, row in enumerate(rows):
-        vs = list(row.values())
-        if any(isinstance(v, Fraction) for v in vs):
-            denom = math.lcm(*(v.denominator for v in vs if isinstance(v, Fraction)))
-            vs = [int(v * denom) for v in vs]
+        vs = clear_denominators(list(row.values()))
         ridx.extend([r] * len(vs))
         cidx.extend(row)
         vals.extend(vs)
@@ -545,12 +554,10 @@ def _nullspace(rows, pivots, width: int, maxes, float_ok=False):
 
 
 def _int_row(width: int, comp: dict[int, Fraction]):
-    """Scale a sparse rational block component to a primitive integer array."""
-    denom = 1
-    for v in comp.values():
-        if isinstance(v, Fraction):
-            denom = denom // math.gcd(denom, v.denominator) * v.denominator
-    vals = [int(v * denom) if isinstance(v, Fraction) else int(v) * denom for v in comp.values()]
+    """A sparse rational block component as an integer array, scaled by
+    clear_denominators, and its largest absolute entry: (None, 0) for a
+    zero component."""
+    vals = clear_denominators(list(comp.values()))
     amax = max(map(abs, vals), default=0)
     if amax == 0:
         return None, 0
@@ -660,11 +667,6 @@ def _kron_block(umat, vmat):
 # -- bilinear span operations ----------------------------------------------
 
 
-def _row_support(ambient, bi, arr):
-    start = ambient.starts[bi]
-    return [(start + j, int(arr[j])) for j in np.nonzero(arr)[0].tolist()]
-
-
 def sparse_product(mul, r1, r2, commutator=False) -> dict:
     """The one sparse bilinear loop: r1*r2 (r1*r2 - r2*r1 with commutator)
     for (index, coefficient) pairs under the basis product mul(i, j), which
@@ -724,11 +726,11 @@ def _op_bilinear(ctx, s1, s2, commutator):
     b = SpanBuilder(amb)
     mul = ctx.mul_basis
     for b1, d1, m1 in s1.block_rows():
-        sup1 = [_row_support(amb, b1, m1[r]) for r in range(m1.shape[0])]
+        sup1 = [_support(_entries(row), amb.starts[b1]) for row in m1]
         for b2, d2, m2 in s2.block_rows():
             if d1 + d2 > maxdeg:
                 continue
-            sup2 = [_row_support(amb, b2, m2[r]) for r in range(m2.shape[0])]
+            sup2 = [_support(_entries(row), amb.starts[b2]) for row in m2]
             for r1 in sup1:
                 for r2 in sup2:
                     b.add(sparse_product(mul, r1, r2, commutator))
@@ -744,9 +746,9 @@ def bracket_closed(ctx, S: GradedSubspace) -> bool:
     maxdeg = amb.max_degree
     mul = ctx.mul_basis
     supports = [
-        (deg, _row_support(amb, bi, mat[r]))
+        (deg, _support(_entries(row), amb.starts[bi]))
         for bi, deg, mat in S.block_rows()
-        for r in range(mat.shape[0])
+        for row in mat
     ]
     return S.contains_vectors(
         sparse_product(mul, r1, r2, True)
@@ -854,15 +856,15 @@ def bracket_saturate(ctx, generators, sweeps=None) -> GradedSubspace:
     builder = SpanBuilder(amb)
     parts: dict[int, list] = {}   # block -> the parts that grew the span, as (columns, values)
     for g in generators:
-        items = [(i, v) for i, v in (g.items() if isinstance(g, dict) else g) if v]
-        for bi, comp in amb.split(_normalize_int_items(items)).items():
+        for bi, comp in amb.split(g).items():
             arr, amax = _int_row(amb.blocks[bi][1], comp)
             if builder._blocks[bi].insert(arr, amax) is not None:
                 parts.setdefault(bi, []).append(_entries(arr))
     if not parts:
         return builder.finalize()
     part_pieces = _word_pieces(a, parts)
-    mulmats = [[mulmat(_sparse(p), right=right) for p in part_pieces[0]] for right in (False, True)]
+    mulmats = [[mulmat(dict(_support(_entries(p))), right=right) for p in part_pieces[0]]
+               for right in (False, True)]
     frontier = parts
     rounds = 0
     while frontier and (sweeps is None or rounds < sweeps):
@@ -902,8 +904,8 @@ def _sweep_block(ctx, a, blk, t, groups, frontier, parts) -> list:
             for ridx, xidx, q in _pair_images(amb, a, d, e, members, images):
                 for k, img in _new_directions(q, seen):
                     if quot.insert(img, abs_max(img)) is not None:
-                        x = _support(amb, e, parts[e][xidx[k]])
-                        r = _support(amb, d, frontier[d][ridx[k]])
+                        x = _support(parts[e][xidx[k]], amb.starts[e])
+                        r = _support(frontier[d][ridx[k]], amb.starts[d])
                         bracket = amb.split(sparse_product(ctx.mul_basis, x, r, True))[t]
                         stored.append(_entries(blk.insert(*_int_row(blk.width, bracket))))
     return stored
@@ -915,9 +917,11 @@ def _entries(row):
     return cols, row[cols]
 
 
-def _support(amb, bi, entries):
+def _support(entries, start=0):
+    """The (index, value) pairs of entries (_entries), the columns moved
+    by start (a block's first index), as Python ints."""
     cols, vals = entries
-    return list(zip((cols + amb.starts[bi]).tolist(), vals.tolist()))
+    return list(zip((cols + start).tolist(), vals.tolist()))
 
 
 def _word_pieces(a: int, blocks):
@@ -1139,28 +1143,6 @@ def _pair_images(amb, a, d, e, entries, images):
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
         vals, keys = np.add.reduceat(vals, starts, axis=0), keys[starts]
         yield rnum[keys // len(xnum)], xnum[keys % len(xnum)], _as_dtype(vals, np.int64) if vals.dtype == np.float64 else vals
-
-
-def _sparse(vec) -> dict:
-    """{coordinate: value} of the nonzero entries of an integer vector."""
-    nz = np.flatnonzero(vec)
-    return dict(zip(nz.tolist(), vec[nz].tolist()))
-
-
-def _normalize_int_items(items):
-    denom = 1
-    for _, v in items:
-        if isinstance(v, Fraction):
-            denom = denom // math.gcd(denom, v.denominator) * v.denominator
-    out = [(i, int(v * denom) if isinstance(v, Fraction) else int(v) * denom) for i, v in items]
-    g = 0
-    for _, v in out:
-        g = math.gcd(g, abs(v))
-        if g == 1:
-            break
-    if g > 1:
-        out = [(i, v // g) for i, v in out]
-    return out
 
 
 # -- small dense rational solvers -------------------------------------------

@@ -262,6 +262,14 @@ def test_deep_commutator_index_exits_zero(capsys):
     assert "total dim 0" in capsys.readouterr().out
 
 
+def test_ideal_past_the_truncation_degree_exits_zero(capsys):
+    # in a free context I_k lies in degree k + 1 or more, so I_k = 0 for
+    # k >= D, and no partial sums are stored for such a k
+    assert main(["compute", "--object", "ideal", "--k", "1000000000", "--deg", "3"]) == 0
+    assert "total dim 0" in capsys.readouterr().out
+    assert len(filtration(FreeContext(2, 3))._ikle) <= 3
+
+
 def test_battery_rounds_are_capped(monkeypatch, capsys):
     # with every diagonal outside the group, no number of rounds gives a positive
     monkeypatch.setattr(cli.gr, "cartan_criterion_classical", lambda diag, cache: (False, []))
@@ -288,13 +296,20 @@ def test_classical_battery_at_n_2_is_vacuous(pair, capsys):
         ("cartan.classical.equivalence", "pass"), ("cartan.classical.coverage", "vacuous")]
 
 
-@pytest.mark.parametrize("pair, rc, unsupported", [("sp:2", 0, []), ("so:2", 1, [])])
-def test_verify_all_at_n_2(pair, rc, unsupported, capsys):
+@pytest.mark.parametrize("pair, backend, rc, unsupported", [
+    ("sp:2", "free", 0, []),
+    ("so:2", "free", 1, []),
+    ("so:2", "matrix:2", 1, ["cartan.classical", "cartan.sl2", "diffcalc"]),
+], ids=["sp:2-0-unsupported0", "so:2-1-unsupported1", "so:2-matrix:2"])
+def test_verify_all_at_n_2(pair, backend, rc, unsupported, capsys):
     # so:2 is abelian, outside the orthogonal form's hypothesis of a semisimple
     # g; its powers alternate with period 2 (g = g^3 = span J, g^2 = span 1),
     # and over that period the perfectness test ends in a verdict: [g, g^2] g
-    # + (g^2 meet g^3) = 0 is not g^3, so so:2 is not perfect
-    assert main(["verify", "--suite", "all", "--pair", pair, "--deg", "3", "--json"]) == rc
+    # + (g^2 meet g^3) = 0 is not g^3, so so:2 is not perfect.  Over M_2 the
+    # closed-form series alternate with the powers and stop with period 2;
+    # only the suites that need a free context are unsupported
+    assert main(["verify", "--suite", "all", "--pair", pair, "--backend", backend,
+                 "--deg", "3", "--json"]) == rc
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [c["anchor"] for c in checks if c["verdict"] == "unsupported"] == unsupported
     assert [c["anchor"] for c in checks if c["verdict"] == "fail"] == (
@@ -372,6 +387,10 @@ def test_nonstabilizing_powers_unsupported(tmp_path, capsys):
     '{"n": -2, "g_basis": []}',                                      # negative size
     '{"n": 2, "g_basis": [[[0, 1], [0, 0]]], "name": 5}',            # name not a string
     None,                                                            # no such file
+    '{"n": 2, "g_basis": [[[0, 1e400], [0, 0]]]}',                   # infinite entry
+    '{"n": 2, "g_basis": [[[0, 1], [0, 0]]], "semisimple": "no"}',   # semisimple not a boolean
+    '{"n": 2.5, "g_basis": [[[0, 1], [0, 0]]]}',                     # size not an integer
+    '{"n": 2, "g_basis": [[[0, true], [0, 0]]]}',                    # boolean entry
 ])
 def test_malformed_pair_file_config_error(tmp_path, capsys, content):
     path = tmp_path / "pair.json"

@@ -614,6 +614,12 @@ def test_abelian_series_stops_on_a_repeated_term(m2ctx):
     assert cache.commutator_space(1) == cache.commutator_space(2) and not pair.g_power(2).is_zero()
     form = abelian_closure_form(pair, m2ctx)
     assert form == lie_closure(pair, m2ctx) and form.dim == 4
+    # so:2 has g = g^3 = span J and g^2 = span 1, so its terms alternate
+    # with period 2 and never vanish
+    so2 = make_orthogonal(2)
+    assert so2.g_power(3) == so2.g != so2.g_power(2)
+    form = abelian_closure_form(so2, m2ctx)
+    assert form == lie_closure(so2, m2ctx)
 
 
 # -- overline_bound: pruned factor tuples against the full loop ------------------------

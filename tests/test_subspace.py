@@ -18,12 +18,13 @@ from nclie.subspace import (
     SpanBuilder,
     _Block,
     _combine,
+    _entries,
     _int_row,
-    _normalize_int_items,
     _primitive,
-    _row_support,
+    _support,
     bracket_closed,
     bracket_saturate,
+    clear_denominators,
     exact_product,
     fraction_left_kernel,
     fraction_nullspace,
@@ -264,15 +265,14 @@ def reference_bracket_saturate(ctx, generators, sweeps=None):
         items = [(i, v) for i, v in (g.items() if isinstance(g, dict) else g) if v]
         if not items:
             continue
-        norm = _normalize_int_items(items)
-        gens.append((min(amb.degree_of(i) for i, _ in items), norm))
-        frontier.extend(builder.add_tracked(dict(norm)))
+        gens.append((min(amb.degree_of(i) for i, _ in items), items))
+        frontier.extend(builder.add_tracked(dict(items)))
     rounds = 0
     while frontier and (sweeps is None or rounds < sweeps):
         rounds += 1
         fresh = []
         for bi, row in frontier:
-            deg, items = amb.blocks[bi][0], _row_support(amb, bi, row)
+            deg, items = amb.blocks[bi][0], _support(_entries(row), amb.starts[bi])
             for deg_g, items_g in gens:
                 if deg_g + deg <= amb.max_degree:
                     fresh.extend(builder.add_tracked(sparse_product(ctx.mul_basis, items_g, items, True)))
@@ -896,7 +896,7 @@ def reference_bracket_closed(ctx, S):
     supports = []
     for bi, deg, mat in S.block_rows():
         for r in range(mat.shape[0]):
-            supports.append((deg, _row_support(amb, bi, mat[r])))
+            supports.append((deg, _support(_entries(mat[r]), amb.starts[bi])))
     batches = {}
     for a in range(len(supports)):
         d1, r1 = supports[a]
@@ -907,8 +907,8 @@ def reference_bracket_closed(ctx, S):
             items = [(i, v) for i, v in sparse_product(mul, r1, r2, True).items() if v]
             if not items:
                 continue
-            for bi, comp in amb.split(_normalize_int_items(items)).items():
-                batches.setdefault(bi, []).append(comp)
+            for bi, comp in amb.split(items).items():
+                batches.setdefault(bi, []).append(dict(zip(comp, clear_denominators(list(comp.values())))))
     for bi, rows in batches.items():
         width = amb.blocks[bi][1]
         big = max(abs(v) for row in rows for v in row.values())
@@ -1054,8 +1054,8 @@ def reference_op_product(ctx, s1, s2):
                 continue
             for r1 in m1:
                 for r2 in m2:
-                    b.add(sparse_product(ctx.mul_basis, _row_support(amb, b1, r1),
-                                         _row_support(amb, b2, r2)))
+                    b.add(sparse_product(ctx.mul_basis, _support(_entries(r1), amb.starts[b1]),
+                                         _support(_entries(r2), amb.starts[b2])))
     return b.finalize()
 
 
