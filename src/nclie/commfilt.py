@@ -1,10 +1,12 @@
 """Commutator filtration of a coefficient algebra.
 
-Computes the iterated commutator spaces (a `Chain` that stops at its first
-repeat), the ideals spanned by products of commutator spaces whose orders
-sum to a given k, their partial sums over the number of factors, and the
-full two-sided ideals as the limits of those partial sums.  The same
-machinery evaluated on a generating subspace S gives the subset ideals
+Computes the iterated commutator spaces C(k + 1) = [B, C(k)], the ideals
+I(k, l) spanned by products of l commutator spaces whose orders sum to k,
+their partial sums S(k, l) over the factor count, and the two-sided ideals
+I_k, the unions of those partial sums, by the proven recursion I_(k+1) =
+B [B, I_k] + [B, I_k], from C(0) = I_0 = B, the base.  The commutator spaces
+and the ideals I_k are each a `Chain` that stops at its first repeat.  The
+product ideals evaluated on a generating subspace S give the subset ideals
 used by the refined upper bound.
 
 For unital free contexts everything is computed on the augmentation ideal:
@@ -13,8 +15,6 @@ ones while staying inside the graded coordinates.
 """
 
 from __future__ import annotations
-
-import math
 
 from .subspace import Chain, GradedSubspace, bracket_saturate, op_bracket, op_product, subspace_sum
 
@@ -29,10 +29,9 @@ class FiltrationCache:
         if base.ambient != ctx.ambient:
             raise ValueError("generating subspace lives in a different ambient")
         self._comm = Chain(base, lambda _, c: op_bracket(ctx, base, c))
+        self._ideals = Chain(base, lambda _, i: _next_ideal(ctx, base, i))
         self._ikl: dict[tuple[int, int], GradedSubspace] = {}
-        self._ikle: list[list[GradedSubspace]] = []   # [k][j]: S(k, j), from S(k, 0) = 0
-        self._ikle_stable = -1   # the partial sums of every k <= this one have stopped,
-        self._ikle_stop = 0   # at this factor count
+        self._sums: dict[int, list[GradedSubspace]] = {}   # k: S(k, 0) = 0, S(k, 1), ...
 
     # -- commutator spaces --------------------------------------------------
 
@@ -81,58 +80,55 @@ class FiltrationCache:
     def ideal_Ik_le(self, k: int, l: int) -> GradedSubspace:
         """S(k, l), the sum of the product ideals I(k, 1), ..., I(k, l).
 
-        The partial sums of every index k' <= k are filled together, upward
-        in the factor count, up to the first count j where none of them grew:
-        S(k', j) = S(k', j - 1) for every k' <= k, with S(k', 0) = 0.  None
-        grows after it, since I(k', j + 1) = sum_i C(i) I(k' - i, j) lies in
-        sum_i C(i) S(k' - i, j - 1), which lies in S(k', j).  The k + 1 sums
-        are chains in F, so they grow at most (k + 1) dim F times in all and
-        the stop is reached; past it nothing is built, whatever l is.  When
-        C(c) = 0, every C(i) with i >= c vanishes too, so I(k', j), spanned by
-        products of j commutator spaces with orders summing to k', is 0 for
-        k' > (c - 1) j and is not built.
-
-        In a free context truncated at degree D, C(i) lies in degree
-        i + 1 or more for i >= 1, and C(0) in degree 1 or more, so a product
-        of commutator spaces with orders summing to k lies in degree k + 1
-        or more: S(k, l) = 0 for k >= D, returned before anything is built.
+        The sums of one k are built upward in the factor count from
+        S(k, 0) = 0, up to l or to the first count j with S(k, j) = I_k.  The
+        S(k, j) grow inside I_k, whose union they are, so every later one is
+        I_k too, and past that j nothing is built, whatever l is.
         """
         if k < 0 or l < 1:
             raise ValueError("need k >= 0 and l >= 1")
-        zero = GradedSubspace.zero(self.ctx.ambient)
-        if self._full_base and self.ctx.is_free and k >= self.ctx.ambient.max_degree:
-            return zero
-        sums = self._ikle
-        sums.extend([zero] for _ in range(k + 1 - len(sums)))
-        if k > self._ikle_stable and len(sums[k]) <= l:
-            C = self.commutator_space   # c: the least order with C(c) = 0, if one is found
-            c = next((i for i in range(self.ctx.ambient.dim + 2) if C(i).is_zero()), None)
-            while k > self._ikle_stable and len(sums[k]) <= l:
-                j = len(sums[k])   # each lower index not yet stable holds S(k', j - 1) or more
-                top = k if c is None else min(k, (c - 1) * j)   # I(k', j) = 0 for k' > top
-                stable = j >= self._ikle_stop   # S(k', j) = S(k', j - 1) for every k' up to kk
-                for kk in range(self._ikle_stable + 1, k + 1):
-                    s = sums[kk]
-                    if len(s) == j:
-                        part = self.ideal_Ikl(kk, j) if kk <= top else zero
-                        s.append(s[-1] if part.is_zero() else part if j == 1 else s[-1].sum(part))
-                    stable = stable and s[j] == s[j - 1]
-                    if stable:
-                        self._ikle_stable, self._ikle_stop = kk, j
-        return sums[k][min(l, len(sums[k]) - 1)]
+        ik = self.ideal_Ik(k)
+        sums = self._sums.setdefault(k, [GradedSubspace.zero(self.ctx.ambient)])
+        while len(sums) <= l and sums[-1] != ik:
+            sums.append(sums[-1].sum(self.ideal_Ikl(k, len(sums))))
+        return sums[min(l, len(sums) - 1)]
 
     def ideal_Ik(self, k: int) -> GradedSubspace:
-        """The two-sided ideal I_k: the union of the partial sums over all
-        factor counts, which is the last one `ideal_Ik_le` builds before its
-        proven stop.  (The closed form I_k = I_k^k + F I_k^k familiar from
-        unital algebras fails on the augmentation ideal, where nothing pads
-        short products.)
+        """The two-sided ideal I_k: the span of the products of commutator
+        spaces, with any number of factors, whose orders sum to k.  It is
+        read off the chain I_0 = B, I_(k+1) = B [B, I_k] + [B, I_k], with B
+        the base, a subalgebra.
+
+        The right side lies in I_(k+1): by the Leibniz rule, [b, x_1 ... x_l]
+        is a sum of products in which the order of one factor rose by 1, and
+        b' times such a product is one with one more factor, of order 0.
+        Conversely, by linearity, take a product x_1 ... x_l with orders
+        i_1, ..., i_l summing to k + 1, and let x_t = [b, y] be its first
+        factor of positive order, y of order i_t - 1.  Write it P [b, y] Q,
+        with P in B or empty.  Then P [b, y] Q = P [b, y Q] - P y [b, Q].
+        Here y Q lies in I_k, so the first term lies in the right side.  By
+        the Leibniz rule the second is a sum of products in which one unit of
+        order moved from x_t to a later factor; that lowers the weight
+        sum_t i_t (l - t), and induction on the weight ends the proof.
+
+        So I_(k+1) is a function of I_k alone, and it lies in I_k, which is a
+        two-sided ideal of B.  The decreasing chain stops at its first repeat,
+        with period 1.  In a free context truncated at degree D, I_k lies in
+        degree k + 1 or more, so the chain stops at I_D = 0 at the latest.
+        (The closed form I_k = I_k^k + F I_k^k familiar from unital algebras
+        fails on the augmentation ideal, where nothing pads short products.)
         """
         if not self._full_base:
             raise ValueError("two-sided ideals are defined for the full algebra only")
         if k < 0:
             raise ValueError("k must be >= 0")
-        return self.ideal_Ik_le(k, math.inf)
+        return self._ideals.term(k)
+
+
+def _next_ideal(ctx, base: GradedSubspace, ideal: GradedSubspace) -> GradedSubspace:
+    """B [B, I] + [B, I]: I_(k+1) from I_k, as FiltrationCache.ideal_Ik proves."""
+    br = op_bracket(ctx, base, ideal)
+    return op_product(ctx, base, br).sum(br)
 
 
 def ideal_IklS(ctx, k: int, l: int, S: GradedSubspace) -> GradedSubspace:

@@ -215,8 +215,8 @@ def _series(name: str, pair: CompatiblePair, fctx, first: int, step) -> list:
     (period 2).  Each step holds the spaces the next is built from, a
     commutator space C(k) or an ideal I_k and a power g^k, and the next
     step is a function of them alone: C(k+1) = [F, C(k)], I_(k+1) =
-    F [F, I_k] + [F, I_k] (the recursion of the partial sums, in the
-    limit), g^(k+1) = g^k g, and a zero step is followed by a zero step.
+    F [F, I_k] + [F, I_k] (proven in FiltrationCache.ideal_Ik), g^(k+1) =
+    g^k g, and a zero step is followed by a zero step.
     So x_(j+1) = x_(j-1) gives x_(j+2) = x_j, then x_(j+3) = x_(j+1), and
     so on: every step past the stop repeats one of the last two, and the
     terms up to the stop are the whole sum.  (Over M_2 the series of so:2

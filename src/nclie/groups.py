@@ -340,9 +340,10 @@ def battery_verdicts(pair: CompatiblePair, fctx, cache: FiltrationCache, L: Grad
 
 
 def random_word_element(fctx: FreeContext, rng: random.Random, max_degree=2, terms=2):
+    """A sum of `terms` words of length at most max_degree, and at most D."""
     out = fctx.zero()
     for _ in range(terms):
-        length = rng.randint(1, max(1, max_degree))
+        length = rng.randint(1, max(1, min(max_degree, fctx.D)))
         word = tuple(rng.randrange(fctx.m) for _ in range(length))
         coeff = rng.choice((-2, -1, 1, 2))
         out = out + AlgElement(fctx, {fctx.word_index[word]: Fraction(coeff)})

@@ -15,7 +15,7 @@ import conftest
 import nclie.current as cur
 from nclie.cli import RunConfig, orthogonal_form, run_suite, sl_trace_form
 from nclie.coeffalg import AlgElement, FreeContext, StructureContext, commutator, mul
-from nclie.commfilt import FiltrationCache
+from nclie.commfilt import FiltrationCache, _next_ideal
 from nclie.current import (
     abelian_closure_form,
     filtration,
@@ -169,7 +169,8 @@ def test_criterion_9_oracle_independence(monkeypatch):
         tilde_bound, overline_bound, type2_formula, semisimple_closed_form,
         sl2_closed_form, abelian_closure_form, simple_coefficients_form,
         sl_trace_form, orthogonal_form, cur.f_langle_g_filtered, cur.kron_sum,
-        cur._undominated, FiltrationCache.ideal_Ik_le,
+        cur._undominated, FiltrationCache.ideal_Ik_le, FiltrationCache.ideal_Ik,
+        _next_ideal,
     )
     ok = True
     for fn in closed_forms:

@@ -11,7 +11,7 @@ from nclie.cli import (
     main,
 )
 from nclie import cli, coeffalg, current
-from nclie.coeffalg import FreeContext
+from nclie.coeffalg import FreeContext, StructureContext
 from nclie.current import filtration
 from nclie.pairs import make_orthogonal
 
@@ -262,12 +262,27 @@ def test_deep_commutator_index_exits_zero(capsys):
     assert "total dim 0" in capsys.readouterr().out
 
 
-def test_ideal_past_the_truncation_degree_exits_zero(capsys):
-    # in a free context I_k lies in degree k + 1 or more, so I_k = 0 for
-    # k >= D, and no partial sums are stored for such a k
-    assert main(["compute", "--object", "ideal", "--k", "1000000000", "--deg", "3"]) == 0
-    assert "total dim 0" in capsys.readouterr().out
-    assert len(filtration(FreeContext(2, 3))._ikle) <= 3
+@pytest.mark.parametrize("backend, ctx, dim, built", [
+    ("free", FreeContext(2, 3), 0, 4), ("matrix:2", StructureContext.matrix_algebra(2), 4, 1),
+], ids=["free", "matrix:2"])
+def test_ideal_past_the_truncation_degree_exits_zero(capsys, backend, ctx, dim, built):
+    # the ideals stop at their first repeat: in a free context I_k lies in
+    # degree k + 1 or more, so I_k = 0 for k >= D and nothing is built past
+    # I_3; over M_2, I_1 = I_0 = M_2
+    assert main(["compute", "--object", "ideal", "--k", "1000000000", "--deg", "3",
+                 "--backend", backend]) == 0
+    assert f"total dim {dim}" in capsys.readouterr().out
+    assert len(filtration(ctx)._ideals._terms) <= built
+
+
+@pytest.mark.parametrize("pair", ["sp:4", "sl:2", "so:3", "sl2irrep:3"])
+def test_cartan_suites_at_degree_one(pair, capsys):
+    # at D = 1 the random group elements are drawn from words of length 1
+    rc = main(["verify", "--suite", "cartan-classical,cartan-sl2", "--pair", pair, "--deg", "1",
+               "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert rc == 0
+    assert {c["verdict"] for c in checks} <= {"pass", "vacuous"}
 
 
 def test_battery_rounds_are_capped(monkeypatch, capsys):

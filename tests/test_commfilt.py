@@ -13,6 +13,9 @@ from nclie.pairs import CompatiblePair
 from nclie.subspace import GradedSubspace, op_bracket, op_product, subspace_sum
 
 
+NILPOTENT_TABLE = [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]
+
+
 def compositions_oracle(cache, k, l):
     """Direct definition: sum over all weak compositions of k into l parts."""
     ctx = cache.ctx
@@ -192,6 +195,8 @@ def test_subset_ideal_rejected_for_full_ideal(free23):
     sub = FiltrationCache(free23, generating=S)
     with pytest.raises(ValueError):
         sub.ideal_Ik(1)
+    with pytest.raises(ValueError):
+        sub.ideal_Ik_le(1, 2)
 
 
 def test_nonunital_structure_filtration():
@@ -199,8 +204,7 @@ def test_nonunital_structure_filtration():
 
     # one nilpotent generator: x*x = y, x*y = y*x = y*y = 0; commutative,
     # so the whole filtration above level zero vanishes
-    table = [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]
-    ctx = StructureContext(table, labels=["x", "y"])
+    ctx = StructureContext(NILPOTENT_TABLE, labels=["x", "y"])
     cache = FiltrationCache(ctx)
     assert cache.commutator_space(1).is_zero()
     assert cache.ideal_Ik(1).is_zero()
@@ -235,8 +239,8 @@ def test_deep_indices_fill_upward_without_recursion():
         assert cache.ideal_Ik_le(0, 2000) == cache.ideal_Ik_le(0, 2) == cache.base
         assert cache.ideal_Ikl(0, 2000).is_zero()
         assert cache.commutator_space(3000).is_zero()
-        # I_k = 0 for k >= D in a free context, so no partial sums are stored
-        assert cache.ideal_Ik(2000).is_zero() and len(cache._ikle) <= 2
+        # the ideals stop at I_D = 0 in a free context, so none past it is built
+        assert cache.ideal_Ik(2000).is_zero() and len(cache._ideals._terms) <= 3
         assert pair.g_power(300).contains_vector({0: 1, 3: 2**300}) and pair.g_power(300).dim == 1
     finally:
         sys.setrecursionlimit(limit)
@@ -253,21 +257,24 @@ def reference_stop(cache, k):
         sums = grown
 
 
-@pytest.mark.parametrize("ctx", [FreeContext(2, 5), FreeContext(2, 3), StructureContext.matrix_algebra(2)],
-                         ids=["free-5", "free-3", "M_2"])
+@pytest.mark.parametrize("ctx", [
+    FreeContext(2, 5), FreeContext(2, 3), StructureContext.matrix_algebra(2),
+    FreeContext(2, 4, unital=False), FreeContext(1, 4), StructureContext.matrix_algebra(3),
+    StructureContext(NILPOTENT_TABLE, labels=["x", "y"]),
+], ids=["free-5", "free-3", "M_2", "free-nonunital", "free-m1", "M_3", "nilpotent"])
 def test_ideal_is_the_partial_sum_at_the_joint_stop(ctx):
-    # whichever index is asked for first, the memo of each index ends at the
-    # first factor count where no partial sum of that index or below grew
+    # whichever index is asked for first, the memo of each index ends no
+    # later than the first factor count where no partial sum of that index
+    # or below grew, and in a free context no ideal past I_D = 0 is built
     ref = FiltrationCache(ctx)
     for order in (range(5), range(4, -1, -1)):
         cache = FiltrationCache(ctx)
         for k in order:
             stop, last = reference_stop(ref, k)
             assert cache.ideal_Ik(k) == cache.ideal_Ik_le(k, 10**4) == last
-            if ctx.is_free and k >= ctx.ambient.max_degree:
-                assert len(cache._ikle) <= k   # I_k = 0 is returned before any S(k, j) is stored
-            else:
-                assert len(cache._ikle[k]) == stop + 1   # S(k, 0), ..., S(k, stop)
+            assert len(cache._sums[k]) <= stop   # S(k, 0), ..., S(k, j) = I_k, j < stop
+            if ctx.is_free:
+                assert len(cache._ideals._terms) <= ctx.ambient.max_degree + 1
 
 
 def test_commutator_spaces_stop_at_the_first_repeat(m2ctx, monkeypatch):
