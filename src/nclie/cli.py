@@ -184,11 +184,11 @@ def suite_filtration_identities(cfg: RunConfig, report: Report):
         I(k, l).issubset(I(k - 1, l)) for k, l in kls for I in ideals))
     _timed(report, "bracketing raises the ideal index", "filtration.bracket-raises", lambda: all(
         op_bracket(fctx, cache.base, I(k - 1, l)).issubset(I(k, l)) for k, l in kls for I in ideals))
+    # the partial sums are built by their recursion: check their definition
     _timed(report, "partial-sum ideal recursion", "filtration.recursion-le", lambda: all(
-        cache.ideal_Ik_le(k, l + 1) == op_product(
-            fctx, cache.base, op_bracket(fctx, cache.base, cache.ideal_Ik_le(k - 1, l))
-        ).sum(op_bracket(fctx, cache.base, cache.ideal_Ik_le(k - 1, l + 1)))
-        for k, l in kls if l < lmax))
+        cache.ideal_Ik_le(k, l) == subspace_sum(
+            fctx.ambient, [cache.ideal_Ikl(k, j) for j in range(1, l + 1)])
+        for k, l in kls))
     _timed(report, "ideal products add indices", "filtration.product-additivity", lambda: all(
         op_product(fctx, I(k, l), I(kp, lp)).issubset(I(k + kp, l + lp))
         for k, kp, l, lp in sums for I in ideals))

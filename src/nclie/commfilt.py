@@ -3,11 +3,11 @@
 Computes the iterated commutator spaces C(k + 1) = [B, C(k)], the ideals
 I(k, l) spanned by products of l commutator spaces whose orders sum to k,
 their partial sums S(k, l) over the factor count, and the two-sided ideals
-I_k, the unions of those partial sums, by the proven recursion I_(k+1) =
-B [B, I_k] + [B, I_k], from C(0) = I_0 = B, the base.  The commutator spaces
-and the ideals I_k are each a `Chain` that stops at its first repeat.  The
-product ideals evaluated on a generating subspace S give the subset ideals
-used by the refined upper bound.
+I_k, their unions, by the proven recursions S(k + 1, l) = B [B, S(k, l - 1)]
++ [B, S(k, l)] and I_(k+1) = B [B, I_k] + [B, I_k], from C(0) = I_0 = B, the
+base.  The commutator spaces, the ideals I_k and the rows of the partial
+sums are each a `Chain` that stops at its first repeat.  The product ideals
+on a generating subspace S give the subset ideals of the refined bound.
 
 For unital free contexts everything is computed on the augmentation ideal:
 the unit is central, so the spaces for k >= 1 coincide with the full-algebra
@@ -29,9 +29,9 @@ class FiltrationCache:
         if base.ambient != ctx.ambient:
             raise ValueError("generating subspace lives in a different ambient")
         self._comm = Chain(base, lambda _, c: op_bracket(ctx, base, c))
-        self._ideals = Chain(base, lambda _, i: _next_ideal(ctx, base, i))
+        self._ideals = ideals = Chain(base, lambda _, i: _next_ideal(ctx, base, i, i))
+        self._sums = Chain((base,), lambda k, row: _next_sums(ctx, base, row, ideals.term(k + 1)))
         self._ikl: dict[tuple[int, int], GradedSubspace] = {}
-        self._sums: dict[int, list[GradedSubspace]] = {}   # k: S(k, 0) = 0, S(k, 1), ...
 
     # -- commutator spaces --------------------------------------------------
 
@@ -78,38 +78,41 @@ class FiltrationCache:
         return self._ikl[k, l]
 
     def ideal_Ik_le(self, k: int, l: int) -> GradedSubspace:
-        """S(k, l), the sum of the product ideals I(k, 1), ..., I(k, l).
+        """S(k, l), the sum of the product ideals I(k, 1), ..., I(k, l), read
+        off a chain of rows (S(k, 1), ..., S(k, L)) from row 0 = (B) by
+        S(k + 1, l) = B [B, S(k, l - 1)] + [B, S(k, l)], with S(k, 0) = 0.
 
-        The sums of one k are built upward in the factor count from
-        S(k, 0) = 0, up to l or to the first count j with S(k, j) = I_k.  The
-        S(k, j) grow inside I_k, whose union they are, so every later one is
-        I_k too, and past that j nothing is built, whatever l is.
+        The right side lies in S(k + 1, l): by the Leibniz rule, [b, x_1 ...
+        x_j] is a sum of products of j factors in which the order of one
+        factor rose by 1, and b' times such a product is one with one more
+        factor, of order 0.  Conversely, by linearity, take a product x_1 ...
+        x_j, j <= l, with orders i_1, ..., i_j summing to k + 1, and let x_t =
+        [b, y] be its first factor of positive order, y of order i_t - 1.
+        Write it P [b, y] Q, with P empty (t = 1) or in the subalgebra B, one
+        factor.  Then P [b, y] Q = P [b, y Q] - P y [b, Q], with y Q in
+        S(k, j - t + 1), so the first term lies in [B, S(k, l)] or in
+        B [B, S(k, l - 1)].  By the Leibniz rule the second is a sum of
+        products of j factors in which one unit of order moved from x_t to a
+        later factor; that lowers the weight sum_t i_t (j - t), and induction
+        on the weight ends the proof.
+
+        The S(k, l) grow in l inside I_k, their union, so a row is cut at its
+        first S(k, L) = I_k, and S(k, l) = I_k for l >= L.  Row k + 1 is a
+        function of row k alone, at most one longer, so every row past the
+        first repeat repeats; the rows decrease in k, so it has period 1.
         """
         if k < 0 or l < 1:
             raise ValueError("need k >= 0 and l >= 1")
-        ik = self.ideal_Ik(k)
-        sums = self._sums.setdefault(k, [GradedSubspace.zero(self.ctx.ambient)])
-        while len(sums) <= l and sums[-1] != ik:
-            sums.append(sums[-1].sum(self.ideal_Ikl(k, len(sums))))
-        return sums[min(l, len(sums) - 1)]
+        self.ideal_Ik(k)   # raises for a generating S
+        row = self._sums.term(k)
+        return row[min(l, len(row)) - 1]
 
     def ideal_Ik(self, k: int) -> GradedSubspace:
         """The two-sided ideal I_k: the span of the products of commutator
         spaces, with any number of factors, whose orders sum to k.  It is
         read off the chain I_0 = B, I_(k+1) = B [B, I_k] + [B, I_k], with B
-        the base, a subalgebra.
-
-        The right side lies in I_(k+1): by the Leibniz rule, [b, x_1 ... x_l]
-        is a sum of products in which the order of one factor rose by 1, and
-        b' times such a product is one with one more factor, of order 0.
-        Conversely, by linearity, take a product x_1 ... x_l with orders
-        i_1, ..., i_l summing to k + 1, and let x_t = [b, y] be its first
-        factor of positive order, y of order i_t - 1.  Write it P [b, y] Q,
-        with P in B or empty.  Then P [b, y] Q = P [b, y Q] - P y [b, Q].
-        Here y Q lies in I_k, so the first term lies in the right side.  By
-        the Leibniz rule the second is a sum of products in which one unit of
-        order moved from x_t to a later factor; that lowers the weight
-        sum_t i_t (l - t), and induction on the weight ends the proof.
+        the base, a subalgebra: the union over l of the recursion of S(k, l)
+        that ideal_Ik_le proves.
 
         So I_(k+1) is a function of I_k alone, and it lies in I_k, which is a
         two-sided ideal of B.  The decreasing chain stops at its first repeat,
@@ -125,10 +128,22 @@ class FiltrationCache:
         return self._ideals.term(k)
 
 
-def _next_ideal(ctx, base: GradedSubspace, ideal: GradedSubspace) -> GradedSubspace:
-    """B [B, I] + [B, I]: I_(k+1) from I_k, as FiltrationCache.ideal_Ik proves."""
-    br = op_bracket(ctx, base, ideal)
-    return op_product(ctx, base, br).sum(br)
+def _next_ideal(ctx, base: GradedSubspace, a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
+    """B [B, a] + [B, b]: I_(k+1) from a = b = I_k, and S(k + 1, l) from
+    a = S(k, l - 1) and b = S(k, l), as FiltrationCache.ideal_Ik_le proves."""
+    br = op_bracket(ctx, base, b)
+    return op_product(ctx, base, br if a is b else op_bracket(ctx, base, a)).sum(br)
+
+
+def _next_sums(ctx, base: GradedSubspace, row: tuple, ideal: GradedSubspace) -> tuple:
+    """Row k + 1 of the partial sums from row k, cut at ideal = I_(k+1), which
+    is S(k + 1, L + 1) = B [B, I_k] + [B, I_k] for L the length of row k."""
+    out = []
+    for a, b in zip((GradedSubspace.zero(ctx.ambient), *row), row):
+        out.append(_next_ideal(ctx, base, a, b))
+        if out[-1] == ideal:
+            return tuple(out)
+    return (*out, ideal)
 
 
 def ideal_IklS(ctx, k: int, l: int, S: GradedSubspace) -> GradedSubspace:

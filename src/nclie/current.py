@@ -261,27 +261,33 @@ def f_langle_g_filtered(pair: CompatiblePair, fctx, m: int) -> GradedSubspace:
 
 def tilde_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> GradedSubspace:
     """Closed-form upper bound: F.g plus ideal terms I_k (x) [g, g^(k+1)] and
-    [F, I_(k-1)] (x) g^(k+1); with m_cap the partial-sum ideals bound each term."""
-    cache = filtration(fctx)
-    base = cache.base
+    [F, I_(k-1)] (x) g^(k+1); with m_cap the partial sums S(k, m_cap - k)
+    and S(k - 1, m_cap - k) take the place of I_k and I_(k-1), for k < m_cap."""
+    step = _ideal_step(pair, fctx, m_cap, pair.g_power)
     terms = [(fctx.full_subspace(), pair.g)]
-    if m_cap is not None:
-        for k in range(1, m_cap):
-            ell = m_cap - k
-            low = cache.ideal_Ik_le(k - 1, ell)
-            terms.append((cache.ideal_Ik_le(k, ell), pair.bracket_power(k + 1)))
-            terms.append((op_bracket(fctx, base, low), pair.g_power(k + 1)))
-        return kron_sum(TensorContext(fctx, pair.n), terms)
+    terms += (_series("tilde_bound", pair, fctx, 1, step) if m_cap is None
+              else [t for k in range(1, m_cap) for t in step(k)])
+    return kron_sum(TensorContext(fctx, pair.n), terms)
+
+
+def _ideal_step(pair: CompatiblePair, fctx, m_cap, second):
+    """Step k >= 1 of tilde_bound and semisimple_closed_form: U_k (x) [g,
+    g^(k+1)], [F, U_(k-1)] (x) second(k + 1) and 0 (x) g^(k+1), with U_j =
+    I_j, or S(j, m_cap - k) under a cap, where a few U_j recur, each
+    bracketed once.  The zero term makes the step determine the next one,
+    as _series needs."""
+    cache = filtration(fctx)
+    zero = GradedSubspace.zero(fctx.ambient)
+    bracket = functools.cache(lambda u: op_bracket(fctx, cache.base, u))
 
     def step(k):
-        ik = cache.ideal_Ik(k)
-        fik = op_bracket(fctx, base, cache.ideal_Ik(k - 1))
+        ideal = cache.ideal_Ik if m_cap is None else lambda j: cache.ideal_Ik_le(j, m_cap - k)
+        ik, fik = ideal(k), bracket(ideal(k - 1))
         if ik.is_zero() and fik.is_zero():
             return ()
-        return (ik, pair.bracket_power(k + 1)), (fik, pair.g_power(k + 1))
+        return (ik, pair.bracket_power(k + 1)), (fik, second(k + 1)), (zero, pair.g_power(k + 1))
 
-    terms += _series("tilde_bound", pair, fctx, 1, step)
-    return kron_sum(TensorContext(fctx, pair.n), terms)
+    return step
 
 
 def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> GradedSubspace:
@@ -404,21 +410,9 @@ def semisimple_closed_form(pair: CompatiblePair, fctx) -> GradedSubspace:
     perfect, _ = pair.is_perfect()
     if not (pair.semisimple and perfect):
         raise ValueError("closed form requires a declared-semisimple perfect pair")
-    cache = filtration(fctx)
-    base = cache.base
-    zero = GradedSubspace.zero(fctx.ambient)
-
-    def step(k):
-        ik1 = cache.ideal_Ik(k - 1)
-        fik2 = op_bracket(fctx, base, cache.ideal_Ik(k - 2))
-        if ik1.is_zero() and fik2.is_zero():
-            return ()
-        # the term 0 (x) g^k adds nothing to the sum; it makes the step
-        # determine the next one, as _series needs
-        return (ik1, pair.bracket_power(k)), (fik2, pair.center_part(k)), (zero, pair.g_power(k))
-
+    step = _ideal_step(pair, fctx, None, pair.center_part)
     terms = [(fctx.full_subspace(), pair.g)]
-    terms += _series("semisimple_closed_form", pair, fctx, 2, step)
+    terms += _series("semisimple_closed_form", pair, fctx, 1, step)
     return kron_sum(TensorContext(fctx, pair.n), terms)
 
 

@@ -45,8 +45,8 @@ well as of subspace basis rows, is computed by one loop, `sparse_product`,
 and every split of a sparse vector into degree blocks by `Ambient.split`.
 Only the product of two subspaces of a free context skips it: there it is
 a sum of Kronecker blocks (`op_product`).  Every sequence built upward to
-its first repeat (commutator spaces, ideals, powers of g, their sums) is a
-`Chain`.
+its first repeat (commutator spaces, ideals, rows of their partial sums,
+powers of g, their sums, closed-form series) is a `Chain`.
 """
 
 from __future__ import annotations

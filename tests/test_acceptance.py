@@ -15,7 +15,7 @@ import conftest
 import nclie.current as cur
 from nclie.cli import RunConfig, orthogonal_form, run_suite, sl_trace_form
 from nclie.coeffalg import AlgElement, FreeContext, StructureContext, commutator, mul
-from nclie.commfilt import FiltrationCache, _next_ideal
+from nclie.commfilt import FiltrationCache, _next_ideal, _next_sums
 from nclie.current import (
     abelian_closure_form,
     filtration,
@@ -164,13 +164,15 @@ def test_criterion_9_oracle_independence(monkeypatch):
     t0 = time.monotonic()
     # structural half: the closed forms and the helpers they call never call
     # the saturation engine, and the engine never reads the power spaces the
-    # closed forms are built from
+    # closed forms are built from; the whole filtration cache is scanned,
+    # the steps of its chains included
     closed_forms = (
         tilde_bound, overline_bound, type2_formula, semisimple_closed_form,
         sl2_closed_form, abelian_closure_form, simple_coefficients_form,
         sl_trace_form, orthogonal_form, cur.f_langle_g_filtered, cur.kron_sum,
-        cur._undominated, FiltrationCache.ideal_Ik_le, FiltrationCache.ideal_Ik,
-        _next_ideal,
+        cur._undominated, cur._ideal_step, cur._series, cur.filtration,
+        cur.tensor_product_span, cur.identity_span, sl2_module_span,
+        FiltrationCache, _next_ideal, _next_sums,
     )
     ok = True
     for fn in closed_forms:

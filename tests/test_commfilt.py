@@ -272,9 +272,19 @@ def test_ideal_is_the_partial_sum_at_the_joint_stop(ctx):
         for k in order:
             stop, last = reference_stop(ref, k)
             assert cache.ideal_Ik(k) == cache.ideal_Ik_le(k, 10**4) == last
-            assert len(cache._sums[k]) <= stop   # S(k, 0), ..., S(k, j) = I_k, j < stop
+            assert len(cache._sums.term(k)) < stop   # S(k, 1), ..., S(k, j) = I_k, j < stop
             if ctx.is_free:
                 assert len(cache._ideals._terms) <= ctx.ambient.max_degree + 1
+
+
+def test_deep_partial_sums_over_m2_build_three_rows_at_most(m2ctx):
+    # S(k + 1, l) is built from S(k, l - 1) and S(k, l), and the rows of the
+    # partial sums stop at I_1 = I_0 = M_2, so deep indices build no product
+    # ideal and no row past the stop
+    cache = FiltrationCache(m2ctx)
+    full = m2ctx.full_subspace()
+    assert all(cache.ideal_Ik_le(k, 2) == full for k in range(3000))
+    assert not cache._ikl and len(cache._sums._terms) <= 3
 
 
 def test_commutator_spaces_stop_at_the_first_repeat(m2ctx, monkeypatch):

@@ -42,6 +42,7 @@ from nclie.subspace import (
     SpanBuilder,
     bracket_closed,
     bracket_saturate,
+    op_bracket,
     subspace_sum,
 )
 from test_pairs import unit
@@ -303,6 +304,25 @@ def test_finite_type_truncation_matches(free23):
     assert manual == tilde_bound(sl2, free23)
 
 
+def test_capped_tilde_reads_the_partial_sums_by_definition():
+    # under a cap m the step k reads S(k, m - k) and S(k - 1, m - k), here
+    # summed from the product ideals, not read off their recursion; at D = 4
+    # the sums one factor longer give a larger bound at m = 2
+    fctx = FreeContext(2, 4)
+    cache = filtration(fctx)
+
+    def S(k, l):
+        return subspace_sum(fctx.ambient, [cache.ideal_Ikl(k, j) for j in range(1, l + 1)])
+
+    for pair in map(pair_by_name, ("sl2irrep:3", "jordan:3")):
+        for m_cap in (2, 3, 4):
+            terms = [(fctx.full_subspace(), pair.g)]
+            for k in range(1, m_cap):
+                terms += [(S(k, m_cap - k), pair.bracket_power(k + 1)),
+                          (op_bracket(fctx, cache.base, S(k - 1, m_cap - k)), pair.g_power(k + 1))]
+            assert tilde_bound(pair, fctx, m_cap=m_cap) == kron_sum(TensorContext(fctx, 3), terms)
+
+
 def test_filtered_chain(free23):
     pair = make_orthogonal(3)
     for m in (2, 3):
@@ -328,6 +348,11 @@ def test_filtered_bounds_converge(free23):
     for pair in (make_sl(2), make_orthogonal(3)):
         assert tilde_bound(pair, free23, m_cap=10) == tilde_bound(pair, free23)
         assert overline_bound(pair, free23, m_cap=10) == overline_bound(pair, free23)
+    # over M_2 no ideal vanishes: the partial sums reach I_k = M_2 at two factors
+    m2 = StructureContext.matrix_algebra(2)
+    for pair in map(pair_by_name, ("sl:2", "so:2", "gl:2")):
+        for m_cap in (10, 40):
+            assert tilde_bound(pair, m2, m_cap=m_cap) == tilde_bound(pair, m2)
 
 
 def test_sl2_form_mutation_detected(free23, monkeypatch):
@@ -736,10 +761,10 @@ def test_undominated_keeps_the_maximal_tuples():
 
 
 def test_tilde_cap_past_the_zero_factor_count_builds_nothing_more(monkeypatch):
-    # I(k', 4) = 0 for every k' at D = 3, so every partial sum stops growing
-    # at four factors and a cap of 1500 builds what a cap of 150 builds.
-    # Over M_2 no product ideal vanishes, but the partial sums of every index
-    # stop growing at three factors, so what is built grows linearly with the cap
+    # a capped bound reads the rows (S(k, 1), ..., S(k, L)) of the partial
+    # sums and builds no product ideal.  The rows stop with the ideals, at
+    # I_3 = 0 for D = 3 and at I_1 = I_0 over M_2, so what a cap builds does
+    # not grow with it
     pair = make_sl(2)
     built = {}
     for fctx, caps in ((FreeContext(2, 3), (10, 150, 1500)),
@@ -748,8 +773,10 @@ def test_tilde_cap_past_the_zero_factor_count_builds_nothing_more(monkeypatch):
         for m_cap in caps:
             monkeypatch.setattr(current, "_closure_memo", {})
             spans.append(tilde_bound(pair, fctx, m_cap=m_cap))
-            built[fctx.is_free, m_cap] = len(filtration(fctx)._ikl)
+            cache = filtration(fctx)
+            assert not cache._ikl
+            built[fctx.is_free, m_cap] = len(cache._sums._terms)
         for span in spans[1:]:
             assert_bit_identical(span, spans[0])
-    assert built[True, 150] == built[True, 1500] < 50
-    assert built[False, 20] <= 3 * 20 and built[False, 80] <= 3 * 80
+    assert built[True, 10] == built[True, 150] == built[True, 1500] == 4
+    assert built[False, 20] == built[False, 80] == 2
