@@ -234,13 +234,13 @@ def _series(name: str, pair: CompatiblePair, fctx, first: int, step) -> list:
 def kron_sum(tctx: TensorContext, terms) -> GradedSubspace:
     """The span of U (x) V over the terms (U, V), U in F and V in M_n.
 
-    Span is bilinear, so the terms are grouped by V and each group's U are
-    summed in F, n^2 times smaller than F (x) M_n; only one Kronecker part
-    per distinct V reaches the final sum.
+    Span is bilinear, so the terms are grouped by V and each group's
+    distinct U are summed once in F, n^2 times smaller than F (x) M_n; only
+    one Kronecker part per distinct V reaches the final sum.
     """
-    groups: dict[GradedSubspace, list[GradedSubspace]] = {}
+    groups: dict[GradedSubspace, dict[GradedSubspace, None]] = {}
     for u, v in terms:
-        groups.setdefault(v, []).append(u)
+        groups.setdefault(v, {})[u] = None
     return subspace_sum(tctx.ambient, [
         tensor_product_span(tctx, subspace_sum(tctx.fctx.ambient, us), v)
         for v, us in groups.items()

@@ -24,6 +24,7 @@ from .subspace import (
     Chain,
     GradedSubspace,
     SpanBuilder,
+    bracket_closed,
     clear_denominators,
     fraction_left_kernel,
     fraction_nullspace,
@@ -92,9 +93,8 @@ class CompatiblePair:
                 raise ValueError("declared algebra is not closed under products")
             if not self.algebra.contains_vector(self.mctx.one().coeffs):
                 raise ValueError("declared algebra must contain the identity")
-        for a, b in itertools.combinations_with_replacement(self.g_basis, 2):
-            if not self.g.contains_vector(commutator(a, b).coeffs):
-                raise ValueError("g is not closed under the commutator")
+        if not bracket_closed(self.mctx, self.g):
+            raise ValueError("g is not closed under the commutator")
         if not self.g.issubset(self.algebra):
             raise ValueError("g does not lie inside the declared algebra")
         self._key = key or ("custom", n, self.g_basis, self.algebra_basis)

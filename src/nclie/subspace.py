@@ -33,12 +33,12 @@ a frontier row r with a generator part x is r (ad_x N).  In the word layout
 of a context (`Context.word_layout`: words of a free algebra times the
 coordinates of a coefficient algebra), ad_x N is made of word prefix and
 suffix slices of N times multiplication matrices of the coefficient algebra,
-so one exact product serves every pair of a group of parts, and rows of the
-product that are equal get one id, so that a zero or repeated image is found
-without being formed.  A zero image proves membership, a repeated direction
-is dropped, and the other images are eliminated in a quotient block as wide
-as the codimension; only a bracket whose image grows it is formed and
-inserted.  Once the quotient block is half full, N is taken anew.
+so one exact product serves every pair of a group of parts, and its rows
+share an id exactly when equal (`_row_ids`), so that a zero or repeated image
+is found without being formed.  A zero image proves membership, a repeated
+direction is dropped, the rest go into a quotient block as wide as the
+codimension, and only a bracket whose image grows it is formed and inserted.
+Once the quotient block is half full, N is taken anew.
 
 Every product and commutator of two sparse vectors, of algebra elements as
 well as of subspace basis rows, is computed by one loop, `sparse_product`,
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -101,9 +100,6 @@ class Ambient:
                 bi = bisect.bisect_right(starts, idx) - 1
                 parts.setdefault(bi, {})[idx - starts[bi]] = val
         return parts
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.blocks)
 
     def __eq__(self, other):
         return isinstance(other, Ambient) and self.blocks == other.blocks
@@ -948,15 +944,15 @@ def _word_pieces(a: int, blocks):
     vecs = np.concatenate([v for _, _, v in found.values()])
     content = _contents(vecs)
     prim = vecs // content[:, None]
-    keys: dict = {}
-    ids = np.array([keys.setdefault(key, len(keys)) for key in _keys(prim)], dtype=np.intp)
+    ids = _row_ids(prim)[0]
+    first = np.unique(ids, return_index=True)[1]
     out = {}
-    if len(keys) < a:
+    if len(first) < a:
         pos = 0
         for bi, (r, u, _) in found.items():
             out[bi] = (r, u, ids[pos:pos + len(r)], content[pos:pos + len(r)])
             pos += len(r)
-        return prim[np.unique(ids, return_index=True)[1]], out
+        return prim[first], out
     for bi, (r, u, v) in found.items():
         p, j = np.nonzero(v)
         out[bi] = (r[p], u[p], j, v[p, j])
@@ -977,13 +973,18 @@ def _keys(rows):
     """Exact keys of integer rows, set by each row's values alone: its bytes
     as int16 when its entries fit there, else a 1-tuple of its int64 bytes
     when they fit there, else the tuple of its Python integers; keys of the
-    three kinds never coincide."""
+    three kinds never coincide.  A float64 row (of exact integers) is keyed
+    by its integer values, so -0.0 and 0.0 agree."""
     if rows.dtype == object:
         return [tuple(row) if max(map(abs, row)) >= _GUARD else _keys(np.array([row]))[0]
                 for row in rows.tolist()]
-    narrow = (np.abs(rows) < 1 << 15).all(axis=1).tolist()
-    short = rows.astype(np.int16)
-    return [s.tobytes() if ok else (r.tobytes(),) for r, s, ok in zip(rows, short, narrow)]
+    keys, step = [], max(1, _CHUNK_ENTRIES // rows.shape[1])
+    for lo in range(0, len(rows), step):   # in chunks, so that the copies stay small
+        part = rows[lo:lo + step].astype(np.int64, copy=False)
+        narrow = (np.abs(part) < 1 << 15).all(axis=1).tolist()
+        keys += [s.tobytes() if ok else (r.tobytes(),)
+                 for r, s, ok in zip(part, part.astype(np.int16), narrow)]
+    return keys
 
 
 def _new_directions(images, seen):
@@ -1038,49 +1039,26 @@ def _pulled_images(a: int, factors, null, nmax):
     group and R_j those of the rows' (see _pair_images).  The rows R_j M of
     each multiplication matrix M of P_i (factors) go into one exact product
     with N, in one dtype for both, left in float64 when product_dtype finds
-    it exact there.  ids numbers the rows of G and H together, equal rows
-    alike (_row_ids)."""
+    it exact there.  ids numbers the rows of G and H together, one id
+    exactly for equal rows (_row_ids)."""
     dtype = product_dtype(max(abs_max(m) for mats in factors for m in mats), nmax, a)
     null3 = _as_dtype(null.reshape(-1, a, null.shape[1]), dtype)
     G, H = (_as_dtype(np.concatenate(mats), dtype) @ null3 for mats in factors)
     return G, H, abs_max(G) + abs_max(H), _row_ids(G, H)
 
 
-# A fixed projection for hashing integer rows (wrapping int64 arithmetic).
-_HASH = np.frombuffer(random.Random(0).randbytes(8 << 13), dtype=np.int64)
+def _row_ids(*tables):
+    """Ids of the rows (along the last axis) of tables of one width, one id
+    exactly for equal rows (numbered by _keys): an id array per table,
+    shaped like the table without its last axis."""
+    keys: dict = {}
+    return [np.array([keys.setdefault(key, len(keys)) for key in _keys(T.reshape(-1, T.shape[-1]))],
+                     dtype=np.intp).reshape(T.shape[:-1]) for T in tables]
 
 
-def _row_ids(G, H):
-    """Ids of the rows of G and H (arrays of one shape, rows along the last
-    axis), equal exactly for equal rows: (ids of G, ids of H).  Rows are
-    grouped by a hash of their bits (float64 zeros made positive first),
-    and a row that differs from the first row of its group gets an id of
-    its own."""
-    C = G.shape[-1]
-    tables = [T.reshape(-1, C) for T in (G, H)]
-    n = len(tables[0])
-    if G.dtype == object or C > len(_HASH):
-        keys: dict = {}
-        ids = np.array([keys.setdefault(key, len(keys)) for T in tables for key in _keys(T)])
-    else:
-        for T in tables:
-            if T.dtype == np.float64:
-                T += 0.0   # -0.0 becomes 0.0, so equal rows have equal bits
-        bits = [T.view(np.int64) @ _HASH[:C] for T in tables]
-        _, first, ids = np.unique(np.concatenate(bits), return_index=True, return_inverse=True)
-        ids = ids.reshape(-1)
-        for t, T in enumerate(tables):
-            own = np.arange(t * n, (t + 1) * n)
-            rep = first[ids[own]]
-            for s, S in enumerate(tables):   # rows whose group starts in S
-                k = np.flatnonzero((rep != own) & (rep // n == s))
-                bad = k[(T[k] != S[rep[k] - s * n]).any(axis=1)]
-                ids[own[bad]] = 2 * n + own[bad]
-    return ids[:n].reshape(G.shape[:-1]), ids[n:].reshape(G.shape[:-1])
-
-
-# Entries per chunk of images: 256 KB of int64.  Larger chunks measured no
-# faster and raised the peak memory of a closure.
+# Entries per chunk of images, and of rows keyed at once (_keys): 256 KB of
+# int64.  Larger chunks measured no faster and raised the peak memory of a
+# closure.
 _CHUNK_ENTRIES = 1 << 15
 
 

@@ -604,6 +604,30 @@ def test_kron_sum_mutation_detected(free24):
     assert not all(agreements)
 
 
+def test_kron_sum_sums_each_distinct_u_once(monkeypatch, free24):
+    # a capped tilde bound repeats the same few U once per k: each distinct
+    # U of a group of equal V reaches the sum in F once, in order of first use
+    pair = pair_by_name("sp:4")
+    tctx = TensorContext(free24, pair.n)
+    u1, u2 = coefficient_inputs(free24)[1:3]
+    v1, v2 = matrix_inputs(pair)[:2]
+    copy = GradedSubspace.span(free24.ambient, u1.vectors())   # equal, not the same object
+    terms = [(u1, v1), (u2, v1), (u1, v1), (copy, v1), (u2, v2), (u2, v2)]
+    calls = []
+    real = current.subspace_sum
+
+    def recording(ambient, parts):
+        parts = list(parts)
+        calls.append((ambient, parts))
+        return real(ambient, parts)
+
+    monkeypatch.setattr(current, "subspace_sum", recording)
+    new = kron_sum(tctx, terms)
+    f_sums = [parts for ambient, parts in calls if ambient == free24.ambient]
+    assert f_sums == [[u1, u2], [u2]]
+    assert_bit_identical(new, kron_sum(tctx, [(u1, v1), (u2, v1), (u2, v2)]))
+
+
 def test_kron_sum_rejects_foreign_ambients(free23, free24):
     tctx = TensorContext(free24, 2)
     sl2 = make_sl(2)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -481,19 +482,36 @@ def test_brackets_are_formed_only_for_rows_that_grow_the_span(monkeypatch):
         assert stored > 0 and len(formed) == stored
 
 
-def test_row_ids_stay_exact_when_every_hash_collides(monkeypatch):
-    # with a zero hash every row of the pulled-back images lands in one
-    # group, and only the comparison with its first row tells rows apart
+def test_row_ids_are_equal_exactly_for_equal_rows():
+    # rows that wrap to one another as int16 or int64, zeros of both signs,
+    # and entries past 2^62 that only Python integers hold
+    wide = 1 << 62
+    rows = [[1, -2, 0], [1, -2, 0], [0, 0, 0], [1, 2, 0], [65537, -2, 0],
+            [40000, 0, 1], [40000, 0, 1], [-40000, 0, 1], [2**52, 0, 0]]
+    big = rows + [[wide + 1, -2, 0], [wide + 1, -2, 0], [2**64 + 1, -2, 0], [-wide, 0, 1]]
+    floats = np.array(rows, dtype=np.float64)
+    floats[1, 2] = floats[6, 1] = -0.0   # equal to rows 0 and 5 all the same
+    tables = [np.array(rows, dtype=np.int64), floats, np.array(big, dtype=object)]
+    for table, values in zip(tables, [rows, rows, big]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no float64 cast out of range
+            ids = subspace_module._row_ids(table[:4], table[4:].reshape(-1, 1, 3))
+        assert ids[0].shape == (4,) and ids[1].shape == (len(values) - 4, 1)
+        flat = np.concatenate([i.reshape(-1) for i in ids]).tolist()
+        assert all((flat[p] == flat[q]) == (values[p] == values[q])
+                   for p in range(len(values)) for q in range(len(values)))
+    # keys are set by the values alone, whatever the dtype of the table
+    ints = tables[0]
+    for other in (ints.astype(np.float64), ints.astype(object)):
+        assert np.array_equal(*subspace_module._row_ids(ints, other))
+    # the saturation that reads the ids
     from nclie.current import fg_generator_vectors
     from nclie.pairs import pair_by_name
 
     pair = pair_by_name("sp:4")
     ctx = TensorContext(FreeContext(2, 3), pair.n)
     gens = fg_generator_vectors(pair, ctx)
-    expected = bracket_saturate(ctx, gens)
-    monkeypatch.setattr(subspace_module, "_HASH", np.zeros_like(subspace_module._HASH))
-    assert_same_rows(bracket_saturate(ctx, gens), expected)
-    assert_same_rows(expected, reference_bracket_saturate(ctx, gens))
+    assert_same_rows(bracket_saturate(ctx, gens), reference_bracket_saturate(ctx, gens))
 
 
 def half_unit_matrix_context():
