@@ -978,12 +978,14 @@ def _keys(rows):
     if rows.dtype == object:
         return [tuple(row) if max(map(abs, row)) >= _GUARD else _keys(np.array([row]))[0]
                 for row in rows.tolist()]
-    keys, step = [], max(1, _CHUNK_ENTRIES // rows.shape[1])
+    keys, width = [], rows.shape[1]
+    step = max(1, _CHUNK_ENTRIES // width)
     for lo in range(0, len(rows), step):   # in chunks, so that the copies stay small
-        part = rows[lo:lo + step].astype(np.int64, copy=False)
+        part = np.ascontiguousarray(rows[lo:lo + step], dtype=np.int64)
         narrow = (np.abs(part) < 1 << 15).all(axis=1).tolist()
-        keys += [s.tobytes() if ok else (r.tobytes(),)
-                 for r, s, ok in zip(part, part.astype(np.int16), narrow)]
+        short = part.astype(np.int16).view(f"V{2 * width}").ravel().tolist()   # bytes per row
+        wide = part.view(f"V{8 * width}").ravel().tolist()
+        keys += [s if ok else (w,) for s, w, ok in zip(short, wide, narrow)]
     return keys
 
 
