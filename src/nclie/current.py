@@ -237,14 +237,42 @@ def kron_sum(tctx: TensorContext, terms) -> GradedSubspace:
     Span is bilinear, so the terms are grouped by V and each group's
     distinct U are summed once in F, n^2 times smaller than F (x) M_n; only
     one Kronecker part per distinct V reaches the final sum.
+
+    When the distinct V, sorted by dimension, form a chain V_1 <= ... <=
+    V_r, the sum is built as a direct sum and no row reduces to zero.  Let
+    U_j be the sum of group j and U'_j = U_j + ... + U_r, and let W_j be
+    the rows of canonical U'_j whose pivot is not a pivot of U'_(j+1)
+    (GradedSubspace.rows_beyond).  Then:
+      * sum_j U_j (x) V_j = sum_j U'_j (x) V_j, because U_i (x) V_j lies in
+        U_i (x) V_i for i > j;
+      * U'_(j+1) <= U'_j, so U'_j = W_j + U'_(j+1), and by induction U'_j =
+        W_j + ... + W_r, where no two rows of all the W share a pivot;
+      * so sum_j U'_j (x) V_j = sum_i W_i (x) (V_1 + ... + V_i) = sum_i
+        W_i (x) V_i;
+      * a row w (x) a of kron(W_i, V_i) has its pivot at p*n^2 + q, p the
+        pivot of w and q that of a, so the rows of all the parts have
+        pairwise distinct pivots and the sum is direct, of dimension
+        sum_j (dim U'_j - dim U'_(j+1)) dim V_j.
+    A U of several groups is summed only in the last, the one of its
+    largest V, which the suffix sums carry to the others.  The final sum
+    only back-substitutes.  Otherwise each group is summed on its own.
     """
     groups: dict[GradedSubspace, dict[GradedSubspace, None]] = {}
     for u, v in terms:
         groups.setdefault(v, {})[u] = None
-    return subspace_sum(tctx.ambient, [
-        tensor_product_span(tctx, subspace_sum(tctx.fctx.ambient, us), v)
-        for v, us in groups.items()
-    ])
+    fsum = functools.partial(subspace_sum, tctx.fctx.ambient)
+    vs = sorted(groups, key=lambda v: v.dim)
+    if not all(a.issubset(b) for a, b in zip(vs, vs[1:])):
+        return subspace_sum(tctx.ambient, [tensor_product_span(tctx, fsum(us), v)
+                                           for v, us in groups.items()])
+    parts, lower, seen = [], GradedSubspace.zero(tctx.fctx.ambient), set()
+    for v in reversed(vs):
+        us = [u for u in groups[v] if u not in seen]
+        seen.update(us)
+        upper = fsum([lower, *us])
+        parts.append(tensor_product_span(tctx, upper.rows_beyond(lower), v))
+        lower = upper
+    return subspace_sum(tctx.ambient, parts)
 
 
 def f_dot_g(pair: CompatiblePair, fctx) -> GradedSubspace:

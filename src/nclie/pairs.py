@@ -216,8 +216,8 @@ class CompatiblePair:
         if self._center is None:
             basis = [self.mctx.element_from_vector(v) for v in self.envelope().vectors()]
             nn = self.mctx.dim_algebra
-            rows = [[commutator(c, b).coeffs.get(k, 0) for b in basis for k in range(nn)]
-                    for c in basis]
+            tables = [[commutator(c, b).coeffs for b in basis] for c in basis]
+            rows = [[t.get(k, 0) for t in row for k in range(nn)] for row in tables]
             self._center = GradedSubspace.span(
                 self.mctx.ambient,
                 [_combination(self.mctx, combo, basis).coeffs for combo in fraction_left_kernel(rows)],

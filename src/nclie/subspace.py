@@ -406,6 +406,22 @@ class GradedSubspace:
                     b.add_block_row(bi, row[width:])
         return b.finalize()
 
+    def rows_beyond(self, sub: "GradedSubspace") -> "GradedSubspace":
+        """The span of the rows of self whose pivot is not a pivot of sub.
+
+        They are a subset of canonical rows, so they are canonical as they
+        stand: reduced, primitive and in pivot order.  For sub <= self they
+        span a complement of sub: every pivot of sub is one of self, so they
+        are dim self - dim sub rows, independent of sub's rows because no
+        two of all these rows share a pivot.
+        """
+        rows, pivots = [], []
+        for mat, piv, other in zip(self._rows, self._pivots, map(set, sub._pivots)):
+            keep = [i for i, p in enumerate(piv) if p not in other]
+            rows.append(mat[keep] if keep else None)
+            pivots.append(tuple(piv[i] for i in keep))
+        return GradedSubspace(self.ambient, tuple(rows), tuple(pivots))
+
     def __eq__(self, other):
         if not isinstance(other, GradedSubspace):
             return NotImplemented

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -550,9 +551,11 @@ def drop_last_u(tctx, terms):
     return kron_sum(tctx, [(u, v) for v, us in groups.items() for u in us[:-1]])
 
 
-def kron_sum_agreements(build, tctx, us, vs, seed):
+def kron_sum_agreements(build, tctx, us, vs, seed, finals=None):
     """For lists of terms drawn from us x vs, whether build(tctx, terms)
-    is bit-identical to the sum of the element-wise spans of the terms."""
+    is bit-identical to the sum of the element-wise spans of the terms and,
+    with finals (see record_final_sums), whether the last sum in
+    F (x) M_n that build formed was direct."""
     ref = {(i, j): reference_tensor_product_span(tctx, u, v)
            for i, u in enumerate(us) for j, v in enumerate(vs)}
     every = list(ref)
@@ -563,16 +566,71 @@ def kron_sum_agreements(build, tctx, us, vs, seed):
         [(i, 0) for i in range(len(us))],            # one V repeated
         [(len(us) - 1, j) for j in range(len(vs))],  # zero U
         [(i, len(vs) - 1) for i in range(len(us))],  # zero V
+        [(i, (-1 - i) % len(vs)) for i in range(len(us))],  # U and V paired in opposite orders
     ] + [rng.choices(every, k=6) for _ in range(6)]
     out = []
     for idx in lists:
         new = build(tctx, [(us[i], vs[j]) for i, j in idx])
         try:
             assert_bit_identical(new, subspace_sum(tctx.ambient, [ref[k] for k in idx]))
+            if finals is not None:
+                assert_direct(finals[-1], new)
             out.append(True)
         except AssertionError:
             out.append(False)
     return out
+
+
+def record_final_sums(monkeypatch, tctx):
+    """The list of parts of every sum in F (x) M_n that current forms from
+    now on, one list per sum."""
+    finals = []
+    real = current.subspace_sum
+
+    def recording(ambient, parts):
+        parts = list(parts)
+        if ambient == tctx.ambient:
+            finals.append(parts)
+        return real(ambient, parts)
+
+    monkeypatch.setattr(current, "subspace_sum", recording)
+    return finals
+
+
+def assert_direct(parts, total):
+    """No two rows of the parts share a pivot, and their dimensions add up
+    to that of their sum."""
+    pivots = [(bi, p) for part in parts for bi, piv in enumerate(part._pivots) for p in piv]
+    assert len(pivots) == len(set(pivots))
+    assert sum(part.dim for part in parts) == total.dim
+
+
+def chain_of(vs):
+    """The members of vs, sorted by dimension, that contain every member
+    kept before them: a chain by inclusion, with the zero spaces first."""
+    out = []
+    for v in sorted(vs, key=lambda v: v.dim):
+        if not out or out[-1].issubset(v):
+            out.append(v)
+    return out
+
+
+def chain_sum(tctx, terms, suffix=True, trim_against_suffix=True):
+    """kron_sum's chain path written out for mutation tests, with two of its
+    steps switchable: U'_j = U_j + U'_(j+1), and trimming U'_j against
+    U'_(j+1) rather than against U_(j+1), the sum of group j+1 alone."""
+    groups = {}
+    for u, v in terms:
+        groups.setdefault(v, []).append(u)
+    fsum = functools.partial(subspace_sum, tctx.fctx.ambient)
+    parts, lower = [], GradedSubspace.zero(tctx.fctx.ambient)
+    below = lower
+    for v in sorted(groups, key=lambda v: v.dim, reverse=True):
+        own = fsum(groups[v])
+        upper = fsum([lower, own]) if suffix else own
+        parts.append(tensor_product_span(tctx, upper.rows_beyond(lower if trim_against_suffix else below), v))
+        lower, below = upper, own
+    return current.subspace_sum(tctx.ambient, parts)
 
 
 @pytest.mark.parametrize("name", ["sl:3", "sp:4", "jordan:3"])
@@ -604,13 +662,83 @@ def test_kron_sum_mutation_detected(free24):
     assert not all(agreements)
 
 
-def test_kron_sum_sums_each_distinct_u_once(monkeypatch, free24):
-    # a capped tilde bound repeats the same few U once per k: each distinct
-    # U of a group of equal V reaches the sum in F once, in order of first use
+@pytest.mark.parametrize("name", ["sl:3", "sp:4", "jordan:3"])
+def test_kron_sum_of_a_chain_is_direct(monkeypatch, name, free24):
+    # V chains such as 0 <= g <= [g, g^2] <= g^2 = g^3 for sp:4, with
+    # zero U and zero V: the parts of the final sum have disjoint pivots
+    pair = pair_by_name(name)
+    tctx = TensorContext(free24, pair.n)
+    us = coefficient_inputs(free24)
+    chain = chain_of(matrix_inputs(pair))
+    assert len({v: None for v in chain}) >= 2 and chain[0].is_zero()
+    vs = chain[1:] + chain[:1]   # a zero V last, as kron_sum_agreements reads it
+    finals = record_final_sums(monkeypatch, tctx)
+    assert all(kron_sum_agreements(kron_sum, tctx, us, vs, seed=10, finals=finals))
+    assert all(kron_sum_agreements(chain_sum, tctx, us, vs, seed=10, finals=finals))
+
+
+@pytest.mark.parametrize("mutant", [
+    functools.partial(chain_sum, trim_against_suffix=False),
+    functools.partial(chain_sum, suffix=False),
+], ids=["trim-against-own-group", "no-suffix-sum"])
+@pytest.mark.parametrize("name", ["sp:4", "sl2irrep:4"])
+def test_kron_sum_chain_mutations_detected(monkeypatch, name, mutant, free24):
+    pair = pair_by_name(name)
+    tctx = TensorContext(free24, pair.n)
+    chain = chain_of(matrix_inputs(pair))
+    assert len({v: None for v in chain if not v.is_zero()}) >= 3
+    vs = chain[1:] + chain[:1]
+    finals = record_final_sums(monkeypatch, tctx)
+    assert not all(kron_sum_agreements(mutant, tctx, coefficient_inputs(free24), vs,
+                                       seed=10, finals=finals))
+
+
+def closed_form_terms(monkeypatch, build, pair, fctx):
+    """The terms that build(pair, fctx) passes to kron_sum."""
+    seen = []
+    monkeypatch.setattr(current, "kron_sum", lambda tctx, terms: seen.append(list(terms)))
+    build(pair, fctx)
+    monkeypatch.undo()
+    return seen[-1]
+
+
+@pytest.mark.parametrize("build, name", [
+    (tilde_bound, "sl2irrep:4"),
+    (overline_bound, "sl2irrep:4"),
+    (semisimple_closed_form, "sp:4"),
+    (semisimple_closed_form, "sl:3"),
+])
+def test_kron_sum_fallback_when_v_do_not_chain(monkeypatch, build, name, free24):
+    # each group of equal V is summed in F on its own, one Kronecker part
+    # per distinct V, and the sum is still the element-wise one
+    pair = pair_by_name(name)
+    tctx = TensorContext(free24, pair.n)
+    terms = closed_form_terms(monkeypatch, build, pair, free24)
+    groups = {}
+    for u, v in terms:
+        groups.setdefault(v, {})[u] = None
+    assert chain_of(groups) != sorted(groups, key=lambda v: v.dim)
+    calls = []
+    real = current.subspace_sum
+    monkeypatch.setattr(current, "subspace_sum",
+                        lambda ambient, parts: calls.append(list(parts)) or real(ambient, parts))
+    new = kron_sum(tctx, terms)
+    assert calls == [list(us) for us in groups.values()] + [calls[-1]]
+    assert len(calls[-1]) == len(groups)
+    ref = [reference_tensor_product_span(tctx, u, v) for u, v in dict.fromkeys(terms)]
+    assert_bit_identical(new, subspace_sum(tctx.ambient, ref))
+
+
+def sums_in_f(monkeypatch, free24, v2):
+    """The parts of each sum in F that kron_sum forms for terms that repeat
+    u1 and u2, and an equal copy of u1, over v1 = g and v2 (sp:4), as a
+    capped tilde bound repeats the same few U once per k; also u1, u2 and
+    the copy.  The result must be bit-identical to that of the terms
+    without repeats."""
     pair = pair_by_name("sp:4")
     tctx = TensorContext(free24, pair.n)
     u1, u2 = coefficient_inputs(free24)[1:3]
-    v1, v2 = matrix_inputs(pair)[:2]
+    v1 = pair.g
     copy = GradedSubspace.span(free24.ambient, u1.vectors())   # equal, not the same object
     terms = [(u1, v1), (u2, v1), (u1, v1), (copy, v1), (u2, v2), (u2, v2)]
     calls = []
@@ -623,18 +751,39 @@ def test_kron_sum_sums_each_distinct_u_once(monkeypatch, free24):
 
     monkeypatch.setattr(current, "subspace_sum", recording)
     new = kron_sum(tctx, terms)
-    f_sums = [parts for ambient, parts in calls if ambient == free24.ambient]
-    assert f_sums == [[u1, u2], [u2]]
+    monkeypatch.undo()
     assert_bit_identical(new, kron_sum(tctx, [(u1, v1), (u2, v1), (u2, v2)]))
+    return [parts for ambient, parts in calls if ambient == free24.ambient], (u1, u2, copy)
+
+
+def test_kron_sum_sums_each_distinct_u_once(monkeypatch, free24):
+    # each distinct U reaches a sum in F once.  v1 = g <= v2 = g^2 for
+    # sp:4, so the V chain: u2, of both groups, is summed only in that of
+    # v2, whose sum the chain path carries to v1 as the first part
+    f_sums, (u1, u2, copy) = sums_in_f(monkeypatch, free24, pair_by_name("sp:4").g_power(2))
+    summed = [p for parts in f_sums for p in parts]
+    assert [sum(p is u for p in summed) for u in (u1, u2, copy)] == [1, 1, 0]
+    assert [parts[1:] for parts in f_sums] == [[u2], [u1]]
+
+
+def test_kron_sum_fallback_sums_each_group_once(monkeypatch, free24):
+    # g and the identity line do not chain: each group of equal V is summed
+    # on its own, its distinct U once each, in order of first use
+    f_sums, (u1, u2, _) = sums_in_f(monkeypatch, free24, current.identity_span(4))
+    assert f_sums == [[u1, u2], [u2]]
 
 
 def test_kron_sum_rejects_foreign_ambients(free23, free24):
+    # a second V of sl2 makes a chain with sl2, the identity line does not
     tctx = TensorContext(free24, 2)
     sl2 = make_sl(2)
+    for second in (sl2.g, current.identity_span(2)):
+        with pytest.raises(ValueError):
+            kron_sum(tctx, [(free24.full_subspace(), sl2.g), (free23.full_subspace(), second)])
+        with pytest.raises(ValueError):
+            kron_sum(tctx, [(free24.full_subspace(), second), (free24.full_subspace(), make_sl(3).g)])
     with pytest.raises(ValueError):
-        kron_sum(tctx, [(free24.full_subspace(), sl2.g), (free23.full_subspace(), sl2.g)])
-    with pytest.raises(ValueError):
-        kron_sum(tctx, [(free24.full_subspace(), sl2.g), (free24.full_subspace(), make_sl(3).g)])
+        kron_sum(tctx, [(free24.full_subspace(), make_sl(3).g)])
 
 
 # -- capped series raise instead of returning a partial sum -----------------------

@@ -520,6 +520,19 @@ def test_center_decomposition_semisimple():
             assert plus.intersect(zk).is_zero()
 
 
+@pytest.mark.parametrize("name", ["sp:4", "sl2irrep:4"])
+def test_center_forms_each_commutator_once(monkeypatch, name):
+    # one commutator per pair of envelope basis elements, not one per
+    # matrix entry of each
+    pair = pair_by_name(name)
+    dim = pair.envelope().dim
+    calls = []
+    real = pairs.commutator
+    monkeypatch.setattr(pairs, "commutator", lambda a, b: calls.append(1) or real(a, b))
+    assert pair.center().to_jsonable() == reference_center(pair).to_jsonable()
+    assert 0 < len(calls) <= dim * dim
+
+
 # -- strong grading witness -----------------------------------------------------------------
 
 

@@ -65,3 +65,19 @@ def test_cartan_battery_script_refuses_a_pair_without_criterion():
     )
     assert proc.returncode != 0
     assert "no diagonal criterion for gl:2" in proc.stderr
+
+
+def test_scaling_table_script():
+    out = run_script("scaling_table.py", "sl:2,2,3", "jordan:3,2,3", "--json")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["pair"], r["m"], r["D"], r["w"]) for r in rows] == [
+        ("sl:2", 2, 3, 32), ("jordan:3", 2, 3, 72)]
+    sl2 = rows[0]
+    # sl:2 is perfect: the closure and both bounds are one subspace
+    assert sl2["closure_dim"] == sl2["tilde_dim"] == sl2["overline_dim"] > 0
+    assert sl2["closure_sha256"] == sl2["tilde_sha256"] == sl2["overline_sha256"]
+    assert all(r[f"{s}_s"] >= 0 for r in rows for s in ("closure", "tilde", "overline"))
+    assert all(r["peak_rss_mb"] > 0 for r in rows)
+    table = run_script("scaling_table.py", "sl:2,2,3").splitlines()
+    assert table[0].startswith("| pair, m, D | w | dim |")
+    assert table[2].startswith("| sl:2, 2, 3 | 32 | ") and f"same {sl2['closure_sha256'][:16]}" in table[2]
