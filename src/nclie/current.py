@@ -253,9 +253,10 @@ def kron_sum(tctx: TensorContext, terms) -> GradedSubspace:
         pivot of w and q that of a, so the rows of all the parts have
         pairwise distinct pivots and the sum is direct, of dimension
         sum_j (dim U'_j - dim U'_(j+1)) dim V_j.
-    A U of several groups is summed only in the last, the one of its
-    largest V, which the suffix sums carry to the others.  The final sum
-    only back-substitutes.  Otherwise each group is summed on its own.
+    A U of several groups is summed only with the group of its largest V;
+    the suffix sums carry it to the others.  The final sum only
+    back-substitutes.  When the V do not chain, each group is summed on
+    its own.
     """
     groups: dict[GradedSubspace, dict[GradedSubspace, None]] = {}
     for u, v in terms:
