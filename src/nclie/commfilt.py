@@ -6,8 +6,9 @@ their partial sums S(k, l) over the factor count, and the two-sided ideals
 I_k, their unions, by the proven recursions S(k + 1, l) = B [B, S(k, l - 1)]
 + [B, S(k, l)] and I_(k+1) = B [B, I_k] + [B, I_k], from C(0) = I_0 = B, the
 base.  The commutator spaces, the ideals I_k and the rows of the partial
-sums are each a `Chain` that stops at its first repeat.  The product ideals
-on a generating subspace S give the subset ideals of the refined bound.
+sums are each a `Chain` that stops at its first repeat; one memo forms each
+of their brackets and products once.  The product ideals on a generating
+subspace S give the subset ideals of the refined bound.
 
 For unital free contexts everything is computed on the augmentation ideal:
 the unit is central, so the spaces for k >= 1 coincide with the full-algebra
@@ -28,10 +29,26 @@ class FiltrationCache:
         self.base = base = ctx.filtration_subspace() if generating is None else generating
         if base.ambient != ctx.ambient:
             raise ValueError("generating subspace lives in a different ambient")
-        self._comm = Chain(base, lambda _, c: op_bracket(ctx, base, c))
-        self._ideals = ideals = Chain(base, lambda _, i: _next_ideal(ctx, base, i, i))
-        self._sums = Chain((base,), lambda k, row: _next_sums(ctx, base, row, ideals.term(k + 1)))
+        self._spans: dict = {}
+        self._comm = Chain(base, lambda _, c: self.bracket(base, c))
+        self._ideals = ideals = Chain(base, lambda _, i: _next_ideal(self, i, i))
+        self._sums = Chain((base,), lambda k, row: _next_sums(self, row, ideals.term(k + 1)))
         self._ikl: dict[tuple[int, int], GradedSubspace] = {}
+
+    # -- spans of brackets and products ---------------------------------------
+
+    def bracket(self, a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
+        """[a, b], formed once per unordered pair: [b, a] spans the same space."""
+        key = frozenset((a, b))
+        if key not in self._spans:
+            self._spans[key] = op_bracket(self.ctx, a, b)
+        return self._spans[key]
+
+    def product(self, a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
+        """a b, formed once per ordered pair."""
+        if (a, b) not in self._spans:
+            self._spans[a, b] = op_product(self.ctx, a, b)
+        return self._spans[a, b]
 
     # -- commutator spaces --------------------------------------------------
 
@@ -128,19 +145,19 @@ class FiltrationCache:
         return self._ideals.term(k)
 
 
-def _next_ideal(ctx, base: GradedSubspace, a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
+def _next_ideal(cache: FiltrationCache, a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
     """B [B, a] + [B, b]: I_(k+1) from a = b = I_k, and S(k + 1, l) from
     a = S(k, l - 1) and b = S(k, l), as FiltrationCache.ideal_Ik_le proves."""
-    br = op_bracket(ctx, base, b)
-    return op_product(ctx, base, br if a is b else op_bracket(ctx, base, a)).sum(br)
+    base = cache.base
+    return cache.product(base, cache.bracket(base, a)).sum(cache.bracket(base, b))
 
 
-def _next_sums(ctx, base: GradedSubspace, row: tuple, ideal: GradedSubspace) -> tuple:
+def _next_sums(cache: FiltrationCache, row: tuple, ideal: GradedSubspace) -> tuple:
     """Row k + 1 of the partial sums from row k, cut at ideal = I_(k+1), which
     is S(k + 1, L + 1) = B [B, I_k] + [B, I_k] for L the length of row k."""
     out = []
-    for a, b in zip((GradedSubspace.zero(ctx.ambient), *row), row):
-        out.append(_next_ideal(ctx, base, a, b))
+    for a, b in zip((GradedSubspace.zero(cache.ctx.ambient), *row), row):
+        out.append(_next_ideal(cache, a, b))
         if out[-1] == ideal:
             return tuple(out)
     return (*out, ideal)

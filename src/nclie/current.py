@@ -43,8 +43,6 @@ from .subspace import (
     SpanBuilder,
     bracket_saturate,
     kronecker_span,
-    op_bracket,
-    op_product,
     subspace_sum,
 )
 
@@ -53,10 +51,24 @@ class TypeMismatchError(ValueError):
     pass
 
 
+# The widest block of F (x) M_n a TensorContext may have, in columns: w, the
+# widest block of F times n^2 (m^D n^2 for a free F).  In the scaling table's
+# protocol (scripts/scaling_table.py) the closure and both bounds peak at
+# 6.3-8.6 x w^2 x 8 bytes, measured for sl:3 at m=2, D=8 and 9, sp:4 at m=2,
+# D=8 and 9 and sl:3 at m=3, D=6.  The widest measured, w = 8,192 (sp:4 at
+# m=2, D=9), peaked at 4,356 MB; w = 16,384 would need 13-18 GB.  So the
+# widest measured block is the limit, and a wider one is refused at once.
+MAX_TENSOR_WIDTH = 8192
+
+
 class TensorContext(Context):
     """Coordinates for F (x) M_n: pairs (word index, matrix unit), graded by F."""
 
     def __init__(self, fctx, n: int):
+        width = max(size for _, size in fctx.ambient.blocks) * n * n
+        if width > MAX_TENSOR_WIDTH:
+            raise ValueError(f"F (x) M_{n} over {fctx!r} has a block of {width} columns, "
+                             f"more than the limit of {MAX_TENSOR_WIDTH}")
         self.fctx = fctx
         self.n = n
         self.nn = n * n
@@ -302,16 +314,15 @@ def tilde_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> GradedS
 def _ideal_step(pair: CompatiblePair, fctx, m_cap, second):
     """Step k >= 1 of tilde_bound and semisimple_closed_form: U_k (x) [g,
     g^(k+1)], [F, U_(k-1)] (x) second(k + 1) and 0 (x) g^(k+1), with U_j =
-    I_j, or S(j, m_cap - k) under a cap, where a few U_j recur, each
-    bracketed once.  The zero term makes the step determine the next one,
-    as _series needs."""
+    I_j, or S(j, m_cap - k) under a cap; the filtration's memo forms each
+    [F, U_j] once, shared with the chains of I_j and S(j, l).  The zero
+    term makes the step determine the next one, as _series needs."""
     cache = filtration(fctx)
     zero = GradedSubspace.zero(fctx.ambient)
-    bracket = functools.cache(lambda u: op_bracket(fctx, cache.base, u))
 
     def step(k):
         ideal = cache.ideal_Ik if m_cap is None else lambda j: cache.ideal_Ik_le(j, m_cap - k)
-        ik, fik = ideal(k), bracket(ideal(k - 1))
+        ik, fik = ideal(k), cache.bracket(cache.base, ideal(k - 1))
         if ik.is_zero() and fik.is_zero():
             return ()
         return (ik, pair.bracket_power(k + 1)), (fik, second(k + 1)), (zero, pair.g_power(k + 1))
@@ -339,7 +350,7 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
     """
     tctx = TensorContext(fctx, pair.n)
     cache = filtration(fctx)
-    jcache = FiltrationCache(pair.mctx, generating=pair.g)
+    jcache = pair.filtration
     terms = [(fctx.full_subspace(), pair.g)]
     graded = fctx.is_free
     max_layer = (fctx.ambient.max_degree - 2 if graded else _hard_cap(fctx, pair))
@@ -375,8 +386,8 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
         new = _undominated(kept, fresh, leq)
         kept, fresh = kept + new, []
         for i1, i2, j1, j2 in new:
-            terms.append((op_product(fctx, i1, i2), op_bracket(pair.mctx, j1, j2)))
-            terms.append((op_bracket(fctx, i1, i2), op_product(pair.mctx, j2, j1)))
+            terms.append((cache.product(i1, i2), jcache.bracket(j1, j2)))
+            terms.append((cache.bracket(i1, i2), jcache.product(j2, j1)))
         if not graded:
             prev, dim = dim, kron_sum(tctx, terms).dim
             stale = 0 if prev is None or dim > prev else stale + 1
@@ -413,7 +424,7 @@ def sl_trace_form(pair: CompatiblePair, fctx) -> GradedSubspace:
 def orthogonal_form(pair: CompatiblePair, fctx) -> GradedSubspace:
     """F (x) g + F' (x) 1 + (FF' + F') (x) sl for a nondegenerate form."""
     fprime = filtration(fctx).commutator_space(1)
-    ffp = op_product(fctx, fctx.full_subspace(), fprime).sum(fprime)
+    ffp = filtration(fctx).product(fctx.full_subspace(), fprime).sum(fprime)
     return kron_sum(TensorContext(fctx, pair.n), [
         (fctx.full_subspace(), pair.g),
         (fprime, identity_span(pair.n)),
@@ -429,8 +440,8 @@ def type2_formula(pair: CompatiblePair, fctx) -> GradedSubspace:
     return kron_sum(TensorContext(fctx, pair.n), [
         (fctx.full_subspace(), pair.g),
         (fprime, pair.algebra),
-        (op_product(fctx, fctx.full_subspace(), fprime),
-         op_bracket(pair.mctx, pair.algebra, pair.algebra)),
+        (filtration(fctx).product(fctx.full_subspace(), fprime),
+         pair.filtration.bracket(pair.algebra, pair.algebra)),
     ])
 
 
@@ -462,7 +473,7 @@ def sl2_closed_form(n: int, fctx) -> GradedSubspace:
     if n < 2:
         raise ValueError("n must be >= 2")
     cache = filtration(fctx)
-    terms = [(op_bracket(fctx, cache.base, cache.base), identity_span(n))]
+    terms = [(cache.commutator_space(1), identity_span(n))]
     for k in range(1, n):
         ideal = fctx.full_subspace() if k == 1 else cache.ideal_Ik(k - 1)
         terms.append((ideal, sl2_module_span(n, k)))
@@ -477,7 +488,7 @@ def lower_bound_terms(pair: CompatiblePair, fctx, k: int):
     tctx = TensorContext(fctx, pair.n)
     cache = filtration(fctx)
     fk = fctx.full_subspace() if k == 0 else cache.commutator_space(k)
-    ffk = op_product(fctx, fctx.full_subspace(), fk)
+    ffk = cache.product(fctx.full_subspace(), fk)
     return (
         tensor_product_span(tctx, fk, pair.g_power(k + 1)),
         tensor_product_span(tctx, ffk, pair.bracket_power(k + 1)),
@@ -503,11 +514,10 @@ def abelian_closure_form(pair: CompatiblePair, fctx) -> GradedSubspace:
 def simple_coefficients_form(pair: CompatiblePair, fctx) -> GradedSubspace:
     """F.g + F (x) [g, <g>] + [F, F] (x) <g>, exact when I_1(F) = F and the
     pair is perfect (for example 2x2 matrix coefficients)."""
-    base = filtration(fctx).base
     full = fctx.full_subspace()
     env = pair.envelope()
     return kron_sum(TensorContext(fctx, pair.n), [
         (full, pair.g),
-        (full, op_bracket(pair.mctx, pair.g, env)),
-        (op_bracket(fctx, base, base), env),
+        (full, pair.filtration.bracket(pair.g, env)),
+        (filtration(fctx).commutator_space(1), env),
     ])

@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 
 from .coeffalg import AlgElement, StructureContext, commutator, mul
+from .commfilt import FiltrationCache
 from .subspace import (
     Ambient,
     Chain,
@@ -29,7 +30,6 @@ from .subspace import (
     fraction_left_kernel,
     fraction_nullspace,
     fraction_solve,
-    op_bracket,
     op_product,
 )
 
@@ -100,7 +100,7 @@ class CompatiblePair:
         self._key = key or ("custom", n, self.g_basis, self.algebra_basis)
         mctx, g = self.mctx, self.g   # the chains' steps hold no reference to the pair
         self._powers = powers = Chain(g, lambda _, p: op_product(mctx, p, g))   # g^(k+1) at k
-        self._bracket_powers: dict[GradedSubspace, GradedSubspace] = {}
+        self.filtration = FiltrationCache(mctx, generating=g)   # J(k, l) and the spans in M_n
         self._sums = Chain(g, lambda k, s: s.sum(powers.term(k + 1)))   # g + ... + g^(k+1)
         self._center: GradedSubspace | None = None
 
@@ -133,10 +133,7 @@ class CompatiblePair:
     def bracket_power(self, k: int) -> GradedSubspace:
         """[g, g^k], the span of commutators of g against k-fold products; for
         k past the first repeat K of the powers it is [g, g^K], built once."""
-        power = self.g_power(k)
-        if power not in self._bracket_powers:
-            self._bracket_powers[power] = op_bracket(self.mctx, self.g, power)
-        return self._bracket_powers[power]
+        return self.filtration.bracket(self.g, self.g_power(k))
 
     def tilde_power(self, k: int) -> GradedSubspace:
         """Span of pure powers a^k over a in g, by full polarization.
@@ -212,11 +209,16 @@ class CompatiblePair:
         return True, None
 
     def center(self) -> GradedSubspace:
-        """Center of the enveloping algebra of g."""
+        """Center of the enveloping algebra of g: the left kernel of the table
+        of [c, b] over basis pairs, formed for c before b only, since [b, c] =
+        -[c, b] and [c, c] = 0."""
         if self._center is None:
             basis = [self.mctx.element_from_vector(v) for v in self.envelope().vectors()]
             nn = self.mctx.dim_algebra
-            tables = [[commutator(c, b).coeffs for b in basis] for c in basis]
+            tables = [[{}] * len(basis) for _ in basis]
+            for i, j in itertools.combinations(range(len(basis)), 2):
+                br = commutator(basis[i], basis[j])
+                tables[i][j], tables[j][i] = br.coeffs, (-br).coeffs
             rows = [[t.get(k, 0) for t in row for k in range(nn)] for row in tables]
             self._center = GradedSubspace.span(
                 self.mctx.ambient,

@@ -480,6 +480,16 @@ def test_oversized_or_ambiguous_free_context_config_error(monkeypatch, capsys, a
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_tensor_width_past_the_budget_exits_2(monkeypatch, capsys):
+    # sp:4 at m=2, D=10 has 2,046 words, within MAX_WORDS, but a block of
+    # 1,024 * 16 columns in F (x) M_4: refused before any span is built
+    monkeypatch.setattr(current, "bracket_saturate", lambda *args, **kwargs: pytest.fail("saturated"))
+    t0 = time.monotonic()
+    assert main(["compute", "--pair", "sp:4", "--gens", "2", "--deg", "10"]) == 2
+    assert time.monotonic() - t0 < 10
+    assert f"limit of {current.MAX_TENSOR_WIDTH}" in capsys.readouterr().err
+
+
 def test_large_tilde_cap_exits_zero(capsys):
     # the partial sums of the filtration ideals stop at a proven zero factor
     # count, so the cap costs only its own terms

@@ -45,6 +45,21 @@ def union_oracle(cache):
     return at
 
 
+def test_span_memo_keys_by_the_operands(free23):
+    # a bracket is keyed without the order of its factors, a product with it,
+    # and factors of equal dimension are different keys; a hit returns the
+    # span formed first
+    cache = FiltrationCache(free23)
+    x, y = (GradedSubspace.span(free23.ambient, [free23.generator(i).coeffs]) for i in (0, 1))
+    assert cache.bracket(x, y) is cache.bracket(y, x)
+    assert cache.bracket(x, y) == op_bracket(free23, x, y) and cache.bracket(x, y).dim == 1
+    assert cache.bracket(x, x).is_zero() and cache.bracket(y, y).is_zero()
+    assert cache.product(x, y) == op_product(free23, x, y)
+    assert cache.product(y, x) == op_product(free23, y, x) != cache.product(x, y)
+    assert cache.product(x, x) != cache.product(y, y)
+    assert cache.product(x, y) is cache.product(x, y)
+
+
 def test_commutative_filtration_vanishes():
     ctx = FreeContext(1, 4)
     cache = FiltrationCache(ctx)

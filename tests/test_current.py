@@ -1,11 +1,12 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nclie import current
+from nclie import commfilt, current, pairs, subspace
 from nclie.coeffalg import AlgElement, FreeContext, StructureContext, commutator, mul
 from nclie.current import (
     TensorContext,
@@ -44,6 +45,7 @@ from nclie.subspace import (
     bracket_closed,
     bracket_saturate,
     op_bracket,
+    op_product,
     subspace_sum,
 )
 from test_pairs import unit
@@ -92,6 +94,20 @@ def test_pure_tensor_product(free23):
     b = tctx.pure(y, unit(2, 1, 0))
     prod = tensor_mul(a, b)
     assert prod == tctx.pure(x * y, unit(2, 0, 0))
+
+
+@pytest.mark.parametrize("fctx, n", [(FreeContext(2, 10), 4), (FreeContext(2, 4), 32),
+                                     (StructureContext.matrix_algebra(8), 12)])
+def test_tensor_context_past_the_width_budget_refused(fctx, n):
+    # w = (widest block of F) n^2: 1,024 * 16, 16 * 1,024 and 64 * 144
+    with pytest.raises(ValueError, match=f"limit of {current.MAX_TENSOR_WIDTH}"):
+        TensorContext(fctx, n)
+
+
+def test_widest_measured_tensor_context_admitted():
+    # sp:4 at m=2, D=9, the widest row of the scaling table: w = 512 * 16
+    tctx = TensorContext(FreeContext(2, 9), 4)
+    assert max(size for _, size in tctx.ambient.blocks) == current.MAX_TENSOR_WIDTH == 8192
 
 
 def test_tensor_unit(free23):
@@ -850,8 +866,8 @@ def reference_overline_bound(pair, fctx, m_cap=None):
                     j2 = jcache.ideal_Ikl(l2, k2 + 1)
                     if j1.is_zero() or j2.is_zero():
                         continue
-                    terms.append((current.op_product(fctx, i1, i2), current.op_bracket(pair.mctx, j1, j2)))
-                    terms.append((current.op_bracket(fctx, i1, i2), current.op_product(pair.mctx, j2, j1)))
+                    terms.append((op_product(fctx, i1, i2), op_bracket(pair.mctx, j1, j2)))
+                    terms.append((op_bracket(fctx, i1, i2), op_product(pair.mctx, j2, j1)))
         if not graded:
             prev, dim = dim, current.kron_sum(tctx, terms).dim
             stale = 0 if prev is None or dim > prev else stale + 1
@@ -953,3 +969,67 @@ def test_tilde_cap_past_the_zero_factor_count_builds_nothing_more(monkeypatch):
             assert_bit_identical(span, spans[0])
     assert built[True, 10] == built[True, 150] == built[True, 1500] == 4
     assert built[False, 20] == built[False, 80] == 2
+
+
+# -- the filtration memo: each span is formed once -----------------------------------
+
+
+def test_bounds_form_each_bracket_span_once(monkeypatch):
+    # the chains of I_k and S(k, l), the steps of tilde_bound and
+    # semisimple_closed_form and the terms of overline_bound all read the
+    # filtration's memo, so no bracket of F is formed twice, in either order
+    # of its factors; and the pair holds its J filtration, so three
+    # overline_bound calls build the J chain once
+    monkeypatch.setattr(current, "_closure_memo", {})
+    formed = []
+
+    def recording(ctx, a, b, real=op_bracket):
+        formed.append((ctx.key(), frozenset((a, b))))
+        return real(ctx, a, b)
+
+    for module in (subspace, commfilt, current, pairs):
+        monkeypatch.setattr(module, "op_bracket", recording, raising=False)
+    fctx = FreeContext(2, 4)
+    for name in ("sp:4", "sl:3"):
+        pair = pair_by_name(name)
+        in_mn = []
+        for _ in range(3):
+            start = len(formed)
+            overline_bound(pair, fctx)
+            in_mn.append(sum(key == pair.mctx.key() for key, _ in formed[start:]))
+        assert in_mn[0] > 0 and in_mn[1:] == [0, 0]
+        semisimple_closed_form(pair, fctx)
+        for m_cap in (None, 2, 3, 4):
+            tilde_bound(pair, fctx, m_cap=m_cap)
+            overline_bound(pair, fctx, m_cap=m_cap)
+    in_f = [span for key, span in formed if key == fctx.key()]
+    distinct = len(set(in_f))
+    assert 0 < distinct == len(in_f)
+
+
+# -- generator permutations fix the closure and the bounds ---------------------------
+
+
+def permuted_letters(sub, fctx, sigma):
+    """sub with the letters of every word of F renamed by sigma, re-spanned;
+    coordinate k of F (x) M_n is word k // n^2 and matrix unit k % n^2."""
+    nn = sub.ambient.dim // fctx.ambient.dim
+    image = [fctx.word_index[tuple(sigma[x] for x in w)] for w in fctx.words]
+    return GradedSubspace.span(sub.ambient, ({image[k // nn] * nn + k % nn: c for k, c in v.items()}
+                                             for v in sub.vectors()))
+
+
+@pytest.mark.parametrize("name, m, degree", [
+    ("sl:3", 2, 4), ("sl2irrep:4", 2, 4), ("so:4", 2, 4), ("jordan:3", 2, 4), ("sp:4", 3, 3),
+])
+def test_closure_and_bounds_are_fixed_by_generator_permutations(name, m, degree):
+    # a permutation of the generators is an automorphism of F that keeps
+    # word length; tensored with the identity it fixes F . g, so it maps the
+    # closure onto itself, and it fixes the characteristic ideals of F that
+    # the bounds are built from.  No oracle is read: a wrongly memoized span
+    # that breaks the symmetry fails on its own
+    pair, fctx = pair_by_name(name), FreeContext(m, degree)
+    for build in (lie_closure, tilde_bound, overline_bound):
+        sub = build(pair, fctx)
+        for sigma in itertools.permutations(range(m)):
+            assert permuted_letters(sub, fctx, sigma) == sub

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclie import pairs
+from nclie import commfilt, pairs
 from nclie.coeffalg import NonUnitError, StructureContext, commutator, inverse, mul
 from nclie.pairs import (
     INFINITE,
@@ -336,12 +336,13 @@ def test_g_power_basics():
 
 def test_powers_stop_at_the_first_repeat(monkeypatch):
     # g^2 = g^3 = M_2 for sl_2: no power past g^3 and no bracket past [g, g^2]
-    # is formed, however high the exponent asked for
+    # is formed, however high the exponent asked for; the brackets are formed
+    # by the pair's filtration memo
     pair = make_sl(2)
     formed = []
-    for name in ("op_product", "op_bracket"):
-        real = getattr(pairs, name)
-        monkeypatch.setattr(pairs, name, lambda *args, real=real, name=name:
+    for module, name in ((pairs, "op_product"), (commfilt, "op_bracket")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
                             formed.append(name) or real(*args))
     assert pair.g_power(10**6) == pair.g_power(2) and pair.g_power(2).dim == 4
     assert pair.bracket_power(10**6) == pair.bracket_power(2) == pair.g
@@ -522,15 +523,15 @@ def test_center_decomposition_semisimple():
 
 @pytest.mark.parametrize("name", ["sp:4", "sl2irrep:4"])
 def test_center_forms_each_commutator_once(monkeypatch, name):
-    # one commutator per pair of envelope basis elements, not one per
-    # matrix entry of each
+    # one commutator per unordered pair of distinct envelope basis elements:
+    # not one per matrix entry of each, and not [b, c] beside [c, b]
     pair = pair_by_name(name)
     dim = pair.envelope().dim
     calls = []
     real = pairs.commutator
     monkeypatch.setattr(pairs, "commutator", lambda a, b: calls.append(1) or real(a, b))
     assert pair.center().to_jsonable() == reference_center(pair).to_jsonable()
-    assert 0 < len(calls) <= dim * dim
+    assert len(calls) == dim * (dim - 1) // 2 > 0
 
 
 # -- strong grading witness -----------------------------------------------------------------
