@@ -987,6 +987,8 @@ def test_bounds_form_each_bracket_span_once(monkeypatch):
         formed.append((ctx.key(), frozenset((a, b))))
         return real(ctx, a, b)
 
+    # current and pairs import no op_bracket; patched there, one that comes
+    # back is recorded too
     for module in (subspace, commfilt, current, pairs):
         monkeypatch.setattr(module, "op_bracket", recording, raising=False)
     fctx = FreeContext(2, 4)
