@@ -8,7 +8,10 @@ is shared, and reports:
   - the CPU seconds of each stage;
   - w = m^D * n^2, the width of the widest block of F (x) M_n;
   - the dimension of each result;
-  - the peak RSS of the whole process, in MB of 2^20 bytes;
+  - the peak RSS of the whole process, in MB of 2^20 bytes; each stage's
+    result is dropped after its digest, so the peak is that of the largest
+    stage with the memos of the stages before it (the closure and the
+    filtration stay in the process memo);
   - the sha256 of each result's to_jsonable() (the table prints the first
     16 hex digits, and `same` when the three agree).
 
@@ -48,6 +51,7 @@ def measure(spec: str) -> dict:
         row[f"{stage}_dim"] = sub.dim
         text = json.dumps(sub.to_jsonable(), separators=(",", ":"))
         row[f"{stage}_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        del sub, text   # so the next stage's peak does not hold this result
     row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     return row
 

@@ -485,6 +485,8 @@ def cmd_compute(cfg: RunConfig) -> Report:
             raise ValueError(f"--m-cap must be at least 1, got {cfg.m_cap}")
         pair = pair_by_name(cfg.pair)
         pairname = pair.name
+        if cfg.obj == "sl2form" and pair.key() != ("sl2irrep", pair.n):
+            raise cur.TypeMismatchError(f"the sl2 module form is for sl2irrep:n, not {pair.name}")
         builders = {
             "closure": lambda: cur.lie_closure(pair, fctx, m_cap=cfg.m_cap),
             "tilde": lambda: cur.tilde_bound(pair, fctx, m_cap=cfg.m_cap),

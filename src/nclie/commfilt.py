@@ -71,8 +71,9 @@ class FiltrationCache:
         I(k, l) is the sum of C(i) I(k - i, l - 1) over the i with C(i)
         nonzero.  The entries that recursion would build are found level by
         level down to one factor, then built upward in the factor count, so
-        no call stack grows with l.  Each distinct factor pair is multiplied
-        once: past the stop of the commutator chain every C(i) is the same.
+        no call stack grows with l.  Each product goes through the span
+        memo, so a factor pair is multiplied once across all entries: past
+        the stop of the commutator chain every C(i) is the same.
         """
         if k < 0 or l < 1:
             raise ValueError("need k >= 0 and l >= 1")
@@ -88,10 +89,9 @@ class FiltrationCache:
             j -= 1
         for j, ks in reversed(levels):
             for kk in sorted(ks):
-                factors = dict.fromkeys((C(i), self._ikl[kk - i, j - 1]) for i in range(kk + 1)
-                                        if j > 1 and not C(i).is_zero())
                 self._ikl[kk, j] = C(kk) if j == 1 else subspace_sum(self.ctx.ambient, [
-                    op_product(self.ctx, a, b) for a, b in factors if not b.is_zero()])
+                    self.product(C(i), self._ikl[kk - i, j - 1]) for i in range(kk + 1)
+                    if not C(i).is_zero() and not self._ikl[kk - i, j - 1].is_zero()])
         return self._ikl[k, l]
 
     def ideal_Ik_le(self, k: int, l: int) -> GradedSubspace:

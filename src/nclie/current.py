@@ -333,13 +333,29 @@ def _ideal_step(pair: CompatiblePair, fctx, m_cap, second):
 def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> GradedSubspace:
     """Refined upper bound built from two-index ideals of F and of (A, g).
 
-    Terms are enumerated by layers s = k1+k2+l1+l2; in a graded context the
-    layer dies once s+2 exceeds the truncation degree, otherwise enumeration
-    stops after two layers contribute nothing new.
+    Terms are enumerated by layers s = k1+k2+l1+l2 up to max_layer.  In a
+    graded context max_layer is D-2, since the products I(k1, l1+1) I(k2,
+    l2+1) of layer s lie in degree s+2 or more; otherwise enumeration stops
+    after two layers contribute nothing new.
 
     Each (k1, k2, l1, l2) gives the factors t = (i1, i2, j1, j2), i1 =
-    I(k1, l1+1), i2 = I(k2, l2+1) in F and j1 = J(l1, k1+1), j2 = J(l2,
+    S(k1, l1+1), i2 = S(k2, l2+1) in F and j1 = J(l1, k1+1), j2 = J(l2,
     k2+1) in A, and the terms i1 i2 (x) [j1, j2] and [i1, i2] (x) j2 j1.
+    The definition reads I(k1, l1+1) and I(k2, l2+1) for i1 and i2; the
+    partial sums S(k, l) = I(k, 1) + ... + I(k, l) give the same sum after
+    every layer:
+      * it is no smaller, since I(k, l) <= S(k, l) and both terms are
+        monotone in every factor;
+      * it is no larger: expand S(k1, l1+1) as the sum of I(k1, l1'+1)
+        over l1' <= l1, and S(k2, l2+1) likewise.  The commutator spaces
+        of (A, g) decrease, C^A(i+1) = [g, C^A(i)] <= C^A(i) since [g, g]
+        <= g, so J(l1, k1+1) <= J(l1', k1+1), and each expanded piece lies
+        in the I-term of (k1, k2, l1', l2'), of layer at most s.  Where
+        that tuple has a zero factor and is skipped, the piece is zero.
+    So the graded sum up to max_layer, the m_cap cut and the non-graded
+    stale-layer stop, which reads the same dimensions, are unchanged.  Past
+    max_layer the S-terms are not zero, but they add nothing.
+
     Products and brackets of spans are monotone in each factor, and U <= U',
     V <= V' give U (x) V <= U' (x) V'; so when t <= t' factor by factor,
     both terms of t lie in those of t', and t adds nothing to the sum.  Only
@@ -356,14 +372,7 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
     max_layer = (fctx.ambient.max_degree - 2 if graded else _hard_cap(fctx, pair))
     if m_cap is not None:
         max_layer = min(max_layer, m_cap - 2)
-    canon: dict[GradedSubspace, GradedSubspace] = {}
-    below: dict[tuple[int, int], bool] = {}
-
-    def leq(a, b):
-        if (id(a), id(b)) not in below:
-            below[id(a), id(b)] = a is b or (a.dim <= b.dim and a.issubset(b))
-        return below[id(a), id(b)]
-
+    leq = functools.cache(lambda a, b: a.dim <= b.dim and a.issubset(b))
     kept, fresh = [], []
     dim = None
     stale = 0
@@ -372,15 +381,10 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
             for k2 in range(s - k1 + 1):
                 for l1 in range(s - k1 - k2 + 1):
                     l2 = s - k1 - k2 - l1
-                    i1 = cache.ideal_Ikl(k1, l1 + 1)
-                    i2 = cache.ideal_Ikl(k2, l2 + 1)
-                    if i1.is_zero() or i2.is_zero():
-                        continue
-                    j1 = jcache.ideal_Ikl(l1, k1 + 1)
-                    j2 = jcache.ideal_Ikl(l2, k2 + 1)
-                    if j1.is_zero() or j2.is_zero():
-                        continue
-                    fresh.append(tuple(canon.setdefault(x, x) for x in (i1, i2, j1, j2)))
+                    t = (cache.ideal_Ik_le(k1, l1 + 1), cache.ideal_Ik_le(k2, l2 + 1),
+                         jcache.ideal_Ikl(l1, k1 + 1), jcache.ideal_Ikl(l2, k2 + 1))
+                    if not any(x.is_zero() for x in t):
+                        fresh.append(t)
         if graded and s < max_layer:
             continue
         new = _undominated(kept, fresh, leq)
@@ -398,9 +402,10 @@ def overline_bound(pair: CompatiblePair, fctx, m_cap: int | None = None) -> Grad
 
 def _undominated(kept, fresh, leq) -> list:
     """The distinct tuples of fresh not in kept that no other tuple of kept
-    or fresh dominates, factor by factor under leq.  Equal factors are one
-    object, so leq is a partial order on distinct tuples and every pruned
-    tuple lies below a returned or a kept one."""
+    or fresh dominates, factor by factor under leq.  Tuples are compared by
+    value, so the tuples of the pool differ in some factor, leq is a partial
+    order on them and every pruned tuple lies below a returned or a kept
+    one."""
     held = set(kept)
     fresh = [t for t in dict.fromkeys(fresh) if t not in held]
     pool = kept + fresh

@@ -774,9 +774,11 @@ def subspace_sum(ambient: Ambient, parts: Iterable[GradedSubspace]) -> GradedSub
     """Sum of subspaces of one ambient.
 
     Per block, the part with the most rows is adopted as it is, and only the
-    rows of the other parts are eliminated against it.
+    rows of the other parts are eliminated against it.  A part given more
+    than once, as one object, is summed once: a memo of spans (such as
+    FiltrationCache's) returns one object for equal operands.
     """
-    parts = list(parts)
+    parts = list({id(p): p for p in parts}.values())
     if any(p.ambient != ambient for p in parts):
         raise ValueError("ambient mismatch")
     b = SpanBuilder(ambient)

@@ -128,6 +128,22 @@ def test_compute_dump_basis(capsys):
     assert "rows" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("pair, rc", [
+    ("sl2irrep:3", 0), ("sl:3", 2), ("so:3", 2), ("gl:3", 2), ("sl2irrep:2", 0), ("sl:2", 2),
+])
+def test_compute_sl2form_refuses_other_pairs(capsys, pair, rc):
+    # the sl2 module form is built from the size of the pair alone, so a
+    # pair other than sl2irrep:n of that size would be labelled with a
+    # basis that is not its own
+    assert main(["compute", "--object", "sl2form", "--pair", pair, "--deg", "3", "--json"]) == rc
+    captured = capsys.readouterr()
+    if rc == 0:
+        check = json.loads(captured.out)["checks"][0]
+        assert check["name"] == f"sl2form for {pair}" and check["verdict"] == "pass"
+    else:
+        assert captured.err.startswith("error:") and pair in captured.err
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "report.json"
     rc = main(["verify", "--suite", "perfect-equality", "--pair", "sl:2",

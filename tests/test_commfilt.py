@@ -334,6 +334,21 @@ def test_ikl_multiplies_each_distinct_factor_pair_once(m2ctx, monkeypatch):
     assert len(products) == 3
 
 
+def test_product_ideals_share_factor_pairs_across_entries(m2ctx, monkeypatch):
+    # over M_2, I(j, 2) = M_2 for every j, so I(11, 2) has the factor pairs
+    # of I(10, 2), and I(10, 3) adds only (M_2, M_2): every product of the
+    # product ideals goes through the span memo
+    cache = FiltrationCache(m2ctx)
+    products = []
+    monkeypatch.setattr(commfilt, "op_product", lambda *args, real=commfilt.op_product:
+                        products.append(args) or real(*args))
+    counts = []
+    for k, l in ((10, 2), (11, 2), (10, 3)):
+        assert cache.ideal_Ikl(k, l) == m2ctx.full_subspace()
+        counts.append(len(products))
+    assert counts == [3, 3, 4]
+
+
 def test_ikl_builds_only_what_the_recursion_reaches():
     # the recursion in l skips I(k - i, l - 1) whenever C(i) is zero
     cache = FiltrationCache(FreeContext(2, 3))

@@ -839,27 +839,18 @@ def test_abelian_series_stops_on_a_repeated_term(m2ctx):
 # -- overline_bound: pruned factor tuples against the full loop ------------------------
 
 
-def reference_overline_bound(pair, fctx, m_cap=None):
-    """The loop before pruning: both terms of every factor tuple that passes
-    the zero filters, multiplied out.  It calls current.kron_sum, so a test
-    can record the merged dimension it reads after each layer."""
-    tctx = TensorContext(fctx, pair.n)
-    cache = filtration(fctx)
+def reference_layers(pair, fctx, max_layer, factor):
+    """Per layer, both terms of every factor tuple of the loop before
+    pruning that passes the zero filters, multiplied out, with factor(k, l)
+    as the factor of F and the J(l, k) of a fresh cache on M_n."""
     jcache = current.FiltrationCache(pair.mctx, generating=pair.g)
-    terms = [(fctx.full_subspace(), pair.g)]
-    graded = fctx.is_free
-    max_layer = (fctx.ambient.max_degree - 2 if graded else current._hard_cap(fctx, pair))
-    if m_cap is not None:
-        max_layer = min(max_layer, m_cap - 2)
-    dim = None
-    stale = 0
     for s in range(max_layer + 1):
+        terms = []
         for k1 in range(s + 1):
             for k2 in range(s - k1 + 1):
                 for l1 in range(s - k1 - k2 + 1):
                     l2 = s - k1 - k2 - l1
-                    i1 = cache.ideal_Ikl(k1, l1 + 1)
-                    i2 = cache.ideal_Ikl(k2, l2 + 1)
+                    i1, i2 = factor(k1, l1 + 1), factor(k2, l2 + 1)
                     if i1.is_zero() or i2.is_zero():
                         continue
                     j1 = jcache.ideal_Ikl(l1, k1 + 1)
@@ -868,7 +859,26 @@ def reference_overline_bound(pair, fctx, m_cap=None):
                         continue
                     terms.append((op_product(fctx, i1, i2), op_bracket(pair.mctx, j1, j2)))
                     terms.append((op_bracket(fctx, i1, i2), op_product(pair.mctx, j2, j1)))
-        if not graded:
+        yield terms
+
+
+def reference_max_layer(pair, fctx, m_cap):
+    top = fctx.ambient.max_degree - 2 if fctx.is_free else current._hard_cap(fctx, pair)
+    return top if m_cap is None else min(top, m_cap - 2)
+
+
+def reference_overline_bound(pair, fctx, m_cap=None):
+    """The loop before pruning, by the definition: the factors of F are the
+    product ideals I(k, l).  It calls current.kron_sum, so a test can record
+    the merged dimension it reads after each layer."""
+    tctx = TensorContext(fctx, pair.n)
+    factor = filtration(fctx).ideal_Ikl
+    terms = [(fctx.full_subspace(), pair.g)]
+    dim = None
+    stale = 0
+    for layer in reference_layers(pair, fctx, reference_max_layer(pair, fctx, m_cap), factor):
+        terms += layer
+        if not fctx.is_free:
             prev, dim = dim, current.kron_sum(tctx, terms).dim
             stale = 0 if prev is None or dim > prev else stale + 1
             if stale >= 2:
@@ -917,7 +927,7 @@ def test_overline_bound_layers_match_reference_over_matrices(name, m2ctx, monkey
 
 
 def test_overline_bound_multiplies_only_undominated_tuples(monkeypatch):
-    # at D = 5, sp:4 keeps 8 of its 35 distinct factor tuples
+    # at D = 5, sp:4 keeps 5 of its 16 distinct factor tuples
     calls = []
     real = current._undominated
 
@@ -928,7 +938,7 @@ def test_overline_bound_multiplies_only_undominated_tuples(monkeypatch):
 
     monkeypatch.setattr(current, "_undominated", recording)
     overline_bound(pair_by_name("sp:4"), FREE_BY_DEGREE[5])
-    assert calls == [(35, 8)]
+    assert calls == [(16, 5)]
 
 
 def test_undominated_keeps_the_maximal_tuples():
@@ -944,6 +954,41 @@ def test_undominated_keeps_the_maximal_tuples():
     # a kept tuple prunes a fresh one below it, and is not returned again
     assert current._undominated([("d", "d")], fresh, leq) == []
     assert current._undominated([("a", "a")], [("a", "a"), ("c", "c")], leq) == [("c", "c")]
+
+
+@pytest.mark.parametrize("m_cap, dims", [(None, [414, 632, 653, 653]), (3, [414, 632])])
+def test_partial_sum_factors_give_the_layer_sums_of_the_product_ideals(monkeypatch, m_cap, dims):
+    # the lemma of overline_bound: with S(k, l) in place of I(k, l) as the
+    # factors of F, the refined terms sum to the same space after every
+    # layer.  The sums grow over three layers, so a shifted layer shows
+    monkeypatch.setattr(current, "_closure_memo", {})
+    pair, fctx = pair_by_name("sl2irrep:4"), FREE_BY_DEGREE[5]
+    tctx, cache = TensorContext(fctx, pair.n), filtration(fctx)
+    max_layer = reference_max_layer(pair, fctx, m_cap)
+
+    def layer_sums(factor):
+        terms, sums = [], []
+        for layer in reference_layers(pair, fctx, max_layer, factor):
+            terms += layer
+            sums.append(kron_sum(tctx, terms))
+        return sums
+
+    by_products, by_partial_sums = layer_sums(cache.ideal_Ikl), layer_sums(cache.ideal_Ik_le)
+    assert [x.dim for x in by_products] == dims
+    for new, ref in zip(by_partial_sums, by_products, strict=True):
+        assert_bit_identical(new, ref)
+
+
+def test_overline_bound_builds_no_product_ideal_of_f(monkeypatch):
+    # the factors of F are the partial sums S(k, l), read off the rows that
+    # tilde_bound builds; neither bound reads a commutator space past C(0)
+    # or a product ideal I(k, l) of F
+    monkeypatch.setattr(current, "_closure_memo", {})
+    pair, fctx = pair_by_name("sp:4"), FREE_BY_DEGREE[5]
+    tilde_bound(pair, fctx)
+    overline_bound(pair, fctx)
+    cache = filtration(fctx)
+    assert len(cache._comm._terms) == 1 and not cache._ikl
 
 
 # -- filtration ideals under a large cap -------------------------------------------

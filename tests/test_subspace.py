@@ -537,6 +537,21 @@ def test_subspace_sum_helper():
     assert subspace_sum(AMB, [a, b]) == a.sum(b)
 
 
+def test_subspace_sum_takes_a_repeated_part_once(monkeypatch):
+    # a memo of spans hands a sum the same object for every equal pair of
+    # operands, so over M_2 I(k, 3) gets about k copies of M_2
+    a = GradedSubspace.span(AMB, [{1: 1}, {3: 1, 4: 2}])
+    b = GradedSubspace.span(AMB, [{2: 1}, {3: 1}])
+    inserted = []
+    monkeypatch.setattr(subspace_module.SpanBuilder, "add_block_row",
+                        lambda self, bi, row, real=subspace_module.SpanBuilder.add_block_row:
+                        inserted.append(bi) or real(self, bi, row))
+    once = subspace_sum(AMB, [a, b])
+    rows = len(inserted)
+    assert rows > 0
+    assert subspace_sum(AMB, [a, b, a, b, b, a]) == once and len(inserted) == 2 * rows
+
+
 def test_ambient_mismatch_raises():
     other = Ambient([(0, 2)])
     a = GradedSubspace.zero(AMB)
