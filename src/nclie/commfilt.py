@@ -68,12 +68,15 @@ class FiltrationCache:
     def ideal_Ikl(self, k: int, l: int) -> GradedSubspace:
         """Span of l-fold products of commutator spaces with orders summing to k.
 
-        I(k, l) is the sum of C(i) I(k - i, l - 1) over the i with C(i)
-        nonzero.  The entries that recursion would build are found level by
-        level down to one factor, then built upward in the factor count, so
-        no call stack grows with l.  Each product goes through the span
-        memo, so a factor pair is multiplied once across all entries: past
-        the stop of the commutator chain every C(i) is the same.
+        I(k, l) is the sum of I(k - i, l - 1) C(i) over the i with C(i)
+        nonzero: a product split before its last factor.  `verify`'s
+        factor-count check splits it after its first, so it compares two
+        expansions that agree by associativity, not this one with itself.
+        The entries that recursion would build are found level by level down
+        to one factor, then built upward in the factor count, so no call
+        stack grows with l.  Each product goes through the span memo, so a
+        factor pair is multiplied once across all entries: past the stop of
+        the commutator chain every C(i) is the same.
         """
         if k < 0 or l < 1:
             raise ValueError("need k >= 0 and l >= 1")
@@ -90,7 +93,7 @@ class FiltrationCache:
         for j, ks in reversed(levels):
             for kk in sorted(ks):
                 self._ikl[kk, j] = C(kk) if j == 1 else subspace_sum(self.ctx.ambient, [
-                    self.product(C(i), self._ikl[kk - i, j - 1]) for i in range(kk + 1)
+                    self.product(self._ikl[kk - i, j - 1], C(i)) for i in range(kk + 1)
                     if not C(i).is_zero() and not self._ikl[kk - i, j - 1].is_zero()])
         return self._ikl[k, l]
 

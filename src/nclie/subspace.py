@@ -6,11 +6,15 @@ rationals: two subspaces are equal iff their stored matrices are identical.
 
 Row operations run on numpy int64 arrays guarded against overflow; rows whose
 entries outgrow 64 bits are promoted to object (big-integer) arrays, so every
-result is exact regardless of coefficient growth.  A sparse rational vector
-enters one block component at a time, as one row (`_int_row`) or a batch
-(`int_matrix`); each component is scaled to integers on its own by
-`clear_denominators`, the one place where rationals become integers, since
-neither a span nor membership depends on the scale of a component.
+result is exact regardless of coefficient growth.  One function,
+`_exact_dtype`, picks the dtype that holds a bound.  A stored block is object
+exactly when one of its entries is _GUARD = 2^62 or more (`_narrow`), and an
+empty block is a zero-row int64 matrix, so that equal subspaces store equal
+arrays and hash equal.  A sparse rational vector enters one block component
+at a time, as one row (`_int_row`) or a batch (`int_matrix`); each component
+is scaled to integers on its own by `clear_denominators`, the one place where
+rationals become integers, since neither a span nor membership depends on
+the scale of a component.
 
 This is the one exact elimination engine.  Insertion runs `_eliminate`: it
 finds the next stored row whose pivot entry is nonzero in the candidate with
@@ -20,8 +24,7 @@ the candidates with the nullspace of the block (`contains_all_block_rows`).
 Integer matrix products run in `exact_product`, in the cheapest dtype that
 is exact (`product_dtype`): every partial sum of a dot product is bounded
 by max|a| * max|b| * inner, and float64 holds every integer below 2^53, so
-below that bound a float64 BLAS product is exact; int64 serves up to
-_GUARD = 2^62 and Python integers beyond.
+below that bound a float64 BLAS product is exact.
 Intersections (Zassenhaus) and the small dense rational solvers
 (`fraction_rref` and the kernels and solutions read off it) build canonical
 subspaces with the same insertion.
@@ -60,6 +63,34 @@ import numpy as np
 
 _GUARD = 1 << 62
 _FLOAT_EXACT = 1 << 53
+
+
+def _exact_dtype(bound: int, floats=False):
+    """The cheapest dtype that holds every integer of absolute value at most
+    bound exactly: float64 (only when floats) below 2^53, int64 below _GUARD,
+    Python integers (object) beyond.  The margin of _GUARD below 2^63 lets
+    a difference of two int64 values below it be formed."""
+    if floats and bound < _FLOAT_EXACT:
+        return np.float64
+    return np.int64 if bound < _GUARD else object
+
+
+def _narrow(arr, amax: int):
+    """arr as int64 when it is an object array whose entries, at most amax
+    in absolute value, fit there; a block is object exactly when it holds
+    an entry of _GUARD or more."""
+    return arr.astype(np.int64) if arr.dtype == object and amax < _GUARD else arr
+
+
+def _as_int(arr):
+    """A float64 array of integers below 2^53 as int64 (exactly); any other
+    array as it is."""
+    return arr.astype(np.int64) if arr.dtype == np.float64 else arr
+
+
+def _empty(width: int):
+    """The block of the zero subspace: a zero-row int64 matrix."""
+    return np.zeros((0, width), dtype=np.int64)
 
 
 class Ambient:
@@ -135,16 +166,14 @@ def _primitive(arr):
         else:
             arr = arr // g
     amax = abs_max(arr)
-    if arr.dtype == object and amax < _GUARD:
-        arr = arr.astype(np.int64)
-    return arr, int(nz[0]), amax
+    return _narrow(arr, amax), int(nz[0]), amax
 
 
 def _combine(piv, prow, pmax, coeff, arr, amax):
     """piv*arr - coeff*prow, promoting to big integers when int64 could overflow."""
     c = coeff if coeff > 0 else -coeff
     bound = piv * amax + c * pmax
-    if bound >= _GUARD or arr.dtype == object or prow.dtype == object:
+    if _exact_dtype(bound) is object or arr.dtype == object or prow.dtype == object:
         arr = arr.astype(object)
         prow = prow.astype(object)
         out = arr * int(piv) - prow * int(coeff)
@@ -215,10 +244,7 @@ class _Block:
         is stored as int64, as insert would store it.
         """
         pidx, maxes = sub._echelon(bi)
-        self.rows = [
-            row.astype(np.int64) if row.dtype == object and m < _GUARD else row
-            for row, m in zip(sub._rows[bi], maxes)
-        ]
+        self.rows = [_narrow(row, m) for row, m in zip(sub._rows[bi], maxes)]
         self.pidx = pidx
         self.maxes = list(maxes)
         self.reduced[pidx] = True
@@ -261,7 +287,7 @@ class GradedSubspace:
 
     def __init__(self, ambient: Ambient, rows, pivots):
         self.ambient = ambient
-        self._rows = rows          # tuple over blocks of int matrices (r, w) or None
+        self._rows = rows          # tuple over blocks of int matrices (r, w), r >= 0
         self._pivots = pivots      # tuple over blocks of pivot tuples
         self._null = [None] * len(ambient.blocks)
         self._hash = None
@@ -270,8 +296,8 @@ class GradedSubspace:
 
     @staticmethod
     def zero(ambient: Ambient) -> "GradedSubspace":
-        n = len(ambient.blocks)
-        return GradedSubspace(ambient, (None,) * n, ((),) * n)
+        return GradedSubspace(ambient, tuple(_empty(s) for _, s in ambient.blocks),
+                              ((),) * len(ambient.blocks))
 
     @staticmethod
     def span(ambient: Ambient, vectors: Iterable) -> "GradedSubspace":
@@ -292,23 +318,20 @@ class GradedSubspace:
     # -- inspection --------------------------------------------------------
 
     def dim_profile(self) -> list[tuple[int, int]]:
-        return [
-            (deg, 0 if self._rows[i] is None else self._rows[i].shape[0])
-            for i, (deg, _) in enumerate(self.ambient.blocks)
-        ]
+        return [(deg, len(mat)) for (deg, _), mat in zip(self.ambient.blocks, self._rows)]
 
     @property
     def dim(self) -> int:
         return sum(d for _, d in self.dim_profile())
 
     def is_zero(self) -> bool:
-        return all(r is None for r in self._rows)
+        return not any(self._pivots)
 
     def block_rows(self):
         """Yield (block index, degree, int matrix) for nonzero blocks."""
-        for i, (deg, _) in enumerate(self.ambient.blocks):
-            if self._rows[i] is not None:
-                yield i, deg, self._rows[i]
+        for i, ((deg, _), mat) in enumerate(zip(self.ambient.blocks, self._rows)):
+            if len(mat):
+                yield i, deg, mat
 
     def vectors(self):
         """Yield basis vectors as {global index: Fraction} with pivot entry 1."""
@@ -339,12 +362,8 @@ class GradedSubspace:
         """Integer matrix N with rowspace(block) = {v : v @ N = 0}; its largest
         absolute entry is null_max(bi)."""
         if self._null[bi] is None:
-            size = self.ambient.blocks[bi][1]
-            mat = self._rows[bi]
-            if mat is None:
-                self._null[bi] = _nullspace((), (), size, ())
-            else:
-                self._null[bi] = _nullspace(mat, self._pivots[bi], size, self._echelon(bi)[1])
+            self._null[bi] = _nullspace(self._rows[bi], self._pivots[bi],
+                                        self.ambient.blocks[bi][1], self._echelon(bi)[1])
         return self._null[bi][0]
 
     def null_max(self, bi: int) -> int:
@@ -394,8 +413,6 @@ class GradedSubspace:
         b = SpanBuilder(self.ambient)
         for bi, (_, width) in enumerate(self.ambient.blocks):
             ra, rb = self._rows[bi], other._rows[bi]
-            if ra is None or rb is None:
-                continue
             blk = _Block(2 * width)
             for row in ra:
                 blk.insert(np.concatenate([row, row]), abs_max(row))
@@ -413,13 +430,14 @@ class GradedSubspace:
         stand: reduced, primitive and in pivot order.  For sub <= self they
         span a complement of sub: every pivot of sub is one of self, so they
         are dim self - dim sub rows, independent of sub's rows because no
-        two of all these rows share a pivot.
+        two of all these rows share a pivot.  They keep object dtype only
+        when one of their entries needs it (_narrow), as every block does.
         """
         rows, pivots = [], []
         for mat, piv, other in zip(self._rows, self._pivots, map(set, sub._pivots)):
-            keep = [i for i, p in enumerate(piv) if p not in other]
-            rows.append(mat[keep] if keep else None)
-            pivots.append(tuple(piv[i] for i in keep))
+            kept = mat[[i for i, p in enumerate(piv) if p not in other]]
+            rows.append(_narrow(kept, abs_max(kept)))
+            pivots.append(tuple(p for p in piv if p not in other))
         return GradedSubspace(self.ambient, tuple(rows), tuple(pivots))
 
     def __eq__(self, other):
@@ -427,18 +445,13 @@ class GradedSubspace:
             return NotImplemented
         if self.ambient != other.ambient or self._pivots != other._pivots:
             return False
-        for a, b in zip(self._rows, other._rows):
-            if (a is None) != (b is None):
-                return False
-            if a is not None and not np.array_equal(a, b):
-                return False
-        return True
+        return all(map(np.array_equal, self._rows, other._rows))
 
     def __hash__(self):
         if self._hash is None:
             acc = hash(self.ambient)
             for mat, piv in zip(self._rows, self._pivots):
-                acc = hash((acc, piv, None if mat is None else mat.tobytes() if mat.dtype != object else tuple(map(tuple, mat.tolist()))))
+                acc = hash((acc, piv, mat.tobytes() if mat.dtype != object else tuple(map(tuple, mat.tolist()))))
             self._hash = acc
         return self._hash
 
@@ -472,16 +485,15 @@ def clear_denominators(values: list) -> list:
 
 def int_matrix(rows, width: int):
     """Dense integer matrix from sparse rows {column: value}, each row
-    scaled by clear_denominators: int64 when every entry is below _GUARD
-    in absolute value, object (big integers) otherwise."""
+    scaled by clear_denominators, in the dtype _exact_dtype picks for its
+    largest absolute entry."""
     ridx, cidx, vals = [], [], []
     for r, row in enumerate(rows):
         vs = clear_denominators(list(row.values()))
         ridx.extend([r] * len(vs))
         cidx.extend(row)
         vals.extend(vs)
-    big = max(map(abs, vals), default=0)
-    mat = np.zeros((len(rows), width), dtype=np.int64 if big < _GUARD else object)
+    mat = np.zeros((len(rows), width), dtype=_exact_dtype(max(map(abs, vals), default=0)))
     mat[ridx, cidx] = vals
     return mat
 
@@ -496,14 +508,10 @@ def product_dtype(amax: int, bmax: int, inner: int):
     amax and bmax on their entries and the inner dimension.
 
     Every partial sum of a dot product is at most amax*bmax*inner in absolute
-    value.  float64 represents every integer below 2^53 exactly, so below
-    that bound a BLAS product in float64 is exact; below _GUARD int64 cannot
-    overflow; beyond it the product runs on Python integers.
+    value, so the product is exact in the dtype _exact_dtype picks for that
+    bound, float64 included: a BLAS product below 2^53.
     """
-    bound = amax * bmax * inner
-    if bound < _FLOAT_EXACT:
-        return np.float64
-    return np.int64 if bound < _GUARD else object
+    return _exact_dtype(amax * bmax * inner, floats=True)
 
 
 def abs_max(arr) -> int:
@@ -520,14 +528,11 @@ def exact_product(a, b, amax=None, bmax=None):
     amax = abs_max(a) if amax is None else amax
     bmax = abs_max(b) if bmax is None else bmax
     dtype = product_dtype(amax, bmax, a.shape[1])
-    out = _as_dtype(a, dtype) @ _as_dtype(b, dtype)
-    return out.astype(np.int64) if dtype is np.float64 else out
+    return _as_int(_as_dtype(a, dtype) @ _as_dtype(b, dtype))
 
 
 def _as_dtype(arr, dtype):
-    if arr.dtype == np.float64 and dtype is not np.float64:
-        arr = arr.astype(np.int64)   # integers below 2^53, so exactly
-    return arr.astype(dtype, copy=False)
+    return (arr if dtype is np.float64 else _as_int(arr)).astype(dtype, copy=False)
 
 
 def _nullspace(rows, pivots, width: int, maxes, float_ok=False):
@@ -537,9 +542,9 @@ def _nullspace(rows, pivots, width: int, maxes, float_ok=False):
     Column k of N is the kernel vector of the k-th free column f: L at f and
     -row[f] * L / row[p] at the pivot p of each row, where L is the lcm of
     the pivot entries.  N is filled one pivot row at a time, straight into
-    one array (no whole-block temporaries): float64 when float_ok and every
-    entry is below 2^53, so that exact_product need not convert it, else
-    int64 when every entry is below _GUARD, else Python integers.
+    one array (no whole-block temporaries), in the dtype _exact_dtype picks
+    for the largest entry, float64 only when float_ok, so that exact_product
+    need not convert it.
     """
     free_mask = np.ones(width, dtype=bool)
     free_mask[list(pivots)] = False
@@ -548,10 +553,7 @@ def _nullspace(rows, pivots, width: int, maxes, float_ok=False):
     lcm = math.lcm(*heads)
     scales = [lcm // h for h in heads]
     bound = max([lcm, *(s * m for s, m in zip(scales, maxes))]) if len(free) else 0
-    if float_ok and bound < _FLOAT_EXACT:
-        dtype = np.float64
-    else:
-        dtype = np.int64 if bound < _GUARD else object
+    dtype = _exact_dtype(bound, floats=float_ok)
     null = np.zeros((width, len(free)), dtype=dtype)
     if not len(free):
         return null, 0
@@ -560,9 +562,7 @@ def _nullspace(rows, pivots, width: int, maxes, float_ok=False):
         part = row[free]
         null[p] = (part.astype(object) if dtype is object else part) * -s
     nmax = abs_max(null)
-    if dtype is object and nmax < _GUARD:
-        null = null.astype(np.int64)
-    return null, nmax
+    return _narrow(null, nmax), nmax
 
 
 def _int_row(width: int, comp: dict[int, Fraction]):
@@ -573,7 +573,7 @@ def _int_row(width: int, comp: dict[int, Fraction]):
     amax = max(map(abs, vals), default=0)
     if amax == 0:
         return None, 0
-    arr = np.zeros(width, dtype=np.int64 if amax < _GUARD else object)
+    arr = np.zeros(width, dtype=_exact_dtype(amax))
     arr[list(comp)] = vals
     return arr, amax
 
@@ -617,10 +617,6 @@ class SpanBuilder:
         rows = []
         pivots = []
         for blk in self._blocks:
-            if not blk.rows:
-                rows.append(None)
-                pivots.append(())
-                continue
             blk.canonicalize()
             dt = object if any(r.dtype == object for r in blk.rows) else np.int64
             mat = np.empty((len(blk.rows), blk.width), dtype=dt)
@@ -647,32 +643,27 @@ def kronecker_span(fsub: GradedSubspace, asub: GradedSubspace) -> GradedSubspace
       * Primitive with a positive pivot: content(u (x) a) =
         content(u)*content(a) = 1 (Gauss's lemma), and a product of positive
         pivots is positive.
-      * dtype: int64 exactly when max|U|*max|A| < _GUARD, the rule
-        SpanBuilder.finalize applies row by row.
+      * dtype: object exactly when max|U|*max|A|, the largest entry, is
+        _GUARD or more (_kron_block), as for every stored block.
     """
     if len(asub.ambient.blocks) != 1 or asub.ambient.blocks[0][0] != 0:
         raise ValueError("right factor must live in a single degree-0 block")
     width = asub.ambient.dim
     ambient = Ambient([(d, s * width) for d, s in fsub.ambient.blocks])
     amat, apiv = asub._rows[0], asub._pivots[0]
-    if amat is None:
-        return GradedSubspace.zero(ambient)
-    rows = []
-    pivots = []
-    for fmat, fpiv in zip(fsub._rows, fsub._pivots):
-        if fmat is None:
-            rows.append(None)
-            pivots.append(())
-            continue
-        rows.append(_kron_block(fmat, amat))
-        pivots.append(tuple(p * width + q for p in fpiv for q in apiv))
-    return GradedSubspace(ambient, tuple(rows), tuple(pivots))
+    return GradedSubspace(ambient, tuple(_kron_block(fmat, amat) for fmat in fsub._rows),
+                          tuple(tuple(p * width + q for p in fpiv for q in apiv)
+                                for fpiv in fsub._pivots))
 
 
 def _kron_block(umat, vmat):
-    """kron(U, V) of two canonical blocks: int64 exactly when
-    max|U|*max|V| < _GUARD, the largest entry of the product."""
-    dtype = object if abs_max(umat) * abs_max(vmat) >= _GUARD else np.int64
+    """kron(U, V) of two canonical blocks, in the dtype _exact_dtype picks
+    for max|U|*max|V|, the largest entry of the product; a zero-row block
+    when either is empty, so that a big U never meets the int64 of an empty
+    V."""
+    if not (len(umat) and len(vmat)):
+        return _empty(umat.shape[1] * vmat.shape[1])
+    dtype = _exact_dtype(abs_max(umat) * abs_max(vmat))
     return np.kron(umat.astype(dtype), vmat.astype(dtype))
 
 
@@ -717,7 +708,7 @@ def op_product(ctx, s1: GradedSubspace, s2: GradedSubspace) -> GradedSubspace:
             if d1 + d2 > amb.max_degree:
                 continue
             width = amb.blocks[b2][1]
-            rows, pivots = [None] * len(amb.blocks), [()] * len(amb.blocks)
+            rows, pivots = [_empty(s) for _, s in amb.blocks], [()] * len(amb.blocks)
             rows[index[d1 + d2]] = _kron_block(m1, m2)
             pivots[index[d1 + d2]] = tuple(p * width + q for p in s1._pivots[b1]
                                            for q in s2._pivots[b2])
@@ -784,7 +775,7 @@ def subspace_sum(ambient: Ambient, parts: Iterable[GradedSubspace]) -> GradedSub
     b = SpanBuilder(ambient)
     for bi in range(len(ambient.blocks)):
         mats = [p._rows[bi] for p in parts]
-        present = [k for k, mat in enumerate(mats) if mat is not None]
+        present = [k for k, mat in enumerate(mats) if len(mat)]
         if not present:
             continue
         top = max(present, key=lambda k: mats[k].shape[0])
@@ -994,7 +985,7 @@ def _keys(rows):
     three kinds never coincide.  A float64 row (of exact integers) is keyed
     by its integer values, so -0.0 and 0.0 agree."""
     if rows.dtype == object:
-        return [tuple(row) if max(map(abs, row)) >= _GUARD else _keys(np.array([row]))[0]
+        return [tuple(row) if _exact_dtype(max(map(abs, row))) is object else _keys(np.array([row]))[0]
                 for row in rows.tolist()]
     keys, width = [], rows.shape[1]
     step = max(1, _CHUNK_ENTRIES // width)
@@ -1111,7 +1102,7 @@ def _pair_images(amb, a, d, e, entries, images):
     rstart = np.append(rstart, len(r))
     terms = int(np.diff(rstart).max() * np.bincount(xinv).max())
     bound = gmax if terms == 1 else abs_max(rv) * abs_max(xv) * gmax * terms
-    dtype = G.dtype if bound < _FLOAT_EXACT else np.int64 if bound < _GUARD else object
+    dtype = _exact_dtype(bound, floats=G.dtype == np.float64)
     if terms == 1:
         pp, qq = np.repeat(np.arange(len(r)), len(x)), np.tile(np.arange(len(x)), len(r))
         cols = col[qq] + j[pp]
@@ -1125,7 +1116,7 @@ def _pair_images(amb, a, d, e, entries, images):
             k = live[lo:lo + step]
             vals = _as_dtype(G[zg[k], cols[k]], dtype)
             vals -= _as_dtype(H[zh[k], cols[k]], dtype)
-            yield r[pp[k]], x[qq[k]], _as_dtype(vals, np.int64) if vals.dtype == np.float64 else vals
+            yield r[pp[k]], x[qq[k]], _as_int(vals)
         return
     step = max(1, _CHUNK_ENTRIES // (len(xnum) * G.shape[2]))
     for lo in range(0, len(rnum), step):
@@ -1140,7 +1131,7 @@ def _pair_images(amb, a, d, e, entries, images):
         keys, vals = keys[order], vals[order]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
         vals, keys = np.add.reduceat(vals, starts, axis=0), keys[starts]
-        yield rnum[keys // len(xnum)], xnum[keys % len(xnum)], _as_dtype(vals, np.int64) if vals.dtype == np.float64 else vals
+        yield rnum[keys // len(xnum)], xnum[keys % len(xnum)], _as_int(vals)
 
 
 # -- small dense rational solvers -------------------------------------------

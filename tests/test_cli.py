@@ -98,9 +98,19 @@ def test_cartan_rejects_pairs_without_criterion():
     assert rc == 2
 
 
-def test_parse_error_exit_two():
-    rc = main(["cartan", "--pair", "so:3", "--deg", "3", "--diag", "1 ; 1+q ; 1"])
+@pytest.mark.parametrize("entry, message", [
+    ("1+q", "unknown generator"),
+    ("(1+x", "expected ')'"),
+    ("[x,y", "expected ']'"),
+    ("[x", "expected ','"),
+    ("x^", "expected an exponent"),
+    ("1/0", "zero denominator"),
+    ("1)", "unexpected character"),
+])
+def test_parse_error_exit_two(capsys, entry, message):
+    rc = main(["cartan", "--pair", "so:3", "--deg", "3", "--diag", f"1 ; {entry} ; 1"])
     assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_compute_ideal_dims(capsys):
@@ -169,8 +179,12 @@ def test_matrix_backend_compute(capsys):
     ]
 
 
-def test_unknown_suite_config_error():
-    rc = main(["verify", "--suite", "nonsense", "--deg", "3"])
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "nonsense", "--deg", "3"],
+    ["compute", "--object", "bogus"],
+])
+def test_unknown_suite_config_error(args):
+    rc = main(args)
     assert rc == 2
 
 
@@ -422,6 +436,13 @@ def test_nonstabilizing_powers_unsupported(tmp_path, capsys):
     '{"n": 2, "g_basis": [[[0, 1], [0, 0]]], "semisimple": "no"}',   # semisimple not a boolean
     '{"n": 2.5, "g_basis": [[[0, 1], [0, 0]]]}',                     # size not an integer
     '{"n": 2, "g_basis": [[[0, true], [0, 0]]]}',                    # boolean entry
+    '{"n": 2, "g_basis": [[[0, 1], [0, 0]]], '                       # E11 = E12 E21 is missing
+    '"algebra_basis": [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]}',
+    '{"n": 2, "g_basis": [[[0, 1], [0, 0]]], "algebra_basis": [[[0, 1], [0, 0]]]}',  # no identity
+    '{"n": 2, "g_basis": [[[0, 1], [0, 0]]], '                       # dependent algebra basis
+    '"algebra_basis": [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 2], [0, 0]]]}',
+    '{"n": 2, "g_basis": [[[0, 1], [0, 0]]], '                       # g outside the diagonal algebra
+    '"algebra_basis": [[[1, 0], [0, 1]], [[1, 0], [0, 0]]]}',
 ])
 def test_malformed_pair_file_config_error(tmp_path, capsys, content):
     path = tmp_path / "pair.json"
@@ -488,6 +509,8 @@ def test_oversized_matrix_size_config_error(monkeypatch, capsys, args):
 @pytest.mark.parametrize("args", [
     ["compute", "--object", "ideal", "--gens", "2", "--deg", "60"],
     ["verify", "--suite", "perfect-equality", "--gens", "x,x", "--deg", "3"],
+    ["compute", "--object", "ideal", "--gens", "0", "--deg", "3"],
+    ["compute", "--object", "ideal", "--gens", "2", "--deg", "0"],
 ])
 def test_oversized_or_ambiguous_free_context_config_error(monkeypatch, capsys, args):
     # the refusal comes before any word is built

@@ -81,3 +81,14 @@ def test_scaling_table_script():
     table = run_script("scaling_table.py", "sl:2,2,3").splitlines()
     assert table[0].startswith("| pair, m, D | w | dim |")
     assert table[2].startswith("| sl:2, 2, 3 | 32 | ") and f"same {sl2['closure_sha256'][:16]}" in table[2]
+
+
+def test_line_count_script():
+    lines = run_script("line_count.py").splitlines()
+    assert lines[0].split() == ["module", "code", "all"]
+    rows = {name: (int(code), int(total)) for name, code, total in map(str.split, lines[1:])}
+    modules = {path.name for path in (ROOT / "src" / "nclie").glob("*.py")}
+    assert set(rows) == modules | {"total"} and len(lines) == len(modules) + 2
+    totals = rows.pop("total")
+    assert totals == tuple(map(sum, zip(*rows.values())))
+    assert all(0 < code <= total for code, total in rows.values())

@@ -31,6 +31,7 @@ from nclie.subspace import (
     fraction_nullspace,
     fraction_rref,
     fraction_solve,
+    kronecker_span,
     op_bracket,
     op_product,
     product_dtype,
@@ -1176,3 +1177,42 @@ def test_chain_that_never_repeats_answers_a_bounded_term():
     chain = Chain(1, lambda k, x: steps.append(k) or 2 * x)
     assert chain.term(10) == 2**10 and chain.stop is None
     assert chain.term(3) == 8 and steps == list(range(10))
+
+
+def test_every_empty_block_is_a_zero_row_int64_matrix(free23, m2ctx):
+    # every constructor stores an empty block as a zero-row int64 matrix of
+    # its width, never None, so that a result equal to the zero subspace
+    # hashes equal to it, also when it comes from an object block (2^70)
+    ctx, amb = free23, free23.ambient
+    x, y = ctx.word_index[(0,)], ctx.word_index[(1,)]
+    big = GradedSubspace.span(amb, [{x: 1, y: 2**70}])
+    assert big._rows[1].dtype == object
+    low, other = GradedSubspace.span(amb, [{x: 1}]), GradedSubspace.span(amb, [{y: 1}])
+    zero, mzero = GradedSubspace.zero(amb), GradedSubspace.zero(m2ctx.ambient)
+    results = [
+        zero,
+        GradedSubspace.span(amb, []),
+        big,
+        low.sum(big),
+        low.intersect(other),
+        kronecker_span(big, mzero),
+        kronecker_span(zero, m2ctx.full_subspace()),
+        kronecker_span(big, m2ctx.full_subspace()),
+        op_product(ctx, big, zero),
+        op_product(ctx, big, big),
+        op_bracket(ctx, low, low),
+        op_bracket(ctx, low, big),
+        bracket_saturate(ctx, [{x: 1}]),
+        big.rows_beyond(big),
+    ]
+    empty_results = 0
+    for result in results:
+        assert len(result._rows) == len(result.ambient.blocks)
+        for mat, (_, width) in zip(result._rows, result.ambient.blocks):
+            assert mat is not None
+            if not len(mat):
+                assert mat.shape == (0, width) and mat.dtype == np.int64
+        if result == GradedSubspace.zero(result.ambient):
+            empty_results += 1
+            assert hash(result) == hash(GradedSubspace.zero(result.ambient))
+    assert empty_results == 8
