@@ -67,9 +67,8 @@ _FLOAT_EXACT = 1 << 53
 
 def _exact_dtype(bound: int, floats=False):
     """The cheapest dtype that holds every integer of absolute value at most
-    bound exactly: float64 (only when floats) below 2^53, int64 below _GUARD,
-    Python integers (object) beyond.  The margin of _GUARD below 2^63 lets
-    a difference of two int64 values below it be formed."""
+    bound exactly: float64 (only when floats) below 2^53, int64 below _GUARD
+    (a factor 2 below int64's limit), Python integers (object) beyond."""
     if floats and bound < _FLOAT_EXACT:
         return np.float64
     return np.int64 if bound < _GUARD else object
